@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,69 @@ def test_tensor_truncated():
 
 def test_golden_bytes_stable():
     assert encode_layer(toy_layer()).hex() == GOLDEN_2X4_HEX
+
+
+def exact_layer(seed, mode, cfg, outliers=(), n=8, m=32, beta=8):
+    """A layer whose Hessian is exact in any summation order.
+
+    Small-integer activations make every product and partial sum of
+    X X^T an exact integer, so BLAS blocking and threading cannot move
+    the calibration, and with it the container bytes.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, m)).astype(np.float32)
+    w[:, list(outliers)] *= np.float32(8.0)
+    x = rng.integers(-3, 4, size=(m, 2 * m)).astype(np.float32)
+    return hbllm_quantize(w, x, beta=beta, mode=mode, cfg=cfg)
+
+
+# sha256 of encode_layer output, frozen when first produced; the first six
+# are the test_reencode_idempotent configs, the last two have salient
+# columns in some (ROW) or all (COL, K=0 not offered) blocks
+GOLDEN_SHA256 = {
+    "row-default": (
+        3, QuantConfig(), Axis.ROW, (), (0, 2, 0, 0),
+        "41073bdc0d95a647bc760d3d67296bd9309ef822ec7f9f8d99c051f1d8e079aa",
+    ),
+    "row-own-means": (
+        3, QuantConfig(share_mean=False), Axis.ROW, (), (4, 0, 0, 2),
+        "7f572425b1a7e7c902db3caed4b17af8c2b745209d90d0f374e9545de339ee2c",
+    ),
+    "row-raw": (
+        3, QuantConfig(haar_enabled=False), Axis.ROW, (), (0, 0, 4, 0),
+        "097595761a46fa6664a39989d960d0b49b63c8df06bd6386fe3706d26cea2eec",
+    ),
+    "col-l1-20": (
+        3, QuantConfig(norm="l1", n_candidates=20), Axis.COL, (), (0, 0, 0, 0),
+        "1bb56969b0d2075b09d7c9e85e966e4b6c187fc0cb3f77a5a7beffe876d65b5c",
+    ),
+    "col-k02": (
+        3, QuantConfig(k_candidates=(0, 2)), Axis.COL, (), (0, 0, 0, 0),
+        "1dbd1638dc7a66bb77e9745a5b1eb13173ee11dca149c757c626d73defb8d4bb",
+    ),
+    "row-raw-scores": (
+        3, QuantConfig(score_raw_weights=True), Axis.ROW, (), (0, 2, 0, 0),
+        "81658a38a9183f3c03f0f6855a992caddde3d2978808fe7a3249bd089c1dc935",
+    ),
+    "row-salient": (
+        4, QuantConfig(), Axis.ROW, (3, 12, 13, 26), (4, 0, 4, 0),
+        "71eb66a3883fae5d7e129746889175e2b91c3dff1ce8ff94d27e7d8db77943a1",
+    ),
+    "col-salient": (
+        4, QuantConfig(k_candidates=(2, 4)), Axis.COL, (3, 12, 13, 26), (2, 2, 2, 2),
+        "7c3f1c2e3fb9549488633fd0ffbabf1c3e1ce0981d964375f8db22cb0c74c5ec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_container_hashes(name):
+    seed, cfg, mode, outliers, ks, digest = GOLDEN_SHA256[name]
+    q = exact_layer(seed, mode, cfg, outliers)
+    assert tuple(b.mask.k for b in q.blocks) == ks
+    blob = encode_layer(q)
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert encode_layer(decode_layer(blob)) == blob
 
 
 def test_decode_reproduces_reconstruction():
