@@ -6,8 +6,8 @@ rest of the package (``plan_lines``, ``haar_fwd_rows``, ``haar_inv_rows``)
 are bound at import time: numba (the optional ``jit`` extra) is used when it
 imports cleanly and the ``HBQ_NUMBA`` environment variable is not set to
 ``0``; otherwise numpy. Both variants stay importable regardless (without
-numba the ``*_nb`` functions run as plain Python), so tests and
-``benchmarks/bench_kernels.py`` can compare them in one process.
+numba the ``*_nb`` functions run as plain Python), so the tests can compare
+them in one process.
 
 The jit planner scans one line and one band at a time. The numpy planner
 instead evaluates one band of a whole chunk of lines in a single

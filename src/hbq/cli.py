@@ -49,7 +49,6 @@ class RunConfig:
     norm: str = "l2"
     k_candidates: tuple[int, ...] = (0, 2, 4, 8)
     lam: str | float = "auto"  # "lambda" is reserved syntax
-    seed: int = 0
     report: str = "csv"
 
     def validate(self) -> None:
@@ -122,7 +121,6 @@ _CONFIG_PARSERS = {
     "norm": lambda v: v.strip().lower(),
     "k_candidates": _parse_k_list,
     "lambda": _parse_lambda,
-    "seed": lambda v: _parse_int("seed", v),
     "report": lambda v: v.strip().lower(),
 }
 _FIELD_FOR_KEY = {"lambda": "lam"}

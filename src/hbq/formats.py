@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import QuantConfig
-from .errors import IntegrityError, ShapeError
-from .grouping import BandPlan, LinePlan
+from .config import MAX_CANDIDATES, QuantConfig
+from .errors import ConfigError, IntegrityError, ShapeError
+from .grouping import LinePlans, band_bounds
 from .haar import Axis
 from .pipeline import QuantizedBlock, QuantizedLayer
 from .salient import SalientMask
@@ -54,13 +54,14 @@ _FLAG_L1 = 4
 _FLAG_RAW_SCORES = 8
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=bool), bitorder="little").tobytes()
+def _pack_bits(bits) -> np.ndarray:
+    """Pack along the last axis, LSB-first, zero-padded to whole bytes."""
+    return np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
 
 
-def _unpack_bits(data: bytes, count: int) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[:count].astype(bool)
+def _unpack_bits(packed: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits along the last axis of packed bytes."""
+    return np.unpackbits(packed, axis=-1, count=count, bitorder="little").view(bool)
 
 
 def _bitset_bytes(count: int) -> int:
@@ -69,13 +70,12 @@ def _bitset_bytes(count: int) -> int:
 
 def pack_signs(signs) -> bytes:
     """Pack a +1/-1 sequence LSB-first, +1 as bit 1, zero-padded."""
-    s = np.asarray(signs)
-    return _pack_bits(s > 0)
+    return _pack_bits(np.asarray(signs) > 0).tobytes()
 
 
 def unpack_signs(data: bytes, count: int) -> np.ndarray:
     """Inverse of pack_signs; returns int8 +1/-1 values."""
-    bits = _unpack_bits(data, count)
+    bits = _unpack_bits(np.frombuffer(data, np.uint8), count)
     return np.where(bits, 1, -1).astype(np.int8)
 
 
@@ -129,21 +129,36 @@ def read_tensor(path) -> np.ndarray:
 # --- HBQ1 quantized layers ---
 
 
-def _encode_band(out: bytearray, band: BandPlan, share: bool) -> None:
-    out += struct.pack("<B", band.threshold_index)
-    if share:
-        out += struct.pack("<e", float(band.mu_sparse))
-    else:
-        out += struct.pack("<ee", float(band.mu_sparse), float(band.mu_dense))
-    out += struct.pack("<ee", float(band.alpha_sparse), float(band.alpha_dense))
-    out += _pack_bits(band.sparse_mask)
+def _scalar_names(share: bool) -> tuple[str, ...]:
+    """Stored scalars per band, in file order (the scales come last)."""
+    means = ("mu_sparse",) if share else ("mu_sparse", "mu_dense")
+    return means + ("alpha_sparse", "alpha_dense")
 
 
-def _encode_line(out: bytearray, plan: LinePlan, share: bool) -> None:
-    _encode_band(out, plan.low_band, share)
-    if plan.high_band is not None:
-        _encode_band(out, plan.high_band, share)
-    out += pack_signs(plan.signs)
+def _line_dtype(width: int, split: int, share: bool) -> np.dtype:
+    """One line record: per band a threshold index, the binary16 scalars
+    and the sparse-group bitmap, then the line's sign bits."""
+    fields = []
+    for b, (lo, hi) in enumerate(band_bounds(width, split)):
+        fields += [
+            (f"idx{b}", "u1"),
+            (f"scalars{b}", "<f2", (len(_scalar_names(share)),)),
+            (f"sparse{b}", "u1", (_bitset_bytes(hi - lo),)),
+        ]
+    fields.append(("signs", "u1", (_bitset_bytes(width),)))
+    return np.dtype(fields)
+
+
+def _encode_plans(plans: LinePlans, share: bool) -> bytes:
+    rec = np.empty(plans.lines, _line_dtype(plans.width, plans.split, share))
+    for b, (lo, hi) in enumerate(plans.bands):
+        rec[f"idx{b}"] = plans.thr_idx[:, b]
+        rec[f"scalars{b}"] = np.stack(
+            [getattr(plans, name)[:, b] for name in _scalar_names(share)], axis=1
+        )
+        rec[f"sparse{b}"] = _pack_bits(plans.sparse[:, lo:hi])
+    rec["signs"] = _pack_bits(plans.signs > 0)
+    return rec.tobytes()
 
 
 def encode_layer(q: QuantizedLayer) -> bytes:
@@ -154,79 +169,72 @@ def encode_layer(q: QuantizedLayer) -> bytes:
         | (_FLAG_L1 if cfg.norm == "l1" else 0)
         | (_FLAG_RAW_SCORES if cfg.score_raw_weights else 0)
     )
+    mode_code = 0 if q.mode is Axis.ROW else 1
     out = bytearray(
         _HEADER.pack(
-            HBQ_MAGIC,
-            HBQ_VERSION,
-            q.n,
-            q.m,
-            q.beta,
-            0 if q.mode is Axis.ROW else 1,
-            float(q.damping),
-            flags,
-            cfg.n_candidates,
-            _SCALAR_F16,
-            len(cfg.k_candidates),
+            HBQ_MAGIC, HBQ_VERSION, q.n, q.m, q.beta, mode_code, float(q.damping),
+            flags, cfg.n_candidates, _SCALAR_F16, len(cfg.k_candidates),
         )
     )
     for k in cfg.k_candidates:
         out += struct.pack("<H", k)
     for block in q.blocks:
         out += struct.pack("<II", block.block_col_offset, block.shape[1])
-        out += _pack_bits(block.mask.bits)
-        for plan in block.nonsalient_plans:
-            _encode_line(out, plan, cfg.share_mean)
-        for plan in block.salient_plans:
-            _encode_line(out, plan, cfg.share_mean)
+        out += _pack_bits(block.mask.bits).tobytes()
+        out += _encode_plans(block.nonsalient_plans, cfg.share_mean)
+        out += _encode_plans(block.salient_plans, cfg.share_mean)
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
 
 
-class _Cursor:
-    """Bounded little-endian reader; running past the end is an integrity
-    failure reported at the offending byte offset."""
-
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
-
-    def take(self, nbytes: int) -> bytes:
-        if self.pos + nbytes > self.end:
-            raise IntegrityError(f"container truncated at byte {self.pos}")
-        chunk = self.data[self.pos : self.pos + nbytes]
-        self.pos += nbytes
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+def _reject_first(bad: np.ndarray, rec: np.ndarray, pos: int, field: str, what: str):
+    """Raise at the byte offset of the first True of bad, indexed (line,
+    band) or (line, band, scalar); C order over those is byte order."""
+    if bad.any():
+        row, b, *j = np.argwhere(bad)[0]
+        at = pos + row * rec.itemsize + rec.dtype.fields[f"{field}{b}"][1] + 2 * sum(j)
+        raise IntegrityError(f"{what} at byte {at}")
 
 
-def _decode_band(cur: _Cursor, width: int, share: bool) -> BandPlan:
-    (idx,) = cur.unpack("<B")
-    if share:
-        (mu_s,) = cur.unpack("<e")
-        mu_d = mu_s
-    else:
-        mu_s, mu_d = cur.unpack("<ee")
-    al_s, al_d = cur.unpack("<ee")
-    mask = _unpack_bits(cur.take(_bitset_bytes(width)), width)
-    return BandPlan(
-        threshold_index=idx,
-        threshold=float("nan"),
-        mu_sparse=mu_s,
-        mu_dense=mu_d,
-        alpha_sparse=al_s,
-        alpha_dense=al_d,
-        sparse_mask=mask,
+def _decode_plans(
+    data: bytes, pos: int, end: int, count: int, width: int, cfg: QuantConfig
+) -> tuple[LinePlans, int]:
+    """Decode count line records of length width at pos; return the plans
+    and the position after them."""
+    if count == 0:
+        return LinePlans.empty(width), pos
+    if cfg.haar_enabled and width % 2 != 0:
+        raise IntegrityError(f"odd transformed line length {width} at byte {pos}")
+    split = width // 2 if cfg.haar_enabled else width
+    dt = _line_dtype(width, split, cfg.share_mean)
+    if count * dt.itemsize > end - pos:
+        raise IntegrityError(f"container truncated at byte {pos}")
+    rec = np.frombuffer(data, dt, count=count, offset=pos)
+    bands = band_bounds(width, split)
+    thr_idx = np.stack([rec[f"idx{b}"] for b in range(len(bands))], axis=1)
+    scalars = np.stack([rec[f"scalars{b}"] for b in range(len(bands))], axis=1)
+    scalars = scalars.astype(np.float32)  # (line, band, scalar)
+    _reject_first(thr_idx >= cfg.n_candidates, rec, pos, "idx",
+                  f"threshold index beyond {cfg.n_candidates} candidates")
+    bad = ~np.isfinite(scalars)
+    bad[..., -2:] |= scalars[..., -2:] < 0  # the scales
+    _reject_first(bad, rec, pos, "scalars", "non-finite or negative plan scalar")
+    named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
+    named.setdefault("mu_dense", named["mu_sparse"])
+    sparse = [
+        _unpack_bits(rec[f"sparse{b}"], hi - lo) for b, (lo, hi) in enumerate(bands)
+    ]
+    nan = np.full(thr_idx.shape, np.nan)
+    plans = LinePlans(
+        split=split,
+        thr_idx=thr_idx,
+        sparse=np.concatenate(sparse, axis=1),
+        signs=np.where(_unpack_bits(rec["signs"], width), 1, -1).astype(np.int8),
+        thr_val=nan.astype(np.float32),
+        sse=nan,
+        **named,
     )
-
-
-def _decode_line(cur: _Cursor, width: int, haar: bool, share: bool) -> LinePlan:
-    low = _decode_band(cur, width // 2 if haar else width, share)
-    high = _decode_band(cur, width - width // 2, share) if haar else None
-    signs = unpack_signs(cur.take(_bitset_bytes(width)), width)
-    return LinePlan(low_band=low, high_band=high, signs=signs)
+    return plans, pos + count * dt.itemsize
 
 
 def decode_layer(data: bytes) -> QuantizedLayer:
@@ -236,19 +244,8 @@ def decode_layer(data: bytes) -> QuantizedLayer:
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != stored_crc:
         raise IntegrityError(f"CRC mismatch at byte {len(data) - 4}")
-    (
-        magic,
-        version,
-        n,
-        m,
-        beta,
-        mode_code,
-        damping,
-        flags,
-        n_candidates,
-        scalar_code,
-        k_count,
-    ) = _HEADER.unpack_from(data, 0)
+    (magic, version, n, m, beta, mode_code, damping, flags, n_candidates,
+     scalar_code, k_count) = _HEADER.unpack_from(data, 0)
     if magic != HBQ_MAGIC:
         raise IntegrityError("bad magic at byte 0")
     if version != HBQ_VERSION:
@@ -257,36 +254,50 @@ def decode_layer(data: bytes) -> QuantizedLayer:
         raise IntegrityError(f"unknown scalar code {scalar_code}")
     if mode_code not in (0, 1):
         raise IntegrityError(f"unknown mode code {mode_code}")
+    for ok, what, off in (
+        (n >= 1, f"n must be >= 1, got {n}", 6),
+        (m >= 1, f"m must be >= 1, got {m}", 10),
+        (beta >= 1, f"beta must be >= 1, got {beta}", 14),
+        (np.isfinite(damping) and damping >= 0, f"bad damping {damping}", 19),
+        (0 < n_candidates <= MAX_CANDIDATES, f"bad candidates {n_candidates}", 28),
+        (k_count >= 1, "empty k-candidate list", 31),
+    ):
+        if not ok:
+            raise IntegrityError(f"{what} at byte {off}")
     mode = Axis.ROW if mode_code == 0 else Axis.COL
-    share = bool(flags & _FLAG_SHARE)
-    haar = bool(flags & _FLAG_HAAR)
-    cur = _Cursor(data, _HEADER.size, len(data) - 4)
-    k_candidates = tuple(cur.unpack("<H")[0] for _ in range(k_count))
-    cfg = QuantConfig(
-        n_candidates=n_candidates,
-        share_mean=share,
-        haar_enabled=haar,
-        norm="l1" if flags & _FLAG_L1 else "l2",
-        k_candidates=k_candidates,
-        score_raw_weights=bool(flags & _FLAG_RAW_SCORES),
-    )
+    pos, end = _HEADER.size, len(data) - 4
+    if pos + 2 * k_count > end:
+        raise IntegrityError(f"container truncated at byte {pos}")
+    k_candidates = tuple(int(k) for k in np.frombuffer(data, "<u2", k_count, pos))
+    try:
+        cfg = QuantConfig(
+            n_candidates=n_candidates,
+            share_mean=bool(flags & _FLAG_SHARE),
+            haar_enabled=bool(flags & _FLAG_HAAR),
+            norm="l1" if flags & _FLAG_L1 else "l2",
+            k_candidates=k_candidates,
+            score_raw_weights=bool(flags & _FLAG_RAW_SCORES),
+        )
+    except ConfigError as exc:
+        raise IntegrityError(f"{exc} at byte {pos}") from None
+    pos += 2 * k_count
     blocks = []
-    for b in range(0, m, max(beta, 1)):
-        expect_width = min(beta, m - b)
-        col_offset, width = cur.unpack("<II")
-        if col_offset != b or width != expect_width:
-            raise IntegrityError(
-                f"block record disagrees with header at byte {cur.pos - 8}"
-            )
-        bits = _unpack_bits(cur.take(_bitset_bytes(width)), width)
+    for b in range(0, m, beta):
+        width = min(beta, m - b)
+        mask_end = pos + 8 + _bitset_bytes(width)
+        if mask_end > end:
+            raise IntegrityError(f"container truncated at byte {pos}")
+        if struct.unpack_from("<II", data, pos) != (b, width):
+            raise IntegrityError(f"block record disagrees with header at byte {pos}")
+        packed = np.frombuffer(data, np.uint8, mask_end - pos - 8, pos + 8)
+        bits = _unpack_bits(packed, width)
+        if bits.all():
+            raise IntegrityError(f"no non-salient column in mask at byte {pos + 8}")
         mask = SalientMask(block_width=width, bits=bits)
-        if mode is Axis.ROW:
-            nonsal = [_decode_line(cur, width, haar, share) for _ in range(n)]
-        else:
-            nonsal = [
-                _decode_line(cur, n, haar, share) for _ in range(width - mask.k)
-            ]
-        salient = [_decode_line(cur, n, haar, share) for _ in range(mask.k)]
+        pos = mask_end
+        count, length = (n, width) if mode is Axis.ROW else (width - mask.k, n)
+        nonsal, pos = _decode_plans(data, pos, end, count, length, cfg)
+        salient, pos = _decode_plans(data, pos, end, mask.k, n, cfg)
         blocks.append(
             QuantizedBlock(
                 mode=mode,
@@ -297,16 +308,10 @@ def decode_layer(data: bytes) -> QuantizedLayer:
                 shape=(n, width),
             )
         )
-    if cur.pos != cur.end:
-        raise IntegrityError(f"unexpected trailing bytes at byte {cur.pos}")
+    if pos != end:
+        raise IntegrityError(f"unexpected trailing bytes at byte {pos}")
     return QuantizedLayer(
-        blocks=blocks,
-        n=n,
-        m=m,
-        beta=beta,
-        mode=mode,
-        damping=damping,
-        cfg=cfg,
+        blocks=blocks, n=n, m=m, beta=beta, mode=mode, damping=damping, cfg=cfg
     )
 
 
@@ -346,24 +351,22 @@ def _pad_bits(count: int) -> int:
 
 
 def bit_report(q: QuantizedLayer) -> BitReport:
-    share = q.cfg.share_mean
-    scalars_per_band = 3 if share else 4
+    scalars_per_band = len(_scalar_names(q.cfg.share_mean))
     sign = scalar = mask = index = overhead = 0
     for block in q.blocks:
         width = block.shape[1]
         overhead += 64  # per-block column offset and width
         mask += width
         overhead += _pad_bits(width)
-        for plan in block.nonsalient_plans + block.salient_plans:
-            for band in (plan.low_band, plan.high_band):
-                if band is None:
-                    continue
-                index += 8
-                scalar += 16 * scalars_per_band
-                mask += band.width
-                overhead += _pad_bits(band.width)
-            sign += plan.width
-            overhead += _pad_bits(plan.width)
+        for plans in (block.nonsalient_plans, block.salient_plans):
+            lines = plans.lines
+            for lo, hi in plans.bands:
+                index += 8 * lines
+                scalar += 16 * scalars_per_band * lines
+                mask += (hi - lo) * lines
+                overhead += _pad_bits(hi - lo) * lines
+            sign += plans.width * lines
+            overhead += _pad_bits(plans.width) * lines
     weights = q.n * q.m
     total = sign + scalar + mask + index + overhead
     return BitReport(

@@ -26,77 +26,94 @@ from .errors import ConfigError, NumericError, ShapeError
 from .haar import Axis, HaarCoeffs
 
 __all__ = [
-    "BandPlan",
-    "LinePlan",
+    "LinePlans",
+    "band_bounds",
     "binarize_group",
     "shared_mean",
     "candidate_thresholds",
     "plan_band",
     "quantize_lines",
-    "line_recon",
     "compute_ciq",
 ]
 
 
-@dataclass
-class BandPlan:
-    """Winning grouping for one band of one line.
+def band_bounds(width: int, split: int) -> list[tuple[int, int]]:
+    """[lo, hi) position ranges of the bands of a line split at split."""
+    return [(0, split)] if split == width else [(0, split), (split, width)]
 
-    mu/alpha values are binary16-representable. mu_dense and alpha_dense
-    are 0.0 when the dense group is empty (threshold at the band minimum
-    puts every position in the sparse group). sse is the reconstruction
-    error of this plan, kept for diagnostics and never serialized.
+
+@dataclass(frozen=True, eq=False)
+class LinePlans:
+    """Winning groupings of a set of lines, as arrays (one line per row).
+
+    Lines hold width positions, split into bands at split: one band when
+    split == width (untransformed lines), else [0, split) and
+    [split, width). Per (line, band): thr_idx, the binary16-representable
+    mu_sparse/mu_dense/alpha_sparse/alpha_dense (mu_dense and alpha_dense
+    are 0.0 when the dense group is empty; with mean sharing both mu slots
+    hold the pooled mean), and thr_val/sse, diagnostics that are never
+    serialized and read NaN after decode. Per position: sparse (group
+    membership) and signs (+1/-1).
     """
 
-    threshold_index: int
-    threshold: float
-    mu_sparse: float
-    mu_dense: float
-    alpha_sparse: float
-    alpha_dense: float
-    sparse_mask: np.ndarray
-    sse: float = 0.0
-
-    def __post_init__(self):
-        self.sparse_mask = np.asarray(self.sparse_mask, dtype=bool)
-        if self.sparse_mask.ndim != 1 or self.sparse_mask.size == 0:
-            raise ShapeError("sparse_mask must be a non-empty 1-D mask")
-        if self.alpha_sparse < 0 or self.alpha_dense < 0:
-            raise ShapeError("alpha values must be non-negative")
-
-    @property
-    def mu_shared(self) -> float:
-        """The pooled mean both groups use when mean sharing is on."""
-        return self.mu_sparse
-
-    @property
-    def width(self) -> int:
-        return int(self.sparse_mask.size)
-
-
-@dataclass
-class LinePlan:
-    """Plans for one full line plus its sign bits.
-
-    high_band is None for untransformed single-band lines; low_band then
-    covers the whole line. signs are +1/-1 per coefficient position.
-    """
-
-    low_band: BandPlan
-    high_band: BandPlan | None
+    split: int
+    thr_idx: np.ndarray
+    mu_sparse: np.ndarray
+    mu_dense: np.ndarray
+    alpha_sparse: np.ndarray
+    alpha_dense: np.ndarray
+    sparse: np.ndarray
     signs: np.ndarray = field(repr=False)
+    thr_val: np.ndarray = field(repr=False)
+    sse: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.signs = np.asarray(self.signs, dtype=np.int8)
-        d = self.low_band.width + (self.high_band.width if self.high_band else 0)
-        if self.signs.shape != (d,):
-            raise ShapeError(
-                f"signs length {self.signs.shape} != line length {d}"
-            )
+        lines, width = self.signs.shape
+        if not 1 <= self.split <= width:
+            raise ShapeError(f"band split {self.split} outside [1, {width}]")
+        bands = (lines, 1 if self.split == width else 2)
+        for name in ("thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
+                     "alpha_dense", "thr_val", "sse"):
+            if getattr(self, name).shape != bands:
+                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {bands}")
+        if self.sparse.shape != (lines, width):
+            raise ShapeError(f"sparse shape {self.sparse.shape} != {(lines, width)}")
+
+    @classmethod
+    def empty(cls, width: int) -> LinePlans:
+        """A set of zero lines of length width (e.g. no salient columns)."""
+        f32 = np.zeros((0, 1), np.float32)
+        return cls(width, np.zeros((0, 1), np.uint8), f32, f32, f32, f32,
+                   np.zeros((0, width), bool), np.zeros((0, width), np.int8),
+                   f32, np.zeros((0, 1), np.float64))
+
+    @property
+    def lines(self) -> int:
+        return self.signs.shape[0]
 
     @property
     def width(self) -> int:
-        return int(self.signs.size)
+        return self.signs.shape[1]
+
+    @property
+    def bands(self) -> list[tuple[int, int]]:
+        return band_bounds(self.width, self.split)
+
+    def recon(self) -> np.ndarray:
+        """Dequantize every line from its plan and sign bits alone.
+
+        Matches planner reconstructions bit for bit: the same f64
+        mu + alpha*sign evaluation narrowed to f32 at the end.
+        """
+        band = np.zeros(self.width, np.intp)
+        band[self.split :] = 1
+        mu = np.where(self.sparse, self.mu_sparse[:, band], self.mu_dense[:, band])
+        al = np.where(
+            self.sparse, self.alpha_sparse[:, band], self.alpha_dense[:, band]
+        )
+        return (mu.astype(np.float64) + al.astype(np.float64) * self.signs).astype(
+            np.float32
+        )
 
 
 def binarize_group(values, mu: float) -> tuple[float, np.ndarray, float]:
@@ -145,23 +162,31 @@ def _ranks_for(levels, nvals: int) -> np.ndarray:
     return np.array([nearest_rank(lv, nvals) for lv in levels], dtype=np.int64)
 
 
-def _band_plan_from_arrays(thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse):
-    return BandPlan(
-        threshold_index=int(thr_idx),
-        threshold=float(thr_val),
-        mu_sparse=float(mu_s),
-        mu_dense=float(mu_d),
-        alpha_sparse=float(al_s),
-        alpha_dense=float(al_d),
-        sparse_mask=sparse.astype(bool),
-        sse=float(sse),
+def _line_plans(out, split: int) -> tuple[LinePlans, np.ndarray]:
+    """Wrap plan_lines output; reject lines whose scalars overflow binary16."""
+    thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse, signs, recon = out
+    nb = 1 if split == signs.shape[1] else 2
+    if not np.all(np.isfinite(sse[:, :nb])):
+        raise NumericError("band statistics exceed the binary16 scalar range")
+    plans = LinePlans(
+        split=split,
+        thr_idx=thr_idx[:, :nb],
+        mu_sparse=mu_s[:, :nb],
+        mu_dense=mu_d[:, :nb],
+        alpha_sparse=al_s[:, :nb],
+        alpha_dense=al_d[:, :nb],
+        sparse=sparse.view(bool),
+        signs=signs,
+        thr_val=thr_val[:, :nb],
+        sse=sse[:, :nb],
     )
+    return plans, recon
 
 
 def plan_band(
     band, n_candidates: int = 40, share_mean: bool = True, levels=None
-) -> BandPlan:
-    """Search candidate thresholds on one band, return the best plan.
+) -> LinePlans:
+    """Search candidate thresholds on one band, return its one-line plan.
 
     Ties break toward the smaller threshold index. levels overrides the
     default evenly spaced percentile levels (used for nested A/B sweeps).
@@ -173,18 +198,12 @@ def plan_band(
         levels = percentile_levels(n_candidates)
     ranks = _ranks_for(levels, v.shape[1])
     out = plan_lines(v, v.shape[1], ranks, np.zeros(0, np.int64), share_mean)
-    thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse, _signs, _recon = out
-    if not np.isfinite(sse[0, 0]):
-        raise NumericError("band statistics exceed the binary16 scalar range")
-    return _band_plan_from_arrays(
-        thr_idx[0, 0], thr_val[0, 0], mu_s[0, 0], mu_d[0, 0],
-        al_s[0, 0], al_d[0, 0], sse[0, 0], sparse[0],
-    )
+    return _line_plans(out, v.shape[1])[0]
 
 
 def quantize_lines(
     coeffs: HaarCoeffs, cfg: QuantConfig
-) -> tuple[list[LinePlan], np.ndarray]:
+) -> tuple[LinePlans, np.ndarray]:
     """Plan every line of a coefficient matrix and reconstruct it.
 
     ROW lines are matrix rows split at band_split into [low | high]; COL
@@ -209,50 +228,10 @@ def quantize_lines(
         np.zeros(0, np.int64) if split == d else _ranks_for(levels, d - split)
     )
     out = plan_lines(lines, split, ranks0, ranks1, cfg.share_mean)
-    thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse, signs, recon = out
-    used = sse[:, 0] if split == d else sse
-    if not np.all(np.isfinite(used)):
-        raise NumericError("band statistics exceed the binary16 scalar range")
-
-    plans = []
-    for i in range(lines.shape[0]):
-        low = _band_plan_from_arrays(
-            thr_idx[i, 0], thr_val[i, 0], mu_s[i, 0], mu_d[i, 0],
-            al_s[i, 0], al_d[i, 0], sse[i, 0], sparse[i, :split],
-        )
-        high = None
-        if split < d:
-            high = _band_plan_from_arrays(
-                thr_idx[i, 1], thr_val[i, 1], mu_s[i, 1], mu_d[i, 1],
-                al_s[i, 1], al_d[i, 1], sse[i, 1], sparse[i, split:],
-            )
-        plans.append(LinePlan(low_band=low, high_band=high, signs=signs[i]))
-
-    if coeffs.axis is Axis.ROW:
-        recon_mat = recon
-    else:
-        recon_mat = np.ascontiguousarray(recon.T)
-    return plans, recon_mat
-
-
-def line_recon(plan: LinePlan) -> np.ndarray:
-    """Dequantize one line from its plan and sign bits alone.
-
-    Matches planner reconstructions bit for bit: same f64 mu + alpha*sign
-    evaluation narrowed to f32 at the end.
-    """
-    parts = []
-    offset = 0
-    for band in (plan.low_band, plan.high_band):
-        if band is None:
-            continue
-        w = band.width
-        s = plan.signs[offset : offset + w].astype(np.float64)
-        mu = np.where(band.sparse_mask, band.mu_sparse, band.mu_dense)
-        al = np.where(band.sparse_mask, band.alpha_sparse, band.alpha_dense)
-        parts.append((mu + al * s).astype(np.float32))
-        offset += w
-    return np.concatenate(parts)
+    plans, recon = _line_plans(out, split)
+    if coeffs.axis is Axis.COL:
+        recon = np.ascontiguousarray(recon.T)
+    return plans, recon
 
 
 def compute_ciq(recon_row, tolerance: float = 1e-9) -> int:

@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 from .calib import CalibStats, build_calib_stats, saliency_matrix
 from .config import QuantConfig
 from .errors import ConfigError, NumericError, ShapeError
-from .grouping import LinePlan, line_recon, quantize_lines
+from .grouping import LinePlans, quantize_lines
 from .haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
 from .salient import SalientMask, _select_salient_full, column_scores, fill_avg
 from .tensor import as_matrix, frobenius_error
@@ -43,17 +43,17 @@ __all__ = [
 class QuantizedBlock:
     """One quantized block of beta (or remainder) columns.
 
-    ROW mode: nonsalient_plans holds one row-axis plan per matrix row of
+    ROW mode: nonsalient_plans holds one row-axis line per matrix row of
     the hole-filled block; salient_plans holds one column-axis residual
-    plan per salient column. COL mode: nonsalient_plans holds one
-    column-axis plan per non-salient column; salient_plans one per salient
+    line per salient column. COL mode: nonsalient_plans holds one
+    column-axis line per non-salient column; salient_plans one per salient
     column (quantized directly, no residual to subtract).
     """
 
     mode: Axis
     mask: SalientMask
-    nonsalient_plans: list[LinePlan]
-    salient_plans: list[LinePlan]
+    nonsalient_plans: LinePlans
+    salient_plans: LinePlans
     block_col_offset: int
     shape: tuple[int, int]
 
@@ -63,14 +63,14 @@ class QuantizedBlock:
             raise ShapeError(
                 f"mask width {self.mask.block_width} != block width {width}"
             )
-        if len(self.salient_plans) != self.mask.k:
+        if self.salient_plans.lines != self.mask.k:
             raise ShapeError(
-                f"{len(self.salient_plans)} salient plans for K={self.mask.k}"
+                f"{self.salient_plans.lines} salient plans for K={self.mask.k}"
             )
         expected = n if self.mode is Axis.ROW else width - self.mask.k
-        if len(self.nonsalient_plans) != expected:
+        if self.nonsalient_plans.lines != expected:
             raise ShapeError(
-                f"{len(self.nonsalient_plans)} non-salient plans, expected {expected}"
+                f"{self.nonsalient_plans.lines} non-salient plans, expected {expected}"
             )
 
 
@@ -102,7 +102,7 @@ def _coeffs_for(mat: np.ndarray, axis: Axis, cfg: QuantConfig) -> HaarCoeffs:
     return raw_lines(mat, axis)
 
 
-def _quantize_matrix(mat, axis, cfg) -> tuple[list[LinePlan], np.ndarray]:
+def _quantize_matrix(mat, axis, cfg) -> tuple[LinePlans, np.ndarray]:
     """Transform, plan, and reconstruct one matrix; recon in weight domain."""
     coeffs = _coeffs_for(mat, axis, cfg)
     plans, recon_coeffs = quantize_lines(coeffs, cfg)
@@ -112,87 +112,95 @@ def _quantize_matrix(mat, axis, cfg) -> tuple[list[LinePlan], np.ndarray]:
     return plans, recon
 
 
-def row_haarquant(w_block, mask: SalientMask, cfg: QuantConfig) -> QuantizedBlock:
-    """Fill holes, row-quantize, then column-quantize the salient residual."""
+def row_haarquant(
+    w_block, mask: SalientMask, cfg: QuantConfig, col_offset: int = 0
+) -> tuple[QuantizedBlock, np.ndarray]:
+    """Fill holes, row-quantize, then column-quantize the salient residual.
+
+    Returns the block and its weight-domain reconstruction.
+    """
     wm = as_matrix(w_block, "block")
     n, width = wm.shape
     if cfg.haar_enabled and width % 2 != 0:
         raise ShapeError(f"row transform needs even block width, got {width}")
     filled = fill_avg(wm, mask)
-    row_plans, b_filled = _quantize_matrix(filled, Axis.ROW, cfg)
-    salient_plans: list[LinePlan] = []
+    row_plans, recon = _quantize_matrix(filled, Axis.ROW, cfg)
+    salient_plans = LinePlans.empty(n)
     if mask.k:
         if cfg.haar_enabled and n % 2 != 0:
             raise ShapeError(
                 f"salient residual column transform needs even rows, got {n}"
             )
-        residual = np.ascontiguousarray(
-            wm[:, mask.indices] - b_filled[:, mask.indices]
-        )
-        salient_plans, _ = _quantize_matrix(residual, Axis.COL, cfg)
-    return QuantizedBlock(
+        idx = mask.indices
+        residual = np.ascontiguousarray(wm[:, idx] - recon[:, idx])
+        salient_plans, sal = _quantize_matrix(residual, Axis.COL, cfg)
+        recon[:, idx] = recon[:, idx] + sal
+    block = QuantizedBlock(
         mode=Axis.ROW,
         mask=mask,
         nonsalient_plans=row_plans,
         salient_plans=salient_plans,
-        block_col_offset=0,
+        block_col_offset=col_offset,
         shape=(n, width),
     )
+    return block, recon
 
 
-def col_haarquant(w_block, mask: SalientMask, cfg: QuantConfig) -> QuantizedBlock:
-    """Column-quantize non-salient and salient columns independently."""
+def col_haarquant(
+    w_block, mask: SalientMask, cfg: QuantConfig, col_offset: int = 0
+) -> tuple[QuantizedBlock, np.ndarray]:
+    """Column-quantize non-salient and salient columns independently.
+
+    Returns the block and its weight-domain reconstruction.
+    """
     wm = as_matrix(w_block, "block")
     n, width = wm.shape
     if cfg.haar_enabled and n % 2 != 0:
         raise ShapeError(f"column transform needs even row count, got {n}")
+    recon = np.zeros((n, width), dtype=np.float32)
     keep = np.flatnonzero(~mask.bits)
-    nonsal_plans, _ = _quantize_matrix(
+    nonsal_plans, nonsal = _quantize_matrix(
         np.ascontiguousarray(wm[:, keep]), Axis.COL, cfg
     )
-    salient_plans: list[LinePlan] = []
+    recon[:, keep] = nonsal
+    salient_plans = LinePlans.empty(n)
     if mask.k:
-        salient_plans, _ = _quantize_matrix(
+        salient_plans, sal = _quantize_matrix(
             np.ascontiguousarray(wm[:, mask.indices]), Axis.COL, cfg
         )
-    return QuantizedBlock(
+        recon[:, mask.indices] = sal
+    block = QuantizedBlock(
         mode=Axis.COL,
         mask=mask,
         nonsalient_plans=nonsal_plans,
         salient_plans=salient_plans,
-        block_col_offset=0,
+        block_col_offset=col_offset,
         shape=(n, width),
     )
+    return block, recon
 
 
-def _columns_from_plans(plans: list[LinePlan], n: int) -> np.ndarray:
-    """Stack column-axis plans back into an n x len(plans) weight matrix."""
-    coeff_cols = np.stack([line_recon(p) for p in plans], axis=1)
-    band_split = n if plans[0].high_band is None else n // 2
-    return inverse_haar_matrix(
-        HaarCoeffs(np.ascontiguousarray(coeff_cols), Axis.COL, band_split)
-    )
+def _weights(plans: LinePlans, axis: Axis) -> np.ndarray:
+    """Weight-domain matrix of a plan set whose lines run along axis."""
+    coeffs = plans.recon()
+    if axis is Axis.COL:
+        coeffs = np.ascontiguousarray(coeffs.T)
+    return inverse_haar_matrix(HaarCoeffs(coeffs, axis, plans.split))
 
 
 def reconstruct_block(block: QuantizedBlock) -> np.ndarray:
     """Dequantize one block from its plans alone (no original data)."""
     n, width = block.shape
+    idx = block.mask.indices
     if block.mode is Axis.ROW:
-        coeff_rows = np.stack([line_recon(p) for p in block.nonsalient_plans])
-        band_split = width if block.nonsalient_plans[0].high_band is None else width // 2
-        recon = inverse_haar_matrix(
-            HaarCoeffs(np.ascontiguousarray(coeff_rows), Axis.ROW, band_split)
-        )
+        recon = _weights(block.nonsalient_plans, Axis.ROW)
         if block.mask.k:
-            sal = _columns_from_plans(block.salient_plans, n)
-            idx = block.mask.indices
-            recon[:, idx] = recon[:, idx] + sal
+            recon[:, idx] = recon[:, idx] + _weights(block.salient_plans, Axis.COL)
         return recon
     recon = np.zeros((n, width), dtype=np.float32)
-    keep = np.flatnonzero(~block.mask.bits)
-    recon[:, keep] = _columns_from_plans(block.nonsalient_plans, n)
+    recon[:, ~block.mask.bits] = _weights(block.nonsalient_plans, Axis.COL)
     if block.mask.k:
-        recon[:, block.mask.indices] = _columns_from_plans(block.salient_plans, n)
+        recon[:, idx] = _weights(block.salient_plans, Axis.COL)
     return recon
 
 
@@ -293,12 +301,11 @@ def hbllm_quantize(
             sal = saliency_matrix(w_blk, calib.hinv_diag[b : b + width])
             scores = column_scores(sal, cfg.norm)
         cands = _block_candidates(cfg, width)
-        mask, block, trial_errors = _select_salient_full(
-            w_blk, scores, cands, cfg, mode
+        mask, block, trial_errors, recon = _select_salient_full(
+            w_blk, scores, cands, cfg, mode, b
         )
-        block.block_col_offset = b
-        recon = reconstruct_block(block)
-        err = frobenius_error(w_blk, recon)
+        err = trial_errors[mask.k]
+        thresholds = block.nonsalient_plans.thr_val[:, 0].astype(np.float64)
         per_block.append(
             {
                 "block": len(blocks),
@@ -307,11 +314,7 @@ def hbllm_quantize(
                 "chosen_k": mask.k,
                 "error": err,
                 "trial_errors": trial_errors,
-                "row_threshold_mean": float(
-                    np.mean(
-                        [p.low_band.threshold for p in block.nonsalient_plans]
-                    )
-                ),
+                "row_threshold_mean": float(np.mean(thresholds)),
             }
         )
         recon_full[:, b : b + width] = recon

@@ -92,15 +92,17 @@ def _validated_candidates(k_candidates, block_width: int) -> list[int]:
     return cands
 
 
-def _select_salient_full(w_block, scores, k_candidates, cfg, mode):
-    """Run one trial per K; return (mask, winning block, per-K errors).
+def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0):
+    """Run one trial per K; return (mask, winning block, per-K errors,
+    winning reconstruction).
 
     Candidates are tried in ascending order with strict improvement
     required, so equal errors resolve to the smaller K. The winning trial
-    block is returned for reuse: trials run without compensation, so the
-    final quantization of the same values would reproduce it exactly.
+    block and its reconstruction are returned for reuse: trials run
+    without compensation, so the final quantization of the same values
+    would reproduce them exactly.
     """
-    from .pipeline import col_haarquant, reconstruct_block, row_haarquant
+    from .pipeline import col_haarquant, row_haarquant
 
     wm = as_matrix(w_block, "block")
     cands = _validated_candidates(k_candidates, wm.shape[1])
@@ -109,22 +111,19 @@ def _select_salient_full(w_block, scores, k_candidates, cfg, mode):
     errors: dict[int, float] = {}
     for k in cands:
         mask = top_k_mask(scores, k, wm.shape[1])
-        block = quantize(wm, mask, cfg)
-        err = frobenius_error(wm, reconstruct_block(block))
+        block, recon = quantize(wm, mask, cfg, col_offset)
+        err = frobenius_error(wm, recon)
         errors[k] = err
         if best is None or err < best[0]:
-            best = (err, mask, block)
-    return best[1], best[2], errors
+            best = (err, mask, block, recon)
+    return best[1], best[2], errors, best[3]
 
 
 def select_salient(
     w_block, scores, k_candidates, cfg: QuantConfig, mode: Axis = Axis.ROW
 ) -> SalientMask:
     """Pick the error-minimizing salient-column count from k_candidates."""
-    mask, _block, _errors = _select_salient_full(
-        w_block, scores, k_candidates, cfg, mode
-    )
-    return mask
+    return _select_salient_full(w_block, scores, k_candidates, cfg, mode)[0]
 
 
 def fill_avg(w_block, mask: SalientMask) -> np.ndarray:

@@ -94,9 +94,7 @@ def test_criterion_03_candidate_search_dominance():
     for count in (10, 20, 40, 80):
         cfg = QuantConfig(n_candidates=count, candidate_levels=levels[count])
         plans, _ = quantize_lines(haar_matrix(rows, Axis.ROW), cfg)
-        sse[count] = np.array(
-            [p.low_band.sse + p.high_band.sse for p in plans]
-        )
+        sse[count] = plans.sse[:, 0] + plans.sse[:, 1]
     mono = (
         np.all(sse[20] <= sse[10])
         and np.all(sse[40] <= sse[20])

@@ -119,6 +119,25 @@ def test_dequantize_truncated_exits_3(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_dequantize_negative_scale_exits_3(tmp_path, capsys):
+    import struct
+    import zlib
+
+    _, _, out, _ = quantized(tmp_path, capsys)
+    payload = bytearray(out.read_bytes()[:-4])
+    k_bytes = 2 * 4  # default k candidates 0,2,4,8
+    # first line record: header, k list, block offset/width, 32-bit mask,
+    # then band 0's index and shared mean before its first scale
+    alpha = 32 + k_bytes + 8 + 4 + 1 + 2
+    struct.pack_into("<e", payload, alpha, -0.5)
+    bad = tmp_path / "bad.hbq"
+    bad.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+    code = run(["dequantize", str(bad), "--out", str(tmp_path / "r.rts")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"byte {alpha}" in captured.err
+
+
 def test_determinism_byte_identical_files(tmp_path, capsys):
     w = gen(tmp_path, "w.rts", 8, 64, 5)
     x = gen(tmp_path, "x.rts", 64, 128, 6)
@@ -224,6 +243,18 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "betta" in captured.err
+
+
+def test_config_file_seed_key_is_unknown(tmp_path, capsys):
+    # the quantizer is deterministic; "seed" was parsed and never read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    w = gen(tmp_path, "w.rts", 4, 32, 19)
+    x = gen(tmp_path, "x.rts", 32, 64, 20)
+    code = run(["quantize", str(w), str(x), "--config", str(cfg),
+                "--out", str(tmp_path / "o.hbq")])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -254,6 +254,93 @@ def test_corrupt_crc_is_crc_error():
         decode_layer(bytes(blob))
 
 
+# the toy container's first line record: after the 32-byte header, four
+# k candidates, the block's offset/width and its one-byte salient mask
+_TOY_LINE0 = _HEADER_BYTES + 2 * 4 + 8 + 1
+_TOY_MU0 = _TOY_LINE0 + 1  # the shared mean of band 0, after its index
+_TOY_ALPHA0 = _TOY_MU0 + 2  # alpha_sparse, then alpha_dense
+
+
+def _toy_with(offset: int, fmt: str, value) -> bytes:
+    """The toy container with one field rewritten and the CRC fixed up."""
+    import struct
+
+    payload = bytearray(encode_layer(toy_layer())[:-4])
+    struct.pack_into(fmt, payload, offset, value)
+    return _with_crc(bytes(payload))
+
+
+@pytest.mark.parametrize(
+    "offset,value",
+    [
+        (_TOY_ALPHA0, float("nan")),
+        (_TOY_ALPHA0 + 2, float("inf")),
+        (_TOY_MU0, float("-inf")),
+        (_TOY_MU0, float("nan")),
+        (_TOY_ALPHA0, -1.0),
+    ],
+)
+def test_decode_rejects_bad_scalars(offset, value):
+    # non-finite means or scales, or a negative scale, would dequantize to
+    # non-finite or sign-flipped weights; they are corruption
+    with pytest.raises(IntegrityError, match=f"scalar at byte {offset}$"):
+        decode_layer(_toy_with(offset, "<e", value))
+
+
+def test_decode_reports_first_bad_scalar():
+    import struct
+
+    payload = bytearray(encode_layer(toy_layer())[:-4])
+    struct.pack_into("<e", payload, _TOY_ALPHA0 + 17, float("nan"))  # line 1
+    struct.pack_into("<e", payload, _TOY_ALPHA0 + 2, -2.0)  # line 0
+    with pytest.raises(IntegrityError, match=f"byte {_TOY_ALPHA0 + 2}$"):
+        decode_layer(_with_crc(bytes(payload)))
+
+
+@pytest.mark.parametrize(
+    "offset,fmt,value,match",
+    [
+        (6, "<I", 0, "n must be"),
+        (10, "<I", 0, "m must be"),
+        (14, "<I", 0, "beta must be"),
+        (19, "<d", float("nan"), "damping"),
+        (19, "<d", -1.0, "damping"),
+        (28, "<H", 0, "candidates"),
+        (28, "<H", 257, "candidates"),
+        (31, "<B", 0, "k-candidate list"),
+        (_HEADER_BYTES, "<H", 3, "even"),
+        (_TOY_LINE0 - 1, "<B", 0x0F, "non-salient"),
+        (_TOY_LINE0, "<B", 40, "threshold index"),
+        (_TOY_LINE0 + 8, "<B", 255, "threshold index"),  # band 1 of line 0
+    ],
+)
+def test_decode_rejects_bad_fields(offset, fmt, value, match):
+    with pytest.raises(IntegrityError, match=f"{match}.* at byte {offset}$"):
+        decode_layer(_toy_with(offset, fmt, value))
+
+
+@pytest.mark.parametrize("mode", [Axis.ROW, Axis.COL])
+def test_decode_huge_line_count_is_truncation(mode):
+    # a CRC-valid header claiming ~2^31 rows must fail on the byte count,
+    # before any array of that size exists
+    import tracemalloc
+
+    q = hbllm_quantize(
+        np.ones((2, 4), np.float32), np.eye(4, dtype=np.float32), beta=4, mode=mode
+    )
+    blob = encode_layer(q)
+    payload = bytearray(blob[:-4])
+    payload[6:10] = (2**31).to_bytes(4, "little")
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntegrityError, match="truncated"):
+            decode_layer(_with_crc(bytes(payload)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(blob) + 2**20
+
+
 # --- bit accounting ---
 
 

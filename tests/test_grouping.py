@@ -4,11 +4,10 @@ import pytest
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
 from hbq.errors import ConfigError, NumericError, ShapeError
 from hbq.grouping import (
-    BandPlan,
+    LinePlans,
     binarize_group,
     candidate_thresholds,
     compute_ciq,
-    line_recon,
     plan_band,
     quantize_lines,
 )
@@ -163,38 +162,38 @@ def test_plan_band_isolates_outlier():
     band = np.array([0.1, -0.1, 0.2, 8.0], dtype=np.float32)
     plan = plan_band(band, n_candidates=40, share_mean=True)
     # best split puts only the outlier in the sparse group
-    assert np.array_equal(plan.sparse_mask, [False, False, False, True])
-    assert plan.threshold == np.float32(8.0)
-    assert plan.sse == pytest.approx(0.0467, abs=2e-3)
+    assert np.array_equal(plan.sparse[0], [False, False, False, True])
+    assert plan.thr_val[0, 0] == np.float32(8.0)
+    assert plan.sse[0, 0] == pytest.approx(0.0467, abs=2e-3)
     # exhaustive oracle over every distinct split agrees
     srt = np.sort(np.abs(band))
     best = min(oracle_split_sse(band, t, True) for t in srt)
-    assert plan.sse == pytest.approx(best, rel=1e-9)
+    assert plan.sse[0, 0] == pytest.approx(best, rel=1e-9)
     # single-group binarization is an order of magnitude worse
     single = oracle_split_sse(band, float(srt[0]), True)
     assert single == pytest.approx(11.85, abs=5e-2)
-    assert plan.sse < single / 100
+    assert plan.sse[0, 0] < single / 100
 
 
 def test_plan_band_constant_band():
     plan = plan_band([0.5, 0.5, 0.5, 0.5], n_candidates=4)
-    assert plan.sse == 0.0
-    assert plan.alpha_sparse == 0.0
-    assert plan.alpha_dense == 0.0
-    assert plan.mu_dense == 0.5  # sharing is on: pooled mean fills both slots
-    assert bool(plan.sparse_mask.all())
+    assert plan.sse[0, 0] == 0.0
+    assert plan.alpha_sparse[0, 0] == 0.0
+    assert plan.alpha_dense[0, 0] == 0.0
+    assert plan.mu_dense[0, 0] == 0.5  # sharing is on: pooled mean fills both slots
+    assert bool(plan.sparse[0].all())
     # with per-group means the empty dense group stores zeros
     plan_off = plan_band([0.5, 0.5, 0.5, 0.5], n_candidates=4, share_mean=False)
-    assert plan_off.sse == 0.0
-    assert plan_off.mu_dense == 0.0
-    assert plan_off.alpha_dense == 0.0
-    assert bool(plan_off.sparse_mask.all())
+    assert plan_off.sse[0, 0] == 0.0
+    assert plan_off.mu_dense[0, 0] == 0.0
+    assert plan_off.alpha_dense[0, 0] == 0.0
+    assert bool(plan_off.sparse[0].all())
 
 
 def test_plan_band_tie_breaks_to_first_index():
     plan = plan_band([1.0, -1.0, 1.0, -1.0], n_candidates=8)
-    assert plan.threshold_index == 0
-    assert plan.sse == 0.0
+    assert plan.thr_idx[0, 0] == 0
+    assert plan.sse[0, 0] == 0.0
 
 
 def test_plan_band_matches_oracle_random():
@@ -205,7 +204,9 @@ def test_plan_band_matches_oracle_random():
         n = int(rng.integers(1, 41))
         share = bool(rng.integers(0, 2))
         plan = plan_band(band, n_candidates=n, share_mean=share)
-        assert plan.sse == pytest.approx(oracle_best_sse(band, n, share), rel=1e-9)
+        assert plan.sse[0, 0] == pytest.approx(
+            oracle_best_sse(band, n, share), rel=1e-9
+        )
 
 
 def test_plan_band_nested_candidates_monotonic():
@@ -214,7 +215,7 @@ def test_plan_band_nested_candidates_monotonic():
     for _ in range(25):
         band = rng.normal(scale=2.0, size=int(rng.integers(4, 129))).astype(np.float32)
         sses = [
-            plan_band(band, levels=tiers[c]).sse for c in (10, 20, 40, 80)
+            plan_band(band, levels=tiers[c]).sse[0, 0] for c in (10, 20, 40, 80)
         ]
         # candidate sets are nested, so refinement never hurts
         assert sses[1] <= sses[0] and sses[2] <= sses[1] and sses[3] <= sses[2]
@@ -227,7 +228,7 @@ def test_plan_band_beats_single_group():
         plan = plan_band(band, n_candidates=40, share_mean=True)
         srt = np.sort(np.abs(band))
         single = oracle_split_sse(band, float(srt[0]), True)
-        assert plan.sse <= single + 1e-9
+        assert plan.sse[0, 0] <= single + 1e-9
 
 
 def test_per_group_means_not_universally_better():
@@ -247,19 +248,33 @@ def test_plan_band_sse_matches_its_own_fields():
         band = rng.normal(scale=2.0, size=24).astype(np.float32)
         plan = plan_band(band, n_candidates=16, share_mean=False)
         v = band.astype(np.float64)
-        mu = np.where(plan.sparse_mask, plan.mu_sparse, plan.mu_dense)
-        al = np.where(plan.sparse_mask, plan.alpha_sparse, plan.alpha_dense)
+        mu_s, mu_d = float(plan.mu_sparse[0, 0]), float(plan.mu_dense[0, 0])
+        al_s, al_d = float(plan.alpha_sparse[0, 0]), float(plan.alpha_dense[0, 0])
+        mu = np.where(plan.sparse[0], mu_s, mu_d)
+        al = np.where(plan.sparse[0], al_s, al_d)
         s = np.where(v >= mu, 1.0, -1.0)
         rec = (mu + al * s).astype(np.float32)
         want = float(np.sum((v - rec.astype(np.float64)) ** 2))
-        assert plan.sse == pytest.approx(want, rel=1e-9)
+        assert plan.sse[0, 0] == pytest.approx(want, rel=1e-9)
 
 
-def test_band_plan_validates():
-    with pytest.raises(ShapeError):
-        BandPlan(0, 1.0, 0.0, 0.0, -0.5, 0.0, np.ones(4, dtype=bool))
-    with pytest.raises(ShapeError):
-        BandPlan(0, 1.0, 0.0, 0.0, 0.5, 0.0, np.zeros(0, dtype=bool))
+def test_line_plans_validates_shapes():
+    plans, _ = quantize_lines(
+        haar_matrix(np.ones((3, 8), np.float32), Axis.ROW), QuantConfig()
+    )
+    fields = {name: getattr(plans, name) for name in (
+        "split", "thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
+        "alpha_dense", "sparse", "signs", "thr_val", "sse")}
+    LinePlans(**fields)
+    for name, bad in (
+        ("split", 0),
+        ("split", 9),
+        ("split", 8),  # one band, but the scalars hold two
+        ("alpha_dense", fields["alpha_dense"][:, :1]),
+        ("sparse", fields["sparse"][:2]),
+    ):
+        with pytest.raises(ShapeError):
+            LinePlans(**{**fields, name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +286,10 @@ def test_quantize_lines_two_element_bands_exact():
     coeffs = haar_matrix([[2.0, 4.0, 6.0, 10.0]], Axis.ROW)
     assert np.array_equal(coeffs.mat, np.array([[3, 8, -1, -2]], dtype=np.float32))
     plans, recon = quantize_lines(coeffs, QuantConfig())
-    assert len(plans) == 1
+    assert plans.lines == 1
     assert np.array_equal(recon, coeffs.mat)  # <=2 values per band: exact
-    assert plans[0].low_band.sse == 0.0
-    assert plans[0].high_band.sse == 0.0
+    assert plans.sse[0, 0] == 0.0
+    assert plans.sse[0, 1] == 0.0
     back = inverse_haar_matrix(HaarCoeffs(recon, Axis.ROW, coeffs.band_split))
     assert np.array_equal(back, np.array([[2, 4, 6, 10]], dtype=np.float32))
 
@@ -283,9 +298,8 @@ def test_quantize_lines_zero_matrix():
     coeffs = haar_matrix(np.zeros((3, 8), dtype=np.float32), Axis.ROW)
     plans, recon = quantize_lines(coeffs, QuantConfig())
     assert np.all(recon == 0.0)
-    for p in plans:
-        assert p.low_band.alpha_sparse == 0.0
-        assert p.high_band.alpha_sparse == 0.0
+    assert np.all(plans.alpha_sparse == 0.0)
+    assert plans.alpha_sparse.shape == (3, 2)
 
 
 def test_quantize_lines_col_axis_matches_row_of_transpose():
@@ -297,10 +311,9 @@ def test_quantize_lines_col_axis_matches_row_of_transpose():
         haar_matrix(np.ascontiguousarray(m.T), Axis.ROW), cfg
     )
     assert np.array_equal(col_recon, row_recon.T)
-    assert len(col_plans) == len(row_plans) == 6
-    for cp, rp in zip(col_plans, row_plans):
-        assert np.array_equal(cp.signs, rp.signs)
-        assert cp.low_band.threshold == rp.low_band.threshold
+    assert col_plans.lines == row_plans.lines == 6
+    assert np.array_equal(col_plans.signs, row_plans.signs)
+    assert np.array_equal(col_plans.thr_val[:, 0], row_plans.thr_val[:, 0])
 
 
 def test_quantize_lines_raw_mode_single_band():
@@ -308,8 +321,8 @@ def test_quantize_lines_raw_mode_single_band():
     m = rng.normal(size=(4, 7)).astype(np.float32)  # odd width fine when raw
     cfg = QuantConfig(haar_enabled=False)
     plans, recon = quantize_lines(raw_lines(m, Axis.ROW), cfg)
-    assert plans[0].high_band is None
-    assert plans[0].low_band.width == 7
+    assert plans.bands == [(0, 7)]
+    assert plans.width == 7
     assert recon.shape == m.shape
 
 
@@ -335,24 +348,26 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
     plans_h, _ = quantize_lines(haar_matrix(m, Axis.ROW), cfg_h)
     plans_r, _ = quantize_lines(raw_lines(m, Axis.ROW), cfg_r)
     wins = 0
-    for ph, pr in zip(plans_h, plans_r):
-        haar_weight_sse = 2.0 * (ph.low_band.sse + ph.high_band.sse)
-        if haar_weight_sse <= pr.low_band.sse:
+    for ph, pr in zip(plans_h.sse, plans_r.sse):
+        haar_weight_sse = 2.0 * (ph[0] + ph[1])
+        if haar_weight_sse <= pr[0]:
             wins += 1
     assert wins >= 0.90 * 64
 
 
-def test_line_recon_matches_planner_recon():
+def test_plans_recon_matches_planner_recon():
     rng = np.random.default_rng(71)
     m = rng.normal(size=(8, 32)).astype(np.float32)
     for cfg, coeffs in (
         (QuantConfig(), haar_matrix(m, Axis.ROW)),
         (QuantConfig(haar_enabled=False), raw_lines(m, Axis.ROW)),
         (QuantConfig(share_mean=False), haar_matrix(m, Axis.ROW)),
+        (QuantConfig(share_mean=False), haar_matrix(m, Axis.COL)),
     ):
         plans, recon = quantize_lines(coeffs, cfg)
-        for i, p in enumerate(plans):
-            assert np.array_equal(line_recon(p), recon[i])
+        if coeffs.axis is Axis.COL:
+            recon = recon.T
+        assert np.array_equal(plans.recon(), recon)
 
 
 # ---------------------------------------------------------------------------

@@ -55,18 +55,17 @@ def test_row_haarquant_empty_mask_matches_plain_rows():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(6, 16)).astype(np.float32)
     cfg = QuantConfig()
-    block = row_haarquant(w, empty_mask(16), cfg)
+    block, _ = row_haarquant(w, empty_mask(16), cfg)
     plans, recon_coeffs = quantize_lines(haar_matrix(w, Axis.ROW), cfg)
-    assert block.salient_plans == []
-    assert len(block.nonsalient_plans) == 6
-    for got, want in zip(block.nonsalient_plans, plans):
-        assert np.array_equal(got.signs, want.signs)
-        assert got.low_band.threshold == want.low_band.threshold
+    assert block.salient_plans.lines == 0
+    assert block.nonsalient_plans.lines == 6
+    assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
+    assert np.array_equal(block.nonsalient_plans.thr_val[:, 0], plans.thr_val[:, 0])
 
 
 def test_row_haarquant_crafted_block_is_exact():
     w = np.array([[2.0, 4.0, 6.0, 10.0], [1.0, 1.0, 1.0, 1.0]], dtype=np.float32)
-    block = row_haarquant(w, empty_mask(4), QuantConfig())
+    block, _ = row_haarquant(w, empty_mask(4), QuantConfig())
     recon = reconstruct_block(block)
     assert frobenius_error(w, recon) == 0.0
 
@@ -78,9 +77,9 @@ def test_row_haarquant_residual_pass_beats_none_on_outlier():
     cfg = QuantConfig()
     scores = np.linalg.norm(w, axis=0)
     mask = top_k_mask(scores, 2, 128)
-    err_res = frobenius_error(w, reconstruct_block(row_haarquant(w, mask, cfg)))
+    err_res = frobenius_error(w, reconstruct_block(row_haarquant(w, mask, cfg)[0]))
     err_none = frobenius_error(
-        w, reconstruct_block(row_haarquant(w, empty_mask(128), cfg))
+        w, reconstruct_block(row_haarquant(w, empty_mask(128), cfg)[0])
     )
     assert err_res < err_none
 
@@ -89,20 +88,17 @@ def test_col_haarquant_empty_mask_matches_plain_columns():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(8, 5)).astype(np.float32)
     cfg = QuantConfig()
-    block = col_haarquant(w, empty_mask(5), cfg)
+    block, _ = col_haarquant(w, empty_mask(5), cfg)
     plans, _ = quantize_lines(haar_matrix(w, Axis.COL), cfg)
-    for got, want in zip(block.nonsalient_plans, plans):
-        assert np.array_equal(got.signs, want.signs)
+    assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
 
 
 def test_col_haarquant_sign_bits_one_per_weight():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(16, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 4, 12)
-    block = col_haarquant(w, mask, QuantConfig())
-    total_signs = sum(
-        p.signs.size for p in block.nonsalient_plans + block.salient_plans
-    )
+    block, _ = col_haarquant(w, mask, QuantConfig())
+    total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
     assert total_signs == 16 * 12
 
 
@@ -110,33 +106,47 @@ def test_row_haarquant_salient_columns_get_two_passes():
     rng = np.random.default_rng(5)
     w = rng.normal(size=(8, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 2, 12)
-    block = row_haarquant(w, mask, QuantConfig())
-    total_signs = sum(
-        p.signs.size for p in block.nonsalient_plans + block.salient_plans
-    )
+    block, _ = row_haarquant(w, mask, QuantConfig())
+    total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
     # every weight has a row-pass bit; salient columns add a residual bit
     assert total_signs == 8 * 12 + 2 * 8
+
+
+@pytest.mark.parametrize("quantize", [row_haarquant, col_haarquant])
+@pytest.mark.parametrize("haar", [True, False])
+@pytest.mark.parametrize("k", [0, 2])
+def test_quantizer_recon_equals_reconstruct_block(quantize, haar, k):
+    # quantize-time error and compensation use the recon the quantizer
+    # returns; load uses reconstruct_block; the two must agree bitwise
+    rng = np.random.default_rng(21)
+    w = rng.normal(size=(8, 12)).astype(np.float32)
+    w[:, 7] *= 30.0
+    mask = top_k_mask(np.linalg.norm(w, axis=0), k, 12)
+    block, recon = quantize(w, mask, QuantConfig(haar_enabled=haar), 24)
+    assert block.block_col_offset == 24
+    assert np.array_equal(recon, reconstruct_block(block))
 
 
 def test_block_shape_validation():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(4, 6)).astype(np.float32)
-    block = row_haarquant(w, empty_mask(6), QuantConfig())
+    block, _ = row_haarquant(w, empty_mask(6), QuantConfig())
     with pytest.raises(ShapeError):
         QuantizedBlock(
             mode=Axis.ROW,
             mask=empty_mask(5),
             nonsalient_plans=block.nonsalient_plans,
-            salient_plans=[],
+            salient_plans=block.salient_plans,
             block_col_offset=0,
             shape=(4, 6),
         )
+    three_rows, _ = row_haarquant(w[:3], empty_mask(6), QuantConfig())
     with pytest.raises(ShapeError):
         QuantizedBlock(
             mode=Axis.ROW,
             mask=empty_mask(6),
-            nonsalient_plans=block.nonsalient_plans[:-1],
-            salient_plans=[],
+            nonsalient_plans=three_rows.nonsalient_plans,
+            salient_plans=block.salient_plans,
             block_col_offset=0,
             shape=(4, 6),
         )
@@ -147,7 +157,7 @@ def test_row_haarquant_odd_width_rejected():
     with pytest.raises(ShapeError):
         row_haarquant(w, empty_mask(5), QuantConfig())
     # raw mode has no pairing constraint
-    block = row_haarquant(w, empty_mask(5), QuantConfig(haar_enabled=False))
+    block, _ = row_haarquant(w, empty_mask(5), QuantConfig(haar_enabled=False))
     assert reconstruct_block(block).shape == (2, 5)
 
 
@@ -354,7 +364,7 @@ def test_hbllm_odd_remainder_rejected():
 def test_layer_validation():
     rng = np.random.default_rng(20)
     w = rng.normal(size=(4, 8)).astype(np.float32)
-    block = row_haarquant(w, empty_mask(8), QuantConfig())
+    block, _ = row_haarquant(w, empty_mask(8), QuantConfig())
     with pytest.raises(ShapeError):
         QuantizedLayer(
             blocks=[block], n=4, m=10, beta=8, mode=Axis.ROW,

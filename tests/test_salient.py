@@ -106,10 +106,10 @@ def test_select_salient_superset_never_worse():
     w = rng.normal(size=(16, 16)).astype(np.float32)
     w[:, 5] *= 20.0
     scores = column_scores(np.abs(w), "l2")
-    _, _, errs_small = _select_salient_full(w, scores, [0, 2], QuantConfig(), Axis.ROW)
-    _, _, errs_big = _select_salient_full(
+    errs_small = _select_salient_full(w, scores, [0, 2], QuantConfig(), Axis.ROW)[2]
+    errs_big = _select_salient_full(
         w, scores, [0, 2, 4, 8], QuantConfig(), Axis.ROW
-    )
+    )[2]
     assert min(errs_big.values()) <= min(errs_small.values())
 
 
