@@ -10,11 +10,16 @@ numba the ``*_nb`` functions run as plain Python), so the tests can compare
 them in one process.
 
 The jit planner scans one line and one band at a time. The numpy planner
-instead evaluates one band of a whole chunk of lines in a single
-(lines x candidates x band width) pass, with chunks sized so the
-temporaries stay bounded, and takes each line's winner with a first-index
-argmin. A line whose every candidate overflows binary16 gets the jit path's
-zeroed plan on its own, without touching its neighbours.
+instead evaluates one band of a whole chunk of lines in a single pass, with
+chunks sized so the temporaries stay bounded, and takes each line's winner
+with a first-index argmin. Its per-candidate tensors are position-major,
+(band width x lines x candidates): a sum over positions is then a reduce
+over axis 0, which adds whole slices in position order, the jit scan's
+order, and writes only the (lines x candidates) result. With shared means
+the mean, the deviations and the signs depend only on the line, so they
+are computed once per (position, line). A line whose every candidate
+overflows binary16 gets the jit path's zeroed plan on its own, without
+touching its neighbours.
 
 The planner narrows group scalars to IEEE-754 binary16 (round to nearest,
 ties to even) *during* the threshold search, so the selected split minimizes
@@ -171,6 +176,11 @@ def haar_inv_rows_np(c: np.ndarray) -> np.ndarray:
 # narrowed mean with sign(0) = +1, and the candidate with the smallest
 # narrowed reconstruction SSE wins (first index on ties). Empty dense groups
 # degenerate to single-group binarization and store mu = alpha = 0.
+#
+# Every float64 sum runs over positions in order, starting from +0.0, so
+# both backends select the same candidate and store the same bits. Starting
+# from +0.0 matters for the sign of zero: a band of -0.0 values sums to
+# +0.0, and its mean is stored as binary16 0x0000, not 0x8000.
 
 
 @njit(cache=True)
@@ -302,6 +312,21 @@ def plan_lines_nb(lines, band_split, ranks0, ranks1, share):
 _CHUNK_VALUES = 64 * 40 * 64
 
 
+def _sum_positions(a):
+    """Sum ``a`` over axis 0 in position order, starting from +0.0.
+
+    This is the jit scan's accumulation: ``0.0 + a[0] + a[1] + ...``. On a
+    C-contiguous array numpy reduces the outer axis by adding whole slices
+    in order, writing no full-size output. It switches to pairwise
+    summation only when the summed axis is all that is left (one line and
+    one candidate), so that case goes through ``cumsum``. Adding +0.0 maps
+    an all ``-0.0`` sum to the jit's ``+0.0`` and changes no other value.
+    """
+    if a.size == a.shape[0]:
+        return np.cumsum(a, axis=0)[-1] + 0.0
+    return np.add.reduce(a, axis=0) + 0.0
+
+
 def _plan_band_np(v, ranks, share):
     """Plan one band on every line of ``v`` (lines x band width) at once.
 
@@ -309,43 +334,67 @@ def _plan_band_np(v, ranks, share):
     and the per-position (sparse, signs, recon) of the winning candidates.
     """
     n, nv = v.shape
+    ncand = ranks.shape[0]
     rows = np.arange(n)
     v64 = v.astype(np.float64)
-    absv = np.abs(v64)
-    t = np.sort(absv, axis=1)[:, ranks - 1]  # (lines, candidates)
+    t = np.sort(np.abs(v64), axis=1)[:, ranks - 1]  # (lines, candidates)
 
-    # Reductions use cumsum (sequential by construction) instead of sum
-    # (pairwise): keeps f64 accumulation order identical to the jit path,
-    # so selections and scalars agree bitwise between backends.
-    vb = v64[:, None, :]
-    sp = absv[:, None, :] >= t[:, :, None]  # (lines, candidates, nv)
-    n_sp = sp.sum(axis=2)
+    # Position-major: per-candidate tensors are (band width, lines,
+    # candidates), so every sum over positions is a _sum_positions over
+    # axis 0 in the jit path's order.
+    vt = np.ascontiguousarray(v64.T)  # (nv, lines)
+    vc = vt[:, :, None]
+    sp = np.abs(vc) >= t
+    n_sp = np.add.reduce(sp, axis=0, dtype=np.intp)
     n_de = nv - n_sp
     de_den = np.maximum(n_de, 1)
-    total = np.cumsum(v64, axis=1)[:, -1:]  # (lines, 1)
-    sum_sp = np.cumsum(np.where(sp, vb, 0.0), axis=2)[:, :, -1]
-    if share:
-        mu_s = np.broadcast_to(f16_round_np(total / nv), t.shape)
-        mu_d = mu_s
-    else:
-        mu_s = f16_round_np(sum_sp / n_sp)
-        mu_d = np.where(n_de > 0, f16_round_np((total - sum_sp) / de_den), 0.0)
-    mu_pos = np.where(sp, mu_s[:, :, None], mu_d[:, :, None])
-    dev = np.abs(vb - mu_pos)
-    al_s = f16_round_np(np.cumsum(np.where(sp, dev, 0.0), axis=2)[:, :, -1] / n_sp)
-    al_d = np.where(
-        n_de > 0,
-        f16_round_np(np.cumsum(np.where(sp, 0.0, dev), axis=2)[:, :, -1] / de_den),
-        0.0,
-    )
-    al_pos = np.where(sp, al_s[:, :, None], al_d[:, :, None])
-    pos = vb >= mu_pos
-    # inf - inf in a candidate whose scalars overflowed binary16 is fine:
-    # its error comes out non-finite and the selection below discards it
+    total = _sum_positions(vt)  # (lines,)
+    # a candidate whose scalars overflow binary16 gets inf or nan scalars
+    # and a non-finite error; the selection below discards it
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = np.where(pos, mu_pos + al_pos, mu_pos - al_pos).astype(np.float32)
-        diff = vb - rec.astype(np.float64)
-        errs = np.cumsum(diff * diff, axis=2)[:, :, -1]
+        if share:
+            # one mean per line: deviations and signs do not depend on
+            # the candidate, and the sparse sum is never read
+            mu = f16_round_np(total / nv)
+            mu_s = mu_d = np.broadcast_to(mu[:, None], t.shape)
+            pos = vt >= mu  # (nv, lines)
+            dev = np.abs(vc - mu[:, None])
+        else:
+            sum_sp = _sum_positions(np.where(sp, vc, 0.0))
+            mu_s = f16_round_np(sum_sp / n_sp)
+            mu_d = np.where(
+                n_de > 0, f16_round_np((total[:, None] - sum_sp) / de_den), 0.0
+            )
+            mu_pos = np.where(sp, mu_s, mu_d)
+            pos = vc >= mu_pos
+            dev = np.abs(vc - mu_pos, out=mu_pos)
+        part = np.where(sp, dev, 0.0)
+        al_s = f16_round_np(_sum_positions(part) / n_sp)
+        # dense part: x - x = 0 and x - 0 = x are exact (an infinite
+        # deviation comes only from an overflowed mean, discarded below)
+        part = np.subtract(dev, part, out=part)
+        al_d = np.where(n_de > 0, f16_round_np(_sum_positions(part) / de_den), 0.0)
+        del dev, part
+
+        # The four reconstruction levels of each (line, candidate), narrowed
+        # to f32 once, indexed by 2 * sparse + (v >= mu).
+        levels = np.stack(
+            [mu_d - al_d, mu_d + al_d, mu_s - al_s, mu_s + al_s], axis=-1
+        ).astype(np.float32)  # (lines, candidates, 4)
+        if share:
+            # pos is per (position, line): gather whole candidate rows
+            table = levels.transpose(0, 2, 1).reshape(n * 4, ncand)
+            dense_row = 4 * rows + pos
+            rec = np.take(table, dense_row, axis=0)
+            np.copyto(rec, np.take(table, dense_row + 2, axis=0), where=sp)
+        else:
+            rec = np.where(
+                sp,
+                np.where(pos, levels[..., 3], levels[..., 2]),
+                np.where(pos, levels[..., 1], levels[..., 0]),
+            )
+        diff = vc - rec
+        errs = _sum_positions(np.square(diff, out=diff))  # (lines, candidates)
 
     # Candidates whose scalars overflow binary16 have inf/nan error; the jit
     # scan skips them through its strict < comparison, so mask them out of
@@ -357,6 +406,7 @@ def _plan_band_np(v, ranks, share):
     ok = np.isfinite(pick[rows, best])
     best[~ok] = 0
     okc = ok[:, None]
+    pos_best = pos.T if share else pos[:, rows, best].T
     return (
         best,
         t[rows, best],
@@ -365,9 +415,9 @@ def _plan_band_np(v, ranks, share):
         np.where(ok, al_s[rows, best], 0.0),
         np.where(ok, al_d[rows, best], 0.0),
         np.where(ok, errs[rows, best], np.inf),
-        sp[rows, best],
-        np.where(np.where(okc, pos[rows, best], v64 >= 0.0), 1, -1),
-        np.where(okc, rec[rows, best], np.float32(0.0)),
+        sp[:, rows, best].T,
+        np.where(np.where(okc, pos_best, v64 >= 0.0), 1, -1),
+        np.where(okc, rec[:, rows, best].T, np.float32(0.0)),
     )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import QuantConfig
 from .errors import ConfigError, ShapeError
 from .haar import Axis
 from .tensor import as_matrix, frobenius_error
@@ -21,7 +20,6 @@ __all__ = [
     "SalientMask",
     "column_scores",
     "top_k_mask",
-    "select_salient",
     "fill_avg",
 ]
 
@@ -97,15 +95,19 @@ def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0)
     winning reconstruction).
 
     Candidates are tried in ascending order with strict improvement
-    required, so equal errors resolve to the smaller K. The winning trial
-    block and its reconstruction are returned for reuse: trials run
-    without compensation, so the final quantization of the same values
-    would reproduce them exactly.
+    required, so equal errors resolve to the smaller K. COL mode plans
+    every column on its own, so every K reconstructs the block identically
+    and only the smallest K is tried. The winning trial block and its
+    reconstruction are returned for reuse: trials run without compensation,
+    so the final quantization of the same values would reproduce them
+    exactly.
     """
     from .pipeline import col_haarquant, row_haarquant
 
     wm = as_matrix(w_block, "block")
     cands = _validated_candidates(k_candidates, wm.shape[1])
+    if mode is Axis.COL:
+        cands = cands[:1]
     quantize = row_haarquant if mode is Axis.ROW else col_haarquant
     best = None
     errors: dict[int, float] = {}
@@ -117,13 +119,6 @@ def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0)
         if best is None or err < best[0]:
             best = (err, mask, block, recon)
     return best[1], best[2], errors, best[3]
-
-
-def select_salient(
-    w_block, scores, k_candidates, cfg: QuantConfig, mode: Axis = Axis.ROW
-) -> SalientMask:
-    """Pick the error-minimizing salient-column count from k_candidates."""
-    return _select_salient_full(w_block, scores, k_candidates, cfg, mode)[0]
 
 
 def fill_avg(w_block, mask: SalientMask) -> np.ndarray:

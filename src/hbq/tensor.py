@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["as_matrix", "matmul", "frobenius_error"]
+__all__ = ["as_matrix", "frobenius_error"]
 
 
 def as_matrix(a, name: str = "matrix", check_finite: bool = False) -> np.ndarray:
@@ -29,18 +29,6 @@ def as_matrix(a, name: str = "matrix", check_finite: bool = False) -> np.ndarray
     if check_finite and not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, narrowed to float32."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    out = a.astype(np.float64) @ b.astype(np.float64)
-    return out.astype(np.float32)
 
 
 def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:

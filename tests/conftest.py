@@ -18,3 +18,9 @@ def structured_rows(rng, n: int, d: int) -> np.ndarray:
     spikes = (rng.random((n, d)) < 0.05) * rng.normal(0.0, 5.0, (n, d))
     noise = 0.05 * rng.standard_t(2.5, (n, d))
     return (smooth + spikes + noise).astype(np.float32)
+
+
+def reference_product(a, b) -> np.ndarray:
+    """Matrix product with float64 accumulation, narrowed to float32."""
+    out = np.asarray(a, np.float64) @ np.asarray(b, np.float64)
+    return out.astype(np.float32)

@@ -75,6 +75,13 @@ def _trial_lines(rng, kind, n, d):
     return np.ascontiguousarray(lines)
 
 
+def _assert_same_bits(got, want, ctx):
+    # np.array_equal treats -0.0 == 0.0 as equal; stored binary16 does not
+    assert got.dtype == want.dtype, ctx
+    assert got.shape == want.shape, ctx
+    assert got.tobytes() == want.tobytes(), ctx
+
+
 def _assert_backends_agree(lines, split, share):
     d = lines.shape[1]
     r0 = _ranks(split)
@@ -82,8 +89,7 @@ def _assert_backends_agree(lines, split, share):
     out_nb = K.plan_lines_nb(lines, split, r0, r1, share)
     out_np = K.plan_lines_np(lines, split, r0, r1, share)
     for got, want in zip(out_nb, out_np):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (d, split, share)
+        _assert_same_bits(got, want, (d, split, share))
     return out_np
 
 
@@ -135,7 +141,7 @@ def test_plan_lines_all_overflow_falls_back_identically():
         out_nb = K.plan_lines_nb(lines, 4, r0, np.zeros(0, np.int64), share)
         out_np = K.plan_lines_np(lines, 4, r0, np.zeros(0, np.int64), share)
         for got, want in zip(out_nb, out_np):
-            assert np.array_equal(got, want), share
+            _assert_same_bits(got, want, share)
         thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out_nb
         assert thr_idx[0, 0] == 0
         assert mu_sp[0, 0] == 0.0 and mu_de[0, 0] == 0.0
@@ -157,7 +163,7 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
         out_nb = K.plan_lines_nb(lines, 8, r0, np.zeros(0, np.int64), share)
         out_np = K.plan_lines_np(lines, 8, r0, np.zeros(0, np.int64), share)
         for got, want in zip(out_nb, out_np):
-            assert np.array_equal(got, want), share
+            _assert_same_bits(got, want, share)
         sse, recon = out_nb[6], out_nb[9]
         assert np.isfinite(sse[0, 0])
         assert np.any(recon != 0.0)
@@ -198,5 +204,47 @@ def test_plan_lines_mixed_overflow_lines_in_one_batch():
             for i in range(lines.shape[0]):
                 alone = K.plan_lines_np(lines[i : i + 1], split, r0, r1, share)
                 for got, want in zip(out, alone):
-                    assert np.array_equal(got[i], want[0]), (i, split, share)
+                    _assert_same_bits(got[i], want[0], (i, split, share))
 
+
+def test_plan_lines_signed_zero_and_mean_overflow_bitwise():
+    # The jit sums start from +0.0, so a band of -0.0 values has mean +0.0
+    # there; the stored binary16 mean is 0x0000, never 0x8000. A band whose
+    # mean overflows binary16 gets the zeroed fallback on both backends.
+    # Each line is planned alone and between ordinary lines.
+    rng = np.random.default_rng(6)
+    cases = {
+        "all -0.0": [-0.0] * 8,
+        "mixed +-0.0": [-0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 3.0, -1.5],
+        "mean overflows binary16": [7e4] * 8,
+    }
+    for name, values in cases.items():
+        line = np.array([values], dtype=np.float32)
+        batch = np.vstack([rng.normal(size=(2, 8)), line, rng.normal(size=(1, 8))])
+        for lines, row in ((line, 0), (batch.astype(np.float32), 2)):
+            for split in (8, 4):
+                for share in (True, False):
+                    out = _assert_backends_agree(lines, split, share)
+                    if name == "mean overflows binary16":
+                        assert np.isinf(out[6][row, 0])
+
+
+def test_plan_lines_sse_is_the_in_order_sum():
+    # With one line and one candidate only the summed axis is left, where a
+    # numpy reduce would sum pairwise. sse must still be the in-order f64
+    # sum, from 0.0, of the squared errors of the returned reconstruction.
+    rng = np.random.default_rng(7)
+    lines = rng.normal(size=(3, 64)).astype(np.float32)
+    for n_lines in (1, 3):
+        for n_candidates in (1, 40):
+            for share in (True, False):
+                out = K.plan_lines_np(
+                    lines[:n_lines], 64, _ranks(64, n_candidates),
+                    np.zeros(0, np.int64), share,
+                )
+                for i in range(n_lines):
+                    want = 0.0
+                    for a, b in zip(lines[i], out[9][i]):
+                        d = np.float64(a) - np.float64(b)
+                        want += d * d
+                    _assert_same_bits(out[6][i, :1], np.array([want]), (i, share))

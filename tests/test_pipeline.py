@@ -3,6 +3,7 @@ import pytest
 
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, NumericError, ShapeError
+from hbq.formats import encode_layer
 from hbq.grouping import compute_ciq, quantize_lines
 from hbq.haar import Axis, haar_matrix
 from hbq.pipeline import (
@@ -16,7 +17,7 @@ from hbq.pipeline import (
     row_haarquant,
 )
 from hbq.salient import SalientMask, top_k_mask
-from hbq.tensor import frobenius_error, matmul
+from hbq.tensor import frobenius_error
 
 
 def empty_mask(width):
@@ -212,6 +213,8 @@ def test_compensate_bounds_checked():
 def test_compensation_reduces_activation_error():
     # the whole point of the factor dance: with compensation the product
     # (W - What) X should rarely get worse
+    from conftest import reference_product
+
     wins = 0
     trials = 200
     for seed in range(trials):
@@ -220,8 +223,8 @@ def test_compensation_reduces_activation_error():
         x = rng.normal(size=(16, 64)).astype(np.float32)
         qa = hbllm_quantize(w.copy(), x, beta=4)
         qb = hbllm_quantize(w.copy(), x, beta=4, compensation=False)
-        ea = np.linalg.norm(matmul(w - dequantize_layer(qa), x))
-        eb = np.linalg.norm(matmul(w - dequantize_layer(qb), x))
+        ea = np.linalg.norm(reference_product(w - dequantize_layer(qa), x))
+        eb = np.linalg.norm(reference_product(w - dequantize_layer(qb), x))
         wins += ea <= eb
     assert wins >= 0.95 * trials
 
@@ -299,6 +302,45 @@ def test_hbllm_col_mode_runs():
     recon = dequantize_layer(q)
     assert recon.shape == (16, 24)
     assert frobenius_error(w, recon) < float(np.linalg.norm(w))
+
+
+def _all_k_trials(w_block, scores, k_candidates, cfg, mode, col_offset=0):
+    # reference K selection: one col_haarquant trial per candidate, kept
+    # only on strict improvement
+    best, errors = None, {}
+    for k in sorted(k_candidates):
+        mask = top_k_mask(scores, k, w_block.shape[1])
+        block, recon = col_haarquant(w_block, mask, cfg, col_offset)
+        errors[k] = frobenius_error(w_block, recon)
+        if best is None or errors[k] < best[0]:
+            best = (errors[k], mask, block, recon)
+    return best[1], best[2], errors, best[3]
+
+
+@pytest.mark.parametrize(
+    "k_candidates", [(0, 2, 4, 8), (2, 4)], ids=["with-k0", "no-k0"]
+)
+def test_hbllm_col_mode_one_trial_same_bytes(monkeypatch, k_candidates):
+    # COL mode plans each column on its own, so every K reconstructs a
+    # block identically: trying only the smallest K stores the same bytes
+    import hbq.pipeline as pipeline
+
+    cfg = QuantConfig(k_candidates=k_candidates)
+    for seed in range(3):
+        rng = np.random.default_rng(1400 + seed)
+        w = rng.normal(size=(16, 64)).astype(np.float32)
+        w[:, rng.choice(64, size=4, replace=False)] *= 30.0
+        x = rng.normal(size=(64, 96)).astype(np.float32)
+        q = hbllm_quantize(w.copy(), x, beta=32, mode=Axis.COL, cfg=cfg)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_select_salient_full", _all_k_trials)
+            want = hbllm_quantize(w.copy(), x, beta=32, mode=Axis.COL, cfg=cfg)
+        assert encode_layer(q) == encode_layer(want)
+        blocks = zip(q.diagnostics["per_block"], want.diagnostics["per_block"])
+        for blk, ref in blocks:
+            assert len(set(ref["trial_errors"].values())) == 1
+            assert list(blk["trial_errors"]) == [min(k_candidates)]
+            assert blk["error"] == ref["error"]
 
 
 def test_hbllm_ciq_bound_row_mode():

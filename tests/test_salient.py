@@ -6,9 +6,9 @@ from hbq.errors import ConfigError, ShapeError
 from hbq.haar import Axis
 from hbq.salient import (
     SalientMask,
+    _select_salient_full,
     column_scores,
     fill_avg,
-    select_salient,
     top_k_mask,
 )
 
@@ -82,7 +82,7 @@ def test_select_salient_k0_forced():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(8, 8)).astype(np.float32)
     scores = np.ones(8)
-    mask = select_salient(w, scores, [0], QuantConfig(), mode=Axis.ROW)
+    mask = _select_salient_full(w, scores, [0], QuantConfig(), Axis.ROW)[0]
     assert mask.k == 0
 
 
@@ -94,14 +94,12 @@ def test_select_salient_prefers_outlier_column():
     w = rng.normal(size=(64, 128)).astype(np.float32)
     w[:, 37] *= 50.0
     scores = column_scores(np.abs(w), "l2")
-    mask = select_salient(w, scores, [0, 2], QuantConfig(), mode=Axis.ROW)
+    mask = _select_salient_full(w, scores, [0, 2], QuantConfig(), Axis.ROW)[0]
     assert mask.k == 2
     assert 37 in mask.indices
 
 
 def test_select_salient_superset_never_worse():
-    from hbq.salient import _select_salient_full
-
     rng = np.random.default_rng(13)
     w = rng.normal(size=(16, 16)).astype(np.float32)
     w[:, 5] *= 20.0
@@ -117,19 +115,19 @@ def test_select_salient_validation():
     w = np.zeros((4, 4), dtype=np.float32)
     scores = np.ones(4)
     with pytest.raises(ConfigError):
-        select_salient(w, scores, [], QuantConfig())
+        _select_salient_full(w, scores, [], QuantConfig(), Axis.ROW)
     with pytest.raises(ConfigError):
-        select_salient(w, scores, [1], QuantConfig())  # odd K
+        _select_salient_full(w, scores, [1], QuantConfig(), Axis.ROW)  # odd K
     with pytest.raises(ConfigError):
-        select_salient(w, scores, [4], QuantConfig())  # K == width
+        _select_salient_full(w, scores, [4], QuantConfig(), Axis.ROW)  # K == width
 
 
 def test_select_salient_deterministic():
     rng = np.random.default_rng(17)
     w = rng.normal(size=(8, 8)).astype(np.float32)
     scores = column_scores(np.abs(w), "l1")
-    a = select_salient(w, scores, [0, 2, 4], QuantConfig(), mode=Axis.ROW)
-    b = select_salient(w, scores, [0, 2, 4], QuantConfig(), mode=Axis.ROW)
+    a = _select_salient_full(w, scores, [0, 2, 4], QuantConfig(), Axis.ROW)[0]
+    b = _select_salient_full(w, scores, [0, 2, 4], QuantConfig(), Axis.ROW)[0]
     assert np.array_equal(a.bits, b.bits)
 
 

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 
 from hbq.errors import ShapeError
-from hbq.tensor import as_matrix, frobenius_error, matmul
-
-
-def triple_loop_matmul(a, b):
-    # independent oracle: textbook i-k-j loops in float64
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for p in range(k):
-            for j in range(m):
-                out[i, j] += float(a[i, p]) * float(b[p, j])
-    return out
+from hbq.tensor import as_matrix, frobenius_error
 
 
 def test_as_matrix_accepts_lists_and_sets_dtype():
@@ -41,37 +29,6 @@ def test_as_matrix_finite_check():
     as_matrix(bad)  # allowed when not checking
     with pytest.raises(ShapeError):
         as_matrix(bad, check_finite=True)
-
-
-def test_matmul_identity_exact():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 7)).astype(np.float32)
-    eye = np.eye(5, dtype=np.float32)
-    assert np.array_equal(matmul(eye, a), a)
-
-
-def test_matmul_known_cases():
-    eye = [[1, 0], [0, 1]]
-    a = [[1, 2], [3, 4]]
-    assert np.array_equal(matmul(eye, a), np.array(a, dtype=np.float32))
-    d = [[1, 0], [0, 2]]
-    ones = [[1], [1]]
-    assert np.array_equal(matmul(d, ones), np.array([[1], [2]], dtype=np.float32))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(8, 8)).astype(np.float32)
-    b = rng.normal(size=(8, 8)).astype(np.float32)
-    got = matmul(a, b).astype(np.float64)
-    want = triple_loop_matmul(a, b)
-    denom = np.maximum(np.abs(want), 1e-12)
-    assert np.max(np.abs(got - want) / denom) < 1e-6
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_frobenius_identity_and_triangle_values():
