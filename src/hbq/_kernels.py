@@ -180,7 +180,10 @@ def haar_inv_rows_np(c: np.ndarray) -> np.ndarray:
 # Every float64 sum runs over positions in order, starting from +0.0, so
 # both backends select the same candidate and store the same bits. Starting
 # from +0.0 matters for the sign of zero: a band of -0.0 values sums to
-# +0.0, and its mean is stored as binary16 0x0000, not 0x8000.
+# +0.0, and its mean is stored as binary16 0x0000, not 0x8000. The jit
+# kernel's sums and deviations are typed np.float64 explicitly: run as plain
+# Python (numba absent), a float32 value plus a Python float is a float32
+# under NumPy 2, and a sum started from 0.0 would accumulate in float32.
 
 
 @njit(cache=True)
@@ -190,7 +193,7 @@ def _plan_band_nb(v, ranks, share, sparse_out, signs_out, recon_out):
     absv = np.abs(v)
     srt = np.sort(absv)
 
-    total = 0.0
+    total = np.float64(0.0)
     for j in range(nv):
         total += v[j]
     mu_band = f16_round_nb(total / nv)
@@ -204,7 +207,7 @@ def _plan_band_nb(v, ranks, share, sparse_out, signs_out, recon_out):
     for k in range(ncand):
         t = srt[ranks[k] - 1]
         n_sp = 0
-        sum_sp = 0.0
+        sum_sp = np.float64(0.0)
         for j in range(nv):
             if absv[j] >= t:
                 n_sp += 1
@@ -216,13 +219,13 @@ def _plan_band_nb(v, ranks, share, sparse_out, signs_out, recon_out):
         else:
             mu_s = f16_round_nb(sum_sp / n_sp)
             mu_d = f16_round_nb((total - sum_sp) / n_de) if n_de > 0 else 0.0
-        dev_sp = 0.0
-        dev_de = 0.0
+        dev_sp = np.float64(0.0)
+        dev_de = np.float64(0.0)
         for j in range(nv):
             if absv[j] >= t:
-                dev_sp += abs(v[j] - mu_s)
+                dev_sp += abs(np.float64(v[j]) - mu_s)
             else:
-                dev_de += abs(v[j] - mu_d)
+                dev_de += abs(np.float64(v[j]) - mu_d)
         al_s = f16_round_nb(dev_sp / n_sp)
         al_d = f16_round_nb(dev_de / n_de) if n_de > 0 else 0.0
         err = 0.0

@@ -1,13 +1,14 @@
 """Calibration statistics: the l2 Hessian, its damped inverse factor, and
 per-entry saliency.
 
-H = 2 X X^T is built from a features x samples activation matrix, damped by
-lambda I, and inverted through its Cholesky factor (never a general inverse):
-(H + lambda I)^-1 = T T^T with T the inverted triangular factor. A second
-factorization of that inverse yields the upper U with U^T U = (H+lambda I)^-1
-that block compensation consumes, and diag(T T^T) supplies the [H^-1]_ii of
-the saliency metric. The damped diagonal stands in for the undamped one,
-which need not exist.
+H = 2 X X^T is built from a features x samples activation matrix and damped
+by lambda I. Block compensation needs the upper U with U^T U = (H+lambda I)^-1,
+and one Cholesky factorization plus one triangular inverse give it (never a
+general inverse, never a factorization of the inverse): with J the
+index-reversing permutation, J (H + lambda I) J = L L^T, and
+U = J L^-1 J (see damped_cholesky_inverse). The column sums of U*U are
+diag((H + lambda I)^-1), the [H^-1]_ii of the saliency metric. The damped
+diagonal stands in for the undamped one, which need not exist.
 """
 
 from __future__ import annotations
@@ -65,36 +66,41 @@ def resolve_damping(h: np.ndarray, damping) -> float:
     return lam
 
 
-def _factor_upper(a: np.ndarray, what: str) -> np.ndarray:
-    c, info = lapack.dpotrf(a, lower=0, clean=1)
-    if info != 0:
-        raise NumericError(
-            f"{what} is not positive definite: factorization failed at "
-            f"pivot {info - 1}"
-        )
-    return c
-
-
 def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper U with U^T U = (H + lam I)^-1, plus diag((H + lam I)^-1).
 
-    Raises a numeric error naming the failing pivot when H + lam I is not
+    A = H + lam I is factored once, in reversed index order: J A J = L L^T
+    with J the reversal (J = J^T = J^-1). Then A = J L L^T J, so
+    A^-1 = (J L^-T J)(J L^-1 J) = U^T U with U = J L^-1 J. Reversing both
+    indices of the lower-triangular L^-1 makes it upper triangular, and its
+    diagonal (the reversed 1 / diag(L)) stays positive, so U is the unique
+    upper Cholesky factor of A^-1. diag(A^-1) = diag(U^T U) is the column
+    sums of U*U.
+
+    Raises a numeric error naming the failing pivot, counted in the reversed
+    elimination order, and the column of H it falls on, when H + lam I is not
     positive definite.
     """
     hm = as_matrix(h, "hessian")
-    if hm.shape[0] != hm.shape[1]:
+    m = hm.shape[0]
+    if hm.shape[1] != m:
         raise ShapeError(f"hessian must be square, got {hm.shape}")
     if lam < 0:
         raise ConfigError(f"damping must be >= 0, got {lam}")
-    a = hm.astype(np.float64) + lam * np.eye(hm.shape[0])
-    u0 = _factor_upper(a, "damped hessian")
-    t, info = lapack.dtrtri(u0, lower=0)
+    # J A J, in Fortran order so LAPACK factors and inverts it in place
+    a = np.array(hm[::-1, ::-1], dtype=np.float64, order="F")
+    a[np.diag_indices(m)] += lam
+    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)  # L
+    if info > 0:
+        raise NumericError(
+            "damped hessian is not positive definite: factorization failed at "
+            f"pivot {info - 1} (column {m - info})"
+        )
+    c, info = lapack.dtrtri(c, lower=1, overwrite_c=1)  # L^-1
     if info != 0:
         raise NumericError(f"triangular inversion failed at pivot {info - 1}")
-    hinv_diag = np.einsum("ij,ij->i", t, t)  # diag(T T^T)
-    ainv = t @ t.T
-    u = _factor_upper(ainv, "inverse")
-    return u.astype(np.float32), hinv_diag
+    u = c[::-1, ::-1]
+    return u.astype(np.float32), np.einsum("ij,ij->j", u, u)
 
 
 def build_calib_stats(x, damping="auto") -> CalibStats:

@@ -10,6 +10,7 @@ single corrupted byte surfaces as a CRC error rather than a parse error.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -66,6 +67,11 @@ def _unpack_bits(packed: np.ndarray, count: int) -> np.ndarray:
 
 def _bitset_bytes(count: int) -> int:
     return (count + 7) // 8
+
+
+def _padding_bits(count: int) -> int:
+    """The padding bits of the last byte of a bitset of count bits."""
+    return (0xFF << (count % 8)) & 0xFF if count % 8 else 0
 
 
 def pack_signs(signs) -> bytes:
@@ -135,6 +141,7 @@ def _scalar_names(share: bool) -> tuple[str, ...]:
     return means + ("alpha_sparse", "alpha_dense")
 
 
+@functools.lru_cache(maxsize=64)
 def _line_dtype(width: int, split: int, share: bool) -> np.dtype:
     """One line record: per band a threshold index, the binary16 scalars
     and the sparse-group bitmap, then the line's sign bits."""
@@ -147,6 +154,19 @@ def _line_dtype(width: int, split: int, share: bool) -> np.dtype:
         ]
     fields.append(("signs", "u1", (_bitset_bytes(width),)))
     return np.dtype(fields)
+
+
+@functools.lru_cache(maxsize=64)
+def _record_padding(width: int, split: int, share: bool) -> np.ndarray:
+    """Per byte of a line record, the padding bits of its bitsets."""
+    dt = _line_dtype(width, split, share)
+    padding = np.zeros(dt.itemsize, np.uint8)
+    bands = band_bounds(width, split)
+    bitsets = [(f"sparse{b}", hi - lo) for b, (lo, hi) in enumerate(bands)]
+    for name, count in bitsets + [("signs", width)]:
+        padding[dt.fields[name][1] + dt[name].itemsize - 1] = _padding_bits(count)
+    padding.flags.writeable = False
+    return padding
 
 
 def _encode_plans(plans: LinePlans, share: bool) -> bytes:
@@ -219,6 +239,12 @@ def _decode_plans(
     bad = ~np.isfinite(scalars)
     bad[..., -2:] |= scalars[..., -2:] < 0  # the scales
     _reject_first(bad, rec, pos, "scalars", "non-finite or negative plan scalar")
+    # set padding bits would be dropped by re-encoding
+    raw = np.frombuffer(data, np.uint8, count * dt.itemsize, pos)
+    padded = raw.reshape(count, -1) & _record_padding(width, split, cfg.share_mean)
+    if padded.any():
+        at = pos + int(np.flatnonzero(padded)[0])
+        raise IntegrityError(f"nonzero padding bits at byte {at}")
     named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
     named.setdefault("mu_dense", named["mu_sparse"])
     sparse = [
@@ -254,6 +280,8 @@ def decode_layer(data: bytes) -> QuantizedLayer:
         raise IntegrityError(f"unknown scalar code {scalar_code}")
     if mode_code not in (0, 1):
         raise IntegrityError(f"unknown mode code {mode_code}")
+    if flags & ~(_FLAG_SHARE | _FLAG_HAAR | _FLAG_L1 | _FLAG_RAW_SCORES):
+        raise IntegrityError(f"unknown flag bits {flags:#04x} at byte 27")
     for ok, what, off in (
         (n >= 1, f"n must be >= 1, got {n}", 6),
         (m >= 1, f"m must be >= 1, got {m}", 10),
@@ -290,6 +318,8 @@ def decode_layer(data: bytes) -> QuantizedLayer:
         if struct.unpack_from("<II", data, pos) != (b, width):
             raise IntegrityError(f"block record disagrees with header at byte {pos}")
         packed = np.frombuffer(data, np.uint8, mask_end - pos - 8, pos + 8)
+        if packed[-1] & _padding_bits(width):
+            raise IntegrityError(f"nonzero padding bits at byte {mask_end - 1}")
         bits = _unpack_bits(packed, width)
         if bits.all():
             raise IntegrityError(f"no non-salient column in mask at byte {pos + 8}")

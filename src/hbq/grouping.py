@@ -10,8 +10,6 @@ the smallest reconstruction error wins.
 Planned scalars are narrowed to binary16 at plan time, not at write time:
 the error the search optimizes is then exactly the error of what the file
 stores, and decode reproduces quantize-time reconstructions bit for bit.
-binarize_group / shared_mean below stay in full precision; they are the
-reference math the planner's narrowed search is tested against.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ from .haar import Axis, HaarCoeffs
 __all__ = [
     "LinePlans",
     "band_bounds",
-    "binarize_group",
-    "shared_mean",
-    "candidate_thresholds",
     "plan_band",
     "quantize_lines",
     "compute_ciq",
@@ -114,48 +109,6 @@ class LinePlans:
         return (mu.astype(np.float64) + al.astype(np.float64) * self.signs).astype(
             np.float32
         )
-
-
-def binarize_group(values, mu: float) -> tuple[float, np.ndarray, float]:
-    """Sign-binarize one group around a fixed mean, full precision.
-
-    signs_k = sign(values_k - mu) with sign(0) = +1. alpha = mean absolute
-    deviation from mu, the sse minimizer for this mu and these signs:
-    d(sse)/d(alpha) = 0 at alpha = mean(|v - mu|).
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ShapeError("cannot binarize an empty group")
-    signs = np.where(v >= mu, 1, -1).astype(np.int8)
-    alpha = float(np.mean(np.abs(v - mu)))
-    deq = mu + alpha * signs.astype(np.float64)
-    sse = float(np.sum((v - deq) ** 2))
-    return alpha, signs, sse
-
-
-def shared_mean(group1, group2) -> float:
-    """Pooled arithmetic mean of two groups, either possibly empty."""
-    a = np.asarray(group1, dtype=np.float64).ravel()
-    b = np.asarray(group2, dtype=np.float64).ravel()
-    n = a.size + b.size
-    if n == 0:
-        raise ShapeError("shared_mean needs at least one value")
-    return float((a.sum() + b.sum()) / n)
-
-
-def candidate_thresholds(band, n_candidates: int) -> np.ndarray:
-    """Absolute-value percentiles of the band, evenly spaced over [10, 90].
-
-    Nearest-rank, no interpolation: every threshold is an actual |value|
-    from the band, so splits are stable across platforms.
-    """
-    v = np.asarray(band, dtype=np.float32).ravel()
-    if v.size == 0:
-        raise ShapeError("band must be non-empty")
-    srt = np.sort(np.abs(v))
-    levels = percentile_levels(n_candidates)
-    ranks = [nearest_rank(lv, v.size) for lv in levels]
-    return srt[np.array(ranks) - 1]
 
 
 def _ranks_for(levels, nvals: int) -> np.ndarray:

@@ -213,10 +213,12 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     n, m = w.shape
     if not (0 <= b and b + beta <= m):
         raise ShapeError(f"block [{b}, {b + beta}) outside {m} columns")
-    u = np.asarray(chol_inv, dtype=np.float64)
+    u = np.asarray(chol_inv)
     if u.shape != (m, m):
         raise ShapeError(f"factor shape {u.shape} != ({m}, {m})")
-    u_bb = u[b : b + beta, b : b + beta]
+    # only the block's rows are read; widening f32 to f64 is exact
+    u = u[b : b + beta].astype(np.float64)
+    u_bb = u[:, b : b + beta]
     if np.any(np.diag(u_bb) == 0.0):
         bad = int(np.flatnonzero(np.diag(u_bb) == 0.0)[0])
         raise NumericError(f"triangular factor has zero diagonal at {b + bad}")
@@ -227,7 +229,7 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
         return  # nothing to the right: E would be discarded
     e = solve_triangular(u_bb, resid.T, lower=False, trans="T").T
     tail = w[:, b + beta :].astype(np.float64)
-    w[:, b + beta :] = (tail - e @ u[b : b + beta, b + beta :]).astype(np.float32)
+    w[:, b + beta :] = (tail - e @ u[:, b + beta :]).astype(np.float32)
 
 
 def _validate_layer_inputs(w, x, beta, mode, cfg):

@@ -1,5 +1,8 @@
 import numpy as np
 
+from hbq.config import nearest_rank, percentile_levels
+from hbq.errors import ShapeError
+
 
 def structured_rows(rng, n: int, d: int) -> np.ndarray:
     """Weight-like test rows: smooth base + sparse outliers + heavy-tail noise.
@@ -24,3 +27,54 @@ def reference_product(a, b) -> np.ndarray:
     """Matrix product with float64 accumulation, narrowed to float32."""
     out = np.asarray(a, np.float64) @ np.asarray(b, np.float64)
     return out.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# Full-precision reference math of the grouping search: binarization of one
+# group, the pooled mean and the candidate thresholds. The planner in
+# hbq._kernels does the same math but narrows every scalar to binary16 while
+# it searches; these stay in float64 and are checked against brute-force
+# grids (tests/test_grouping.py, criterion 02).
+# ---------------------------------------------------------------------------
+
+
+def binarize_group(values, mu: float) -> tuple[float, np.ndarray, float]:
+    """Sign-binarize one group around a fixed mean, full precision.
+
+    signs_k = sign(values_k - mu) with sign(0) = +1. alpha = mean absolute
+    deviation from mu, the sse minimizer for this mu and these signs:
+    d(sse)/d(alpha) = 0 at alpha = mean(|v - mu|).
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        raise ShapeError("cannot binarize an empty group")
+    signs = np.where(v >= mu, 1, -1).astype(np.int8)
+    alpha = float(np.mean(np.abs(v - mu)))
+    deq = mu + alpha * signs.astype(np.float64)
+    sse = float(np.sum((v - deq) ** 2))
+    return alpha, signs, sse
+
+
+def shared_mean(group1, group2) -> float:
+    """Pooled arithmetic mean of two groups, either possibly empty."""
+    a = np.asarray(group1, dtype=np.float64).ravel()
+    b = np.asarray(group2, dtype=np.float64).ravel()
+    n = a.size + b.size
+    if n == 0:
+        raise ShapeError("shared_mean needs at least one value")
+    return float((a.sum() + b.sum()) / n)
+
+
+def candidate_thresholds(band, n_candidates: int) -> np.ndarray:
+    """Absolute-value percentiles of the band, evenly spaced over [10, 90].
+
+    Nearest-rank, no interpolation: every threshold is an actual |value|
+    from the band, so splits are stable across platforms.
+    """
+    v = np.asarray(band, dtype=np.float32).ravel()
+    if v.size == 0:
+        raise ShapeError("band must be non-empty")
+    srt = np.sort(np.abs(v))
+    levels = percentile_levels(n_candidates)
+    ranks = [nearest_rank(lv, v.size) for lv in levels]
+    return srt[np.array(ranks) - 1]

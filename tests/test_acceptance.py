@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import binarize_group
 from hbq import (
     QuantConfig,
     bit_report,
@@ -23,7 +24,7 @@ from hbq import (
 from hbq.cli import run
 from hbq.config import nested_levels
 from hbq.errors import IntegrityError
-from hbq.grouping import binarize_group, compute_ciq, quantize_lines
+from hbq.grouping import compute_ciq, quantize_lines
 from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
 
 

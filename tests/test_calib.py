@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from hbq.calib import (
     build_calib_stats,
@@ -99,6 +100,48 @@ def test_cholesky_inverse_non_pd_names_pivot():
     h = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.float32)  # eigvals 3, -1
     with pytest.raises(NumericError, match="pivot 1"):
         damped_cholesky_inverse(h, 0.0)
+
+
+def test_cholesky_inverse_non_pd_names_column():
+    # reversed elimination meets column 2 first: pivot 0 is column 2
+    h = np.diag([1.0, 1.0, -1.0]).astype(np.float32)
+    with pytest.raises(NumericError, match=r"pivot 0 \(column 2\)"):
+        damped_cholesky_inverse(h, 0.0)
+
+
+def two_factorization_reference(h, lam):
+    """The upper factor of (H + lam I)^-1 by the long way round.
+
+    Factor A = H + lam I = U0^T U0, invert T = U0^-1 so that A^-1 = T T^T,
+    then factor that inverse again. diag(A^-1) is the row sums of T*T.
+    """
+    a = np.asarray(h, np.float64) + lam * np.eye(len(h))
+    u0, info = lapack.dpotrf(a, lower=0, clean=1)
+    assert info == 0
+    t, info = lapack.dtrtri(u0, lower=0)
+    assert info == 0
+    u, info = lapack.dpotrf(t @ t.T, lower=0, clean=1)
+    assert info == 0
+    return u.astype(np.float32), np.einsum("ij,ij->i", t, t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 257])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cholesky_inverse_matches_two_factorization_reference(m, seed):
+    # activation features with unequal scales, few samples: a wide spread
+    # of pivots, as in calibration
+    rng = np.random.default_rng([seed, m])
+    scale = rng.lognormal(0.0, 1.0, (m, 1))
+    x = (rng.standard_normal((m, m + 8)) * scale).astype(np.float32)
+    h = build_hessian(x)
+    lam = resolve_damping(h, "auto")
+    u, hinv = damped_cholesky_inverse(h, lam)
+    u_ref, hinv_ref = two_factorization_reference(h, lam)
+    assert u.dtype == np.float32 and u.shape == (m, m)
+    assert np.array_equal(np.tril(u, -1), np.zeros((m, m), np.float32))
+    ulp = np.spacing(np.maximum(np.abs(u), np.abs(u_ref)))
+    assert np.all(np.abs(u - u_ref) <= ulp)
+    np.testing.assert_allclose(hinv, hinv_ref, rtol=1e-12, atol=0)
 
 
 def test_cholesky_inverse_rejects_non_square():

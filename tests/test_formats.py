@@ -319,6 +319,26 @@ def test_decode_rejects_bad_fields(offset, fmt, value, match):
         decode_layer(_toy_with(offset, fmt, value))
 
 
+@pytest.mark.parametrize(
+    "offset,match",
+    [
+        (27, "unknown flag bits"),
+        (_TOY_LINE0 - 1, "padding"),  # the 4-column salient mask
+        (_TOY_LINE0 + 7, "padding"),  # band 0 sparse bitmap of line 0
+        (_TOY_LINE0 + 15, "padding"),  # band 1 sparse bitmap of line 0
+        (_TOY_LINE0 + 16, "padding"),  # sign bits of line 0
+        (_TOY_LINE0 + 17 + 16, "padding"),  # sign bits of line 1
+    ],
+)
+def test_decode_rejects_noncanonical_bits(offset, match):
+    # a set bit that no field reads would be dropped by re-encoding, so the
+    # container would not be the encoding of the layer it decodes to
+    payload = bytearray(encode_layer(toy_layer())[:-4])
+    payload[offset] |= 0x80
+    with pytest.raises(IntegrityError, match=f"{match}.* at byte {offset}$"):
+        decode_layer(_with_crc(bytes(payload)))
+
+
 @pytest.mark.parametrize("mode", [Axis.ROW, Axis.COL])
 def test_decode_huge_line_count_is_truncation(mode):
     # a CRC-valid header claiming ~2^31 rows must fail on the byte count,

@@ -3,14 +3,8 @@ import pytest
 
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
 from hbq.errors import ConfigError, NumericError, ShapeError
-from hbq.grouping import (
-    LinePlans,
-    binarize_group,
-    candidate_thresholds,
-    compute_ciq,
-    plan_band,
-    quantize_lines,
-)
+from conftest import binarize_group, candidate_thresholds, shared_mean
+from hbq.grouping import LinePlans, compute_ciq, plan_band, quantize_lines
 from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
 
 
@@ -98,15 +92,11 @@ def test_binarize_alpha_is_grid_minimum():
 
 
 def test_shared_mean_known():
-    from hbq.grouping import shared_mean
-
     assert shared_mean([1.0, 3.0], [5.0, 7.0, 9.0]) == 5.0
     assert shared_mean([4.25], []) == 4.25
 
 
 def test_shared_mean_matches_concat_oracle():
-    from hbq.grouping import shared_mean
-
     rng = np.random.default_rng(37)
     for _ in range(25):
         v = rng.normal(size=int(rng.integers(1, 40)))
@@ -116,8 +106,6 @@ def test_shared_mean_matches_concat_oracle():
 
 
 def test_shared_mean_both_empty_rejected():
-    from hbq.grouping import shared_mean
-
     with pytest.raises(ShapeError):
         shared_mean([], [])
 

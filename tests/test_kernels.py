@@ -82,10 +82,10 @@ def _assert_same_bits(got, want, ctx):
     assert got.tobytes() == want.tobytes(), ctx
 
 
-def _assert_backends_agree(lines, split, share):
+def _assert_backends_agree(lines, split, share, n_candidates=40):
     d = lines.shape[1]
-    r0 = _ranks(split)
-    r1 = _ranks(d - split) if split < d else np.zeros(0, np.int64)
+    r0 = _ranks(split, n_candidates)
+    r1 = _ranks(d - split, n_candidates) if split < d else np.zeros(0, np.int64)
     out_nb = K.plan_lines_nb(lines, split, r0, r1, share)
     out_np = K.plan_lines_np(lines, split, r0, r1, share)
     for got, want in zip(out_nb, out_np):
@@ -248,3 +248,13 @@ def test_plan_lines_sse_is_the_in_order_sum():
                         d = np.float64(a) - np.float64(b)
                         want += d * d
                     _assert_same_bits(out[6][i, :1], np.array([want]), (i, share))
+
+
+def test_plan_lines_wide_dynamic_range_line_bitwise():
+    # Six decades in one line: a sum that slips into float32 anywhere in
+    # the reference scan stores a different binary16 mean.
+    rng = np.random.default_rng(7)
+    line = rng.normal(size=64) * 10.0 ** rng.uniform(-3, 3, 64)
+    lines = line.astype(np.float32).reshape(1, 64)
+    for share in (True, False):
+        _assert_backends_agree(lines, 64, share, n_candidates=1)

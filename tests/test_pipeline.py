@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hbq.calib import build_calib_stats
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, NumericError, ShapeError
 from hbq.formats import encode_layer
@@ -208,6 +209,38 @@ def test_compensate_bounds_checked():
         compensate(w, np.zeros((1, 2), dtype=np.float32), u, 1, 2)
     with pytest.raises(ShapeError):
         compensate(w, np.zeros((1, 1), dtype=np.float32), np.eye(3), 0, 1)
+
+
+def _compensate_full_widening(w, recon_block, chol_inv, b, beta):
+    # compensate as it was before it widened only the block's rows: the
+    # whole factor goes to float64 first
+    from scipy.linalg import solve_triangular
+
+    u = np.asarray(chol_inv, dtype=np.float64)
+    resid = w[:, b : b + beta].astype(np.float64) - np.asarray(
+        recon_block, dtype=np.float64
+    )
+    if b + beta == w.shape[1]:
+        return
+    u_bb = u[b : b + beta, b : b + beta]
+    e = solve_triangular(u_bb, resid.T, lower=False, trans="T").T
+    tail = w[:, b + beta :].astype(np.float64)
+    w[:, b + beta :] = (tail - e @ u[b : b + beta, b + beta :]).astype(np.float32)
+
+
+@pytest.mark.parametrize("n,m,beta", [(3, 10, 4), (8, 64, 16), (5, 96, 32)])
+def test_compensate_bitwise_equals_full_widening(n, m, beta):
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(m, 2 * m)).astype(np.float32)
+    u = build_calib_stats(x).chol_inv
+    w = rng.normal(size=(n, m)).astype(np.float32)
+    want = w.copy()
+    for b in range(0, m, beta):  # a remainder block and a last block included
+        width = min(beta, m - b)
+        recon = np.round(w[:, b : b + width] * 2.0) / 2.0
+        compensate(w, recon, u, b, width)
+        _compensate_full_widening(want, recon, u, b, width)
+        assert w.tobytes() == want.tobytes(), b
 
 
 def test_compensation_reduces_activation_error():
