@@ -28,8 +28,6 @@ __all__ = [
     "RAW_MAGIC",
     "HBQ_MAGIC",
     "HBQ_VERSION",
-    "pack_signs",
-    "unpack_signs",
     "encode_tensor",
     "decode_tensor",
     "write_tensor",
@@ -72,17 +70,6 @@ def _bitset_bytes(count: int) -> int:
 def _padding_bits(count: int) -> int:
     """The padding bits of the last byte of a bitset of count bits."""
     return (0xFF << (count % 8)) & 0xFF if count % 8 else 0
-
-
-def pack_signs(signs) -> bytes:
-    """Pack a +1/-1 sequence LSB-first, +1 as bit 1, zero-padded."""
-    return _pack_bits(np.asarray(signs) > 0).tobytes()
-
-
-def unpack_signs(data: bytes, count: int) -> np.ndarray:
-    """Inverse of pack_signs; returns int8 +1/-1 values."""
-    bits = _unpack_bits(np.frombuffer(data, np.uint8), count)
-    return np.where(bits, 1, -1).astype(np.int8)
 
 
 # --- RTS1 raw tensors ---

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import plan_lines
-from .config import QuantConfig, nearest_rank, percentile_levels
+from .config import QuantConfig, nearest_rank
 from .errors import ConfigError, NumericError, ShapeError
 from .haar import Axis, HaarCoeffs
 
 __all__ = [
     "LinePlans",
     "band_bounds",
-    "plan_band",
     "quantize_lines",
     "compute_ciq",
 ]
@@ -134,24 +133,6 @@ def _line_plans(out, split: int) -> tuple[LinePlans, np.ndarray]:
         sse=sse[:, :nb],
     )
     return plans, recon
-
-
-def plan_band(
-    band, n_candidates: int = 40, share_mean: bool = True, levels=None
-) -> LinePlans:
-    """Search candidate thresholds on one band, return its one-line plan.
-
-    Ties break toward the smaller threshold index. levels overrides the
-    default evenly spaced percentile levels (used for nested A/B sweeps).
-    """
-    v = np.ascontiguousarray(band, dtype=np.float32).reshape(1, -1)
-    if v.size == 0:
-        raise ShapeError("band must be non-empty")
-    if levels is None:
-        levels = percentile_levels(n_candidates)
-    ranks = _ranks_for(levels, v.shape[1])
-    out = plan_lines(v, v.shape[1], ranks, np.zeros(0, np.int64), share_mean)
-    return _line_plans(out, v.shape[1])[0]
 
 
 def quantize_lines(

@@ -25,8 +25,6 @@ from .tensor import as_matrix
 __all__ = [
     "Axis",
     "HaarCoeffs",
-    "haar_forward_1d",
-    "haar_inverse_1d",
     "haar_matrix",
     "inverse_haar_matrix",
     "raw_lines",
@@ -74,34 +72,6 @@ class HaarCoeffs:
     def is_raw(self) -> bool:
         length = self.mat.shape[1] if self.axis is Axis.ROW else self.mat.shape[0]
         return self.band_split == length
-
-
-def haar_forward_1d(v) -> tuple[np.ndarray, np.ndarray]:
-    """low_k = (v_2k + v_2k+1)/2, high_k = (v_2k - v_2k+1)/2."""
-    arr = np.ascontiguousarray(v, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-D sequence, got shape {arr.shape}")
-    if arr.shape[0] < 2 or arr.shape[0] % 2 != 0:
-        raise ShapeError(f"length must be even and >= 2, got {arr.shape[0]}")
-    out = haar_fwd_rows(arr.reshape(1, -1))
-    h = arr.shape[0] // 2
-    return out[0, :h].copy(), out[0, h:].copy()
-
-
-def haar_inverse_1d(low, high) -> np.ndarray:
-    """v_2k = low_k + high_k, v_2k+1 = low_k - high_k."""
-    lo = np.ascontiguousarray(low, dtype=np.float32)
-    hi = np.ascontiguousarray(high, dtype=np.float32)
-    if lo.ndim != 1 or hi.ndim != 1:
-        raise ShapeError("band inputs must be 1-D")
-    if lo.shape[0] != hi.shape[0]:
-        raise ShapeError(
-            f"band length mismatch: low {lo.shape[0]} vs high {hi.shape[0]}"
-        )
-    if lo.shape[0] == 0:
-        raise ShapeError("bands must be non-empty")
-    c = np.concatenate([lo, hi]).reshape(1, -1)
-    return haar_inv_rows(c)[0]
 
 
 def haar_matrix(m, axis: Axis) -> HaarCoeffs:

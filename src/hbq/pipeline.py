@@ -243,6 +243,8 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
     if not isinstance(beta, (int, np.integer)) or beta < 1:
         raise ConfigError(f"beta must be a positive integer, got {beta}")
     beta = int(min(beta, m))
+    if not cfg.haar_enabled:
+        return wm, xm, beta  # raw lines: no Haar pairs to keep whole
     rem = m % beta
     if mode is Axis.ROW:
         if beta % 2 != 0:
@@ -251,7 +253,7 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
             raise ConfigError(
                 f"remainder block of {rem} columns is odd; ROW mode needs even"
             )
-        if cfg.haar_enabled and n % 2 != 0 and any(k > 0 for k in cfg.k_candidates):
+        if n % 2 != 0 and any(k > 0 for k in cfg.k_candidates):
             raise ConfigError(
                 f"salient residual pass needs even rows in ROW mode, got {n}"
             )

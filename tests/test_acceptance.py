@@ -30,7 +30,9 @@ from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lin
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels():
-    # first call pays jit compilation; keep that out of the timed budgets
+    # one tiny layer through calibration, the planner and compensation
+    # first, so any one-time cost of a first call (BLAS and LAPACK set-up,
+    # first allocations) stays out of the timed budgets; nothing compiles
     rng = np.random.default_rng(0)
     w = rng.normal(size=(4, 16)).astype(np.float32)
     hbllm_quantize(w, np.eye(16, dtype=np.float32), beta=8)

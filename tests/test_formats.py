@@ -6,14 +6,14 @@ import pytest
 from hbq.config import QuantConfig
 from hbq.errors import IntegrityError
 from hbq.formats import (
+    _pack_bits,
+    _unpack_bits,
     bit_report,
     decode_layer,
     decode_tensor,
     encode_layer,
     encode_tensor,
-    pack_signs,
     read_tensor,
-    unpack_signs,
     write_tensor,
 )
 from hbq.haar import Axis
@@ -44,6 +44,17 @@ def random_layer(seed, n=8, m=32, beta=8, mode=Axis.ROW, cfg=QuantConfig()):
 
 
 # --- sign packing ---
+
+
+def pack_signs(signs) -> bytes:
+    """+1/-1 signs as the encoder stores them: +1 as bit 1, LSB-first."""
+    return _pack_bits(np.asarray(signs) > 0).tobytes()
+
+
+def unpack_signs(data: bytes, count: int) -> np.ndarray:
+    """Inverse of pack_signs, through the decoder's bit reader."""
+    bits = _unpack_bits(np.frombuffer(data, np.uint8), count)
+    return np.where(bits, 1, -1).astype(np.int8)
 
 
 def test_pack_signs_bit_layout():

@@ -4,8 +4,20 @@ import pytest
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
 from hbq.errors import ConfigError, NumericError, ShapeError
 from conftest import binarize_group, candidate_thresholds, shared_mean
-from hbq.grouping import LinePlans, compute_ciq, plan_band, quantize_lines
+from hbq.grouping import LinePlans, compute_ciq, quantize_lines
 from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
+
+
+def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
+    """Plan one band as a raw one-line layer; levels overrides the grid."""
+    cfg = QuantConfig(
+        n_candidates=n_candidates if levels is None else len(levels),
+        share_mean=share_mean,
+        haar_enabled=False,
+        candidate_levels=levels,
+    )
+    row = np.asarray(band, np.float32).reshape(1, -1)
+    return quantize_lines(raw_lines(row, Axis.ROW), cfg)[0]
 
 
 def f16(x):

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from hbq.errors import ShapeError
-from hbq.haar import (
-    Axis,
-    HaarCoeffs,
-    haar_forward_1d,
-    haar_inverse_1d,
-    haar_matrix,
-    inverse_haar_matrix,
-)
+from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix
+
+
+def haar_forward_1d(v):
+    """(low, high) of one sequence, through the ROW matrix transform."""
+    c = haar_matrix(np.asarray(v, np.float32).reshape(1, -1), Axis.ROW)
+    return c.mat[0, : c.band_split], c.mat[0, c.band_split :]
+
+
+def haar_inverse_1d(low, high):
+    """Synthesis of one (low, high) pair, through the ROW matrix inverse."""
+    lo = np.asarray(low, np.float32)
+    c = np.concatenate([lo, np.asarray(high, np.float32)]).reshape(1, -1)
+    return inverse_haar_matrix(HaarCoeffs(c, Axis.ROW, lo.shape[0]))[0]
 
 
 def test_forward_known_vector():

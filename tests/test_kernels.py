@@ -1,14 +1,12 @@
-"""Cross-backend equivalence: the njit kernels and the numpy fallbacks
-must agree bit for bit, not merely to tolerance, so that the env flag
-never changes what gets stored in a container."""
+"""The numpy kernels against the scalar reference in reference_kernels.py.
 
-import os
-import subprocess
-import sys
+They must agree bit for bit, not merely to tolerance: the reference scan
+defines the bits a container stores, and the batched planner must store
+the same ones however its lines are chunked."""
 
 import numpy as np
-import pytest
 
+import reference_kernels as R
 from hbq import _kernels as K
 from hbq.config import nearest_rank, percentile_levels
 
@@ -20,6 +18,14 @@ def _ranks(nvals, n_candidates=40):
     )
 
 
+def _assert_f16_round_agrees(vals):
+    # the vectorized rounder stores the scalar reference's bits, sign of
+    # zero included
+    vals = np.asarray(vals, np.float64)
+    want = np.array([R.f16_round(float(v)) for v in vals])
+    assert K.f16_round(vals).tobytes() == want.tobytes()
+
+
 def test_f16_round_matches_numpy_on_random_values():
     rng = np.random.default_rng(0)
     exps = rng.uniform(-8, 6, size=20000)
@@ -27,7 +33,8 @@ def test_f16_round_matches_numpy_on_random_values():
     with np.errstate(over="ignore"):
         for v in vals:
             want = float(np.float16(v))
-            assert K.f16_round_nb(float(v)) == want
+            assert R.f16_round(float(v)) == want
+    _assert_f16_round_agrees(vals)
 
 
 def test_f16_round_matches_numpy_on_tie_midpoints():
@@ -39,29 +46,32 @@ def test_f16_round_matches_numpy_on_tie_midpoints():
     ok = np.isfinite(base) & np.isfinite(nxt) & (base != nxt)
     mids = (base[ok].astype(np.float64) + nxt[ok].astype(np.float64)) / 2.0
     for v in mids:
-        assert K.f16_round_nb(float(v)) == float(np.float16(v))
+        assert R.f16_round(float(v)) == float(np.float16(v))
+    _assert_f16_round_agrees(mids)
 
 
 def test_f16_round_edge_cases():
-    for v in (0.0, -0.0, 65504.0, 65520.0, 1e9, -1e9, 6e-8, -6e-8, 5.96e-8):
-        got = K.f16_round_nb(v)
+    edges = (0.0, -0.0, 65504.0, 65520.0, 1e9, -1e9, 6e-8, -6e-8, 5.96e-8)
+    for v in edges:
+        got = R.f16_round(v)
         with np.errstate(over="ignore"):
             want = float(np.float16(v))
         assert got == want or (np.isnan(got) and np.isnan(want))
         if v == 0.0 or v == -0.0:
             assert np.copysign(1.0, got) == np.copysign(1.0, v)
+    _assert_f16_round_agrees(edges)
 
 
 def test_haar_kernels_bitwise_identical():
     rng = np.random.default_rng(2)
     for n, d in [(1, 2), (7, 64), (64, 128), (3, 1000)]:
         m = rng.normal(size=(n, d)).astype(np.float32) * 3.7
-        fwd_nb = K.haar_fwd_rows_nb(m)
-        fwd_np = K.haar_fwd_rows_np(m)
-        assert np.array_equal(fwd_nb, fwd_np)
-        inv_nb = K.haar_inv_rows_nb(fwd_nb)
-        inv_np = K.haar_inv_rows_np(fwd_np)
-        assert np.array_equal(inv_nb, inv_np)
+        fwd_ref = R.haar_fwd_rows(m)
+        fwd = K.haar_fwd_rows(m)
+        assert np.array_equal(fwd_ref, fwd)
+        inv_ref = R.haar_inv_rows(fwd_ref)
+        inv = K.haar_inv_rows(fwd)
+        assert np.array_equal(inv_ref, inv)
 
 
 def _trial_lines(rng, kind, n, d):
@@ -82,15 +92,15 @@ def _assert_same_bits(got, want, ctx):
     assert got.tobytes() == want.tobytes(), ctx
 
 
-def _assert_backends_agree(lines, split, share, n_candidates=40):
+def _assert_matches_reference(lines, split, share, n_candidates=40):
     d = lines.shape[1]
     r0 = _ranks(split, n_candidates)
     r1 = _ranks(d - split, n_candidates) if split < d else np.zeros(0, np.int64)
-    out_nb = K.plan_lines_nb(lines, split, r0, r1, share)
-    out_np = K.plan_lines_np(lines, split, r0, r1, share)
-    for got, want in zip(out_nb, out_np):
+    out_ref = R.plan_lines(lines, split, r0, r1, share)
+    out = K.plan_lines(lines, split, r0, r1, share)
+    for got, want in zip(out_ref, out):
         _assert_same_bits(got, want, (d, split, share))
-    return out_np
+    return out
 
 
 def test_plan_lines_backends_bitwise_identical():
@@ -105,44 +115,21 @@ def test_plan_lines_backends_bitwise_identical():
     for d, split, kind, share in cases:
         n = int(rng.integers(1, 6))
         lines = _trial_lines(rng, kind, n, d)
-        _assert_backends_agree(lines, split, share)
-
-
-def test_numba_path_active_by_default():
-    # numba is an optional extra; where it is installed, the jit kernels
-    # must be the default binding
-    pytest.importorskip("numba")
-    assert K.HAS_NUMBA
-    assert K.USE_NUMBA
-    assert K.plan_lines is K.plan_lines_nb
-
-
-def test_env_flag_selects_numpy_fallback():
-    code = (
-        "from hbq import _kernels as K; "
-        "assert not K.USE_NUMBA; "
-        "assert K.plan_lines is K.plan_lines_np; "
-        "assert K.haar_fwd_rows is K.haar_fwd_rows_np"
-    )
-    env = dict(os.environ, HBQ_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+        _assert_matches_reference(lines, split, share)
 
 
 def test_plan_lines_all_overflow_falls_back_identically():
     # every candidate's deviation scale exceeds the binary16 maximum, so
-    # no candidate can win; both backends must emit the same zeroed plan
+    # no candidate can win; planner and reference must emit the same zeroed plan
     # with infinite sse (callers reject it before anything is stored)
     lines = np.array([[4e5, -5e5, 3e5, -2e5]], dtype=np.float32)
     r0 = _ranks(4)
     for share in (True, False):
-        out_nb = K.plan_lines_nb(lines, 4, r0, np.zeros(0, np.int64), share)
-        out_np = K.plan_lines_np(lines, 4, r0, np.zeros(0, np.int64), share)
-        for got, want in zip(out_nb, out_np):
+        out_ref = R.plan_lines(lines, 4, r0, np.zeros(0, np.int64), share)
+        out = K.plan_lines(lines, 4, r0, np.zeros(0, np.int64), share)
+        for got, want in zip(out_ref, out):
             _assert_same_bits(got, want, share)
-        thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out_nb
+        thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out_ref
         assert thr_idx[0, 0] == 0
         assert mu_sp[0, 0] == 0.0 and mu_de[0, 0] == 0.0
         assert al_sp[0, 0] == 0.0 and al_de[0, 0] == 0.0
@@ -153,18 +140,18 @@ def test_plan_lines_all_overflow_falls_back_identically():
 
 def test_plan_lines_partial_overflow_picks_same_finite_candidate():
     # thresholds that isolate the two big values overflow binary16 and
-    # must be skipped on both backends; wider sparse groups stay finite
+    # must be skipped by planner and reference; wider sparse groups stay finite
     lines = np.array(
         [[99000.0, -99000.0, 50.0, -50.0, 25.0, -25.0, 10.0, -10.0]],
         dtype=np.float32,
     )
     r0 = _ranks(8)
     for share in (True, False):
-        out_nb = K.plan_lines_nb(lines, 8, r0, np.zeros(0, np.int64), share)
-        out_np = K.plan_lines_np(lines, 8, r0, np.zeros(0, np.int64), share)
-        for got, want in zip(out_nb, out_np):
+        out_ref = R.plan_lines(lines, 8, r0, np.zeros(0, np.int64), share)
+        out = K.plan_lines(lines, 8, r0, np.zeros(0, np.int64), share)
+        for got, want in zip(out_ref, out):
             _assert_same_bits(got, want, share)
-        sse, recon = out_nb[6], out_nb[9]
+        sse, recon = out_ref[6], out_ref[9]
         assert np.isfinite(sse[0, 0])
         assert np.any(recon != 0.0)
 
@@ -177,7 +164,7 @@ def test_plan_lines_across_chunk_boundaries(monkeypatch):
     for kind in ("gauss", "plateau", "spiky"):
         lines = _trial_lines(rng, kind, 23, 16)
         for share in (True, False):
-            _assert_backends_agree(lines, 8, share)
+            _assert_matches_reference(lines, 8, share)
 
 
 def test_plan_lines_mixed_overflow_lines_in_one_batch():
@@ -193,7 +180,7 @@ def test_plan_lines_mixed_overflow_lines_in_one_batch():
     )
     for split in (8, 4):
         for share in (True, False):
-            out = _assert_backends_agree(lines, split, share)
+            out = _assert_matches_reference(lines, split, share)
             sse = out[6]
             assert np.all(np.isinf(sse[[1, 4], 0]))
             assert np.all(np.isfinite(sse[[0, 3], 0]))
@@ -202,15 +189,15 @@ def test_plan_lines_mixed_overflow_lines_in_one_batch():
             r0 = _ranks(split)
             r1 = _ranks(8 - split) if split < 8 else np.zeros(0, np.int64)
             for i in range(lines.shape[0]):
-                alone = K.plan_lines_np(lines[i : i + 1], split, r0, r1, share)
+                alone = K.plan_lines(lines[i : i + 1], split, r0, r1, share)
                 for got, want in zip(out, alone):
                     _assert_same_bits(got[i], want[0], (i, split, share))
 
 
 def test_plan_lines_signed_zero_and_mean_overflow_bitwise():
-    # The jit sums start from +0.0, so a band of -0.0 values has mean +0.0
-    # there; the stored binary16 mean is 0x0000, never 0x8000. A band whose
-    # mean overflows binary16 gets the zeroed fallback on both backends.
+    # The reference sums start from +0.0, so a band of -0.0 values has mean
+    # +0.0 there; the stored binary16 mean is 0x0000, never 0x8000. A band
+    # whose mean overflows binary16 gets the zeroed fallback in both.
     # Each line is planned alone and between ordinary lines.
     rng = np.random.default_rng(6)
     cases = {
@@ -224,7 +211,7 @@ def test_plan_lines_signed_zero_and_mean_overflow_bitwise():
         for lines, row in ((line, 0), (batch.astype(np.float32), 2)):
             for split in (8, 4):
                 for share in (True, False):
-                    out = _assert_backends_agree(lines, split, share)
+                    out = _assert_matches_reference(lines, split, share)
                     if name == "mean overflows binary16":
                         assert np.isinf(out[6][row, 0])
 
@@ -238,7 +225,7 @@ def test_plan_lines_sse_is_the_in_order_sum():
     for n_lines in (1, 3):
         for n_candidates in (1, 40):
             for share in (True, False):
-                out = K.plan_lines_np(
+                out = K.plan_lines(
                     lines[:n_lines], 64, _ranks(64, n_candidates),
                     np.zeros(0, np.int64), share,
                 )
@@ -257,4 +244,4 @@ def test_plan_lines_wide_dynamic_range_line_bitwise():
     line = rng.normal(size=64) * 10.0 ** rng.uniform(-3, 3, 64)
     lines = line.astype(np.float32).reshape(1, 64)
     for share in (True, False):
-        _assert_backends_agree(lines, 64, share, n_candidates=1)
+        _assert_matches_reference(lines, 64, share, n_candidates=1)

@@ -4,7 +4,7 @@ import pytest
 from hbq.calib import build_calib_stats
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, NumericError, ShapeError
-from hbq.formats import encode_layer
+from hbq.formats import decode_layer, encode_layer
 from hbq.grouping import compute_ciq, quantize_lines
 from hbq.haar import Axis, haar_matrix
 from hbq.pipeline import (
@@ -434,6 +434,24 @@ def test_hbllm_odd_remainder_rejected():
     x = rng.normal(size=(9, 4)).astype(np.float32)
     with pytest.raises(ConfigError):
         hbllm_quantize(w.copy(), x, beta=4)  # 9 % 4 == 1: odd trailing block
+
+
+def test_hbllm_raw_mode_accepts_odd_shapes():
+    # without the transform no Haar pairs are formed, so odd beta, odd
+    # remainder blocks and odd COL row counts all quantize and round-trip
+    cfg = QuantConfig(haar_enabled=False)
+    for n, m, beta, mode in ((3, 6, 3, Axis.ROW), (3, 6, 3, Axis.COL),
+                             (5, 7, 3, Axis.ROW)):
+        rng = np.random.default_rng(n * m)
+        w = rng.normal(size=(n, m)).astype(np.float32)
+        x = rng.normal(size=(m, 2 * m)).astype(np.float32)
+        q = hbllm_quantize(w, x, beta=beta, mode=mode, cfg=cfg)
+        widths = [b.shape[1] for b in q.blocks]
+        assert widths == [beta] * (m // beta) + ([m % beta] if m % beta else [])
+        blob = encode_layer(q)
+        back = decode_layer(blob)
+        assert encode_layer(back) == blob
+        assert dequantize_layer(back).tobytes() == dequantize_layer(q).tobytes()
 
 
 def test_layer_validation():
