@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,58 @@ def test_determinism_byte_identical_files(tmp_path, capsys):
     assert run(["quantize", str(w), str(x), "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+
+# sha256 of (container, diagnostics sidecar, dequantized RTS1) from the
+# CLI on tests/data/cli_weights.rts and cli_calib.rts at beta 32; frozen
+# when first produced, like the library pins in test_formats.py
+CLI_SHA256 = {
+    "row": (
+        "f504cda598ee51666c2e20621c8046a6b69c4a6c663a92d5d6b77dd9f15c95d3",
+        "5d983441ab09ab6b17cb9457b48c0da9e43422e9b1c4acec98d3a6aa2a6867ad",
+        "ab518561e94fec6ec7e6fab01d8d954d0b1b60fd008a0e11d6aff80c8e516026",
+    ),
+    "col": (
+        "d7a8502da5762828535f4731c6d87705d633aae80bf80cda12da3940a3d35cb6",
+        "d59fbaa505954a951f9d59be462e46e03c8be2e95ec3de9ab0d6765f730b18a5",
+        "b5f6d46aefdec98e06da206cffc33d77167881bbf8bbb556f4d96c485dd6c14b",
+    ),
+}
+
+
+def cli_fixture():
+    """The arrays stored in tests/data: 16x64 weights with two columns
+    scaled 8x, and 64x128 small-integer activations, so every product and
+    partial sum of the Hessian is an exact integer."""
+    rng = np.random.default_rng(2026)
+    w = rng.normal(size=(16, 64)).astype(np.float32)
+    w[:, [5, 40]] *= np.float32(8.0)
+    x = rng.integers(-3, 4, size=(64, 128)).astype(np.float32)
+    return w, x
+
+
+def test_cli_fixture_files_hold_their_recipe():
+    w, x = cli_fixture()
+    assert np.array_equal(read_tensor(DATA / "cli_weights.rts"), w)
+    assert np.array_equal(read_tensor(DATA / "cli_calib.rts"), x)
+
+
+@pytest.mark.parametrize("mode", sorted(CLI_SHA256))
+def test_cli_end_to_end_bytes_pinned(tmp_path, capsys, mode):
+    out = tmp_path / "layer.hbq"
+    recon = tmp_path / "recon.rts"
+    assert run(["quantize", str(DATA / "cli_weights.rts"),
+                str(DATA / "cli_calib.rts"), "--beta", "32", "--mode", mode,
+                "--out", str(out)]) == 0
+    assert run(["dequantize", str(out), "--out", str(recon)]) == 0
+    capsys.readouterr()
+    sidecar = out.parent / (out.name + ".diag.csv")
+    got = tuple(
+        hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, sidecar, recon)
+    )
+    assert got == CLI_SHA256[mode]
 
 
 def test_inspect_reports_blocks_and_bits(tmp_path, capsys):
