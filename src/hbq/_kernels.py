@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the threshold planner, the row Haar pair and the
-binary16 rounder, vectorized with numpy.
+"""Hot numeric kernels: the threshold planner and the binary16 rounder,
+vectorized with numpy. The Haar row pair lives in ``haar.py``.
 
 The planner evaluates one band of a whole chunk of lines in a single pass,
 with chunks sized so the temporaries stay bounded, and takes each line's
@@ -16,8 +16,8 @@ ties to even) *during* the threshold search, so the selected split minimizes
 the error that will actually be stored.
 
 ``tests/reference_kernels.py`` holds a scalar, one-line-at-a-time version of
-every kernel here; ``tests/test_kernels.py`` checks these against it bit for
-bit.
+every kernel here and of the Haar row pair; ``tests/test_kernels.py`` checks
+these against it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,34 +27,11 @@ import numpy as np
 # perfbench records these in each result's environment; nothing sets them
 HAS_NUMBA = USE_NUMBA = False
 
-_HALF = np.float32(0.5)
-
 
 def f16_round(x):
     """Vectorized binary16 narrowing: float64 array in, float64 grid values out."""
     with np.errstate(over="ignore"):
         return np.asarray(x, np.float64).astype(np.float16).astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
-# single-level Haar along rows
-# ---------------------------------------------------------------------------
-
-
-def haar_fwd_rows(m: np.ndarray) -> np.ndarray:
-    h = m.shape[1] // 2
-    out = np.empty_like(m)
-    out[:, :h] = (m[:, 0::2] + m[:, 1::2]) * _HALF
-    out[:, h:] = (m[:, 0::2] - m[:, 1::2]) * _HALF
-    return out
-
-
-def haar_inv_rows(c: np.ndarray) -> np.ndarray:
-    h = c.shape[1] // 2
-    out = np.empty_like(c)
-    out[:, 0::2] = c[:, :h] + c[:, h:]
-    out[:, 1::2] = c[:, :h] - c[:, h:]
-    return out
 
 
 # ---------------------------------------------------------------------------

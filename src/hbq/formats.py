@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_CANDIDATES, QuantConfig
+from .config import MAX_CANDIDATES, QuantConfig, percentile_levels
 from .errors import ConfigError, IntegrityError, ShapeError
-from .grouping import LinePlans, band_bounds
+from .grouping import LinePlans, band_bounds, band_split
 from .haar import Axis
 from .pipeline import QuantizedBlock, QuantizedLayer
 from .salient import SalientMask
@@ -170,6 +170,12 @@ def _encode_plans(plans: LinePlans, share: bool) -> bytes:
 
 def encode_layer(q: QuantizedLayer) -> bytes:
     cfg = q.cfg
+    # the header names the threshold grid by its size alone
+    if cfg.levels() != percentile_levels(cfg.n_candidates):
+        raise ConfigError(
+            f"HBQ1 stores only the default {cfg.n_candidates}-candidate "
+            "threshold grid, not custom candidate_levels"
+        )
     flags = (
         (_FLAG_SHARE if cfg.share_mean else 0)
         | (_FLAG_HAAR if cfg.haar_enabled else 0)
@@ -210,9 +216,10 @@ def _decode_plans(
     and the position after them."""
     if count == 0:
         return LinePlans.empty(width), pos
-    if cfg.haar_enabled and width % 2 != 0:
-        raise IntegrityError(f"odd transformed line length {width} at byte {pos}")
-    split = width // 2 if cfg.haar_enabled else width
+    try:
+        split = band_split(width, cfg)
+    except ShapeError as exc:
+        raise IntegrityError(f"{exc} at byte {pos}") from None
     dt = _line_dtype(width, split, cfg.share_mean)
     if count * dt.itemsize > end - pos:
         raise IntegrityError(f"container truncated at byte {pos}")

@@ -1,11 +1,13 @@
 """Per-band sparse/dense grouping and sign binarization with scale search.
 
-Each line (matrix row in ROW mode, column in COL mode) is split at the band
-boundary into a low and a high band. Within a band, every candidate
-threshold t (an absolute-value percentile of the band) separates sparse
-positions (|c| >= t) from dense ones, each group is binarized around its
-mean (or around the pooled mean when sharing is on), and the candidate with
-the smallest reconstruction error wins.
+A line is one row of the matrix handed to ``quantize_lines``; which way
+lines run through a weight block is the pipeline's business. With the
+transform on, each line is Haar-transformed and split at ``band_split``
+into a low and a high band; with it off, the raw line is one band. Within a
+band, every candidate threshold t (an absolute-value percentile of the
+band) separates sparse positions (|c| >= t) from dense ones, each group is
+binarized around its mean (or around the pooled mean when sharing is on),
+and the candidate with the smallest reconstruction error wins.
 
 Planned scalars are narrowed to binary16 at plan time, not at write time:
 the error the search optimizes is then exactly the error of what the file
@@ -20,15 +22,27 @@ import numpy as np
 
 from ._kernels import plan_lines
 from .config import QuantConfig, nearest_rank
-from .errors import ConfigError, NumericError, ShapeError
-from .haar import Axis, HaarCoeffs
+from .errors import NumericError, ShapeError
+from .haar import haar_fwd_rows, haar_inv_rows
+from .tensor import as_matrix
 
 __all__ = [
     "LinePlans",
     "band_bounds",
+    "band_split",
     "quantize_lines",
     "compute_ciq",
 ]
+
+
+def band_split(width: int, cfg: QuantConfig) -> int:
+    """Where the low band of a line of width positions ends: half of it
+    with the transform on, all of it (one raw band) with it off."""
+    if not cfg.haar_enabled:
+        return width
+    if width % 2 != 0:
+        raise ShapeError(f"transformed line length {width} is odd")
+    return width // 2
 
 
 def band_bounds(width: int, split: int) -> list[tuple[int, int]]:
@@ -41,13 +55,13 @@ class LinePlans:
     """Winning groupings of a set of lines, as arrays (one line per row).
 
     Lines hold width positions, split into bands at split: one band when
-    split == width (untransformed lines), else [0, split) and
-    [split, width). Per (line, band): thr_idx, the binary16-representable
-    mu_sparse/mu_dense/alpha_sparse/alpha_dense (mu_dense and alpha_dense
-    are 0.0 when the dense group is empty; with mean sharing both mu slots
-    hold the pooled mean), and thr_val/sse, diagnostics that are never
-    serialized and read NaN after decode. Per position: sparse (group
-    membership) and signs (+1/-1).
+    split == width (untransformed lines), else the Haar low band [0, split)
+    and high band [split, width), split == width // 2. Per (line, band):
+    thr_idx, the binary16-representable mu_sparse/mu_dense/alpha_sparse/
+    alpha_dense (mu_dense and alpha_dense are 0.0 when the dense group is
+    empty; with mean sharing both mu slots hold the pooled mean), and
+    thr_val/sse, diagnostics that are never serialized and read NaN after
+    decode. Per position: sparse (group membership) and signs (+1/-1).
     """
 
     split: int
@@ -63,8 +77,10 @@ class LinePlans:
 
     def __post_init__(self):
         lines, width = self.signs.shape
-        if not 1 <= self.split <= width:
-            raise ShapeError(f"band split {self.split} outside [1, {width}]")
+        if self.split != width and (width % 2 or self.split != width // 2):
+            raise ShapeError(
+                f"band split {self.split} is neither {width} nor half of it"
+            )
         bands = (lines, 1 if self.split == width else 2)
         for name in ("thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
                      "alpha_dense", "thr_val", "sse"):
@@ -109,6 +125,11 @@ class LinePlans:
             np.float32
         )
 
+    def weights(self) -> np.ndarray:
+        """recon() synthesized back to the line domain, one row per line."""
+        coeffs = self.recon()
+        return coeffs if self.split == self.width else haar_inv_rows(coeffs)
+
 
 def _ranks_for(levels, nvals: int) -> np.ndarray:
     return np.array([nearest_rank(lv, nvals) for lv in levels], dtype=np.int64)
@@ -135,37 +156,24 @@ def _line_plans(out, split: int) -> tuple[LinePlans, np.ndarray]:
     return plans, recon
 
 
-def quantize_lines(
-    coeffs: HaarCoeffs, cfg: QuantConfig
-) -> tuple[LinePlans, np.ndarray]:
-    """Plan every line of a coefficient matrix and reconstruct it.
+def quantize_lines(lines, cfg: QuantConfig) -> tuple[LinePlans, np.ndarray]:
+    """Plan every row of lines as one line and reconstruct it.
 
-    ROW lines are matrix rows split at band_split into [low | high]; COL
-    lines are matrix columns. Raw (untransformed) coefficients are planned
-    as one band per line. recon has the same orientation as coeffs.mat.
+    Lines are transformed when cfg.haar_enabled, planned band by band, and
+    synthesized back: recon holds the planner's reconstruction of each
+    line in the domain of lines, bit for bit what plans.weights() gives.
     """
-    mat = coeffs.mat
-    if coeffs.axis is Axis.ROW:
-        lines = mat
-    else:
-        lines = np.ascontiguousarray(mat.T)
-    d = lines.shape[1]
-    if cfg.haar_enabled and coeffs.is_raw:
-        raise ConfigError("transform enabled but coefficients are raw lines")
-    if not cfg.haar_enabled and not coeffs.is_raw:
-        raise ConfigError("transform disabled but coefficients are transformed")
-    split = d if coeffs.is_raw else coeffs.band_split
-
+    mat = as_matrix(lines, "lines")
+    width = mat.shape[1]
+    split = band_split(width, cfg)
+    raw = split == width
     levels = cfg.levels()
     ranks0 = _ranks_for(levels, split)
-    ranks1 = (
-        np.zeros(0, np.int64) if split == d else _ranks_for(levels, d - split)
-    )
-    out = plan_lines(lines, split, ranks0, ranks1, cfg.share_mean)
+    ranks1 = np.zeros(0, np.int64) if raw else _ranks_for(levels, width - split)
+    coeffs = mat if raw else haar_fwd_rows(mat)
+    out = plan_lines(coeffs, split, ranks0, ranks1, cfg.share_mean)
     plans, recon = _line_plans(out, split)
-    if coeffs.axis is Axis.COL:
-        recon = np.ascontiguousarray(recon.T)
-    return plans, recon
+    return plans, recon if raw else haar_inv_rows(recon)
 
 
 def compute_ciq(recon_row, tolerance: float = 1e-9) -> int:

@@ -8,6 +8,11 @@ non-salient and salient columns separately). The block's residual is then
 propagated into not-yet-quantized columns through the Cholesky factor of
 the damped inverse Hessian, so later blocks absorb earlier blocks' error.
 
+This is the only module that knows which way lines run through a block:
+``grouping.quantize_lines`` plans the rows of whatever matrix it is given,
+so column lines are handed to it transposed and their reconstructions are
+transposed back.
+
 The input weight matrix is consumed: compensation mutates it in place.
 Callers needing the original must copy first.
 """
@@ -23,8 +28,8 @@ from .calib import CalibStats, build_calib_stats, saliency_matrix
 from .config import QuantConfig
 from .errors import ConfigError, NumericError, ShapeError
 from .grouping import LinePlans, quantize_lines
-from .haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
-from .salient import SalientMask, _select_salient_full, column_scores, fill_avg
+from .haar import Axis
+from .salient import SalientMask, column_scores, fill_avg, top_k_mask
 from .tensor import as_matrix, frobenius_error
 
 __all__ = [
@@ -96,22 +101,6 @@ class QuantizedLayer:
             raise ShapeError("blocks disagree on mode")
 
 
-def _coeffs_for(mat: np.ndarray, axis: Axis, cfg: QuantConfig) -> HaarCoeffs:
-    if cfg.haar_enabled:
-        return haar_matrix(mat, axis)
-    return raw_lines(mat, axis)
-
-
-def _quantize_matrix(mat, axis, cfg) -> tuple[LinePlans, np.ndarray]:
-    """Transform, plan, and reconstruct one matrix; recon in weight domain."""
-    coeffs = _coeffs_for(mat, axis, cfg)
-    plans, recon_coeffs = quantize_lines(coeffs, cfg)
-    recon = inverse_haar_matrix(
-        HaarCoeffs(recon_coeffs, axis, coeffs.band_split)
-    )
-    return plans, recon
-
-
 def row_haarquant(
     w_block, mask: SalientMask, cfg: QuantConfig, col_offset: int = 0
 ) -> tuple[QuantizedBlock, np.ndarray]:
@@ -121,20 +110,13 @@ def row_haarquant(
     """
     wm = as_matrix(w_block, "block")
     n, width = wm.shape
-    if cfg.haar_enabled and width % 2 != 0:
-        raise ShapeError(f"row transform needs even block width, got {width}")
-    filled = fill_avg(wm, mask)
-    row_plans, recon = _quantize_matrix(filled, Axis.ROW, cfg)
+    row_plans, recon = quantize_lines(fill_avg(wm, mask), cfg)
     salient_plans = LinePlans.empty(n)
     if mask.k:
-        if cfg.haar_enabled and n % 2 != 0:
-            raise ShapeError(
-                f"salient residual column transform needs even rows, got {n}"
-            )
         idx = mask.indices
-        residual = np.ascontiguousarray(wm[:, idx] - recon[:, idx])
-        salient_plans, sal = _quantize_matrix(residual, Axis.COL, cfg)
-        recon[:, idx] = recon[:, idx] + sal
+        residual = wm[:, idx] - recon[:, idx]
+        salient_plans, sal = quantize_lines(residual.T, cfg)
+        recon[:, idx] = recon[:, idx] + sal.T
     block = QuantizedBlock(
         mode=Axis.ROW,
         mask=mask,
@@ -155,20 +137,14 @@ def col_haarquant(
     """
     wm = as_matrix(w_block, "block")
     n, width = wm.shape
-    if cfg.haar_enabled and n % 2 != 0:
-        raise ShapeError(f"column transform needs even row count, got {n}")
-    recon = np.zeros((n, width), dtype=np.float32)
+    recon = np.zeros((width, n), dtype=np.float32)  # one row per column
     keep = np.flatnonzero(~mask.bits)
-    nonsal_plans, nonsal = _quantize_matrix(
-        np.ascontiguousarray(wm[:, keep]), Axis.COL, cfg
-    )
-    recon[:, keep] = nonsal
+    nonsal_plans, recon[keep] = quantize_lines(wm[:, keep].T, cfg)
     salient_plans = LinePlans.empty(n)
     if mask.k:
-        salient_plans, sal = _quantize_matrix(
-            np.ascontiguousarray(wm[:, mask.indices]), Axis.COL, cfg
-        )
-        recon[:, mask.indices] = sal
+        idx = mask.indices
+        salient_plans, recon[idx] = quantize_lines(wm[:, idx].T, cfg)
+    recon = np.ascontiguousarray(recon.T)
     block = QuantizedBlock(
         mode=Axis.COL,
         mask=mask,
@@ -180,28 +156,20 @@ def col_haarquant(
     return block, recon
 
 
-def _weights(plans: LinePlans, axis: Axis) -> np.ndarray:
-    """Weight-domain matrix of a plan set whose lines run along axis."""
-    coeffs = plans.recon()
-    if axis is Axis.COL:
-        coeffs = np.ascontiguousarray(coeffs.T)
-    return inverse_haar_matrix(HaarCoeffs(coeffs, axis, plans.split))
-
-
 def reconstruct_block(block: QuantizedBlock) -> np.ndarray:
     """Dequantize one block from its plans alone (no original data)."""
     n, width = block.shape
     idx = block.mask.indices
     if block.mode is Axis.ROW:
-        recon = _weights(block.nonsalient_plans, Axis.ROW)
+        recon = block.nonsalient_plans.weights()
         if block.mask.k:
-            recon[:, idx] = recon[:, idx] + _weights(block.salient_plans, Axis.COL)
+            recon[:, idx] = recon[:, idx] + block.salient_plans.weights().T
         return recon
-    recon = np.zeros((n, width), dtype=np.float32)
-    recon[:, ~block.mask.bits] = _weights(block.nonsalient_plans, Axis.COL)
+    recon = np.zeros((width, n), dtype=np.float32)  # one row per column
+    recon[~block.mask.bits] = block.nonsalient_plans.weights()
     if block.mask.k:
-        recon[:, idx] = _weights(block.salient_plans, Axis.COL)
-    return recon
+        recon[idx] = block.salient_plans.weights()
+    return np.ascontiguousarray(recon.T)
 
 
 def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
@@ -266,6 +234,49 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
 def _block_candidates(cfg: QuantConfig, width: int) -> list[int]:
     cands = [k for k in cfg.k_candidates if k < width]
     return cands if cands else [0]
+
+
+def _validated_candidates(k_candidates, block_width: int) -> list[int]:
+    cands = sorted(set(int(k) for k in k_candidates))
+    if not cands:
+        raise ConfigError("k_candidates must not be empty")
+    for k in cands:
+        if k < 0 or k >= block_width:
+            raise ConfigError(
+                f"candidate K={k} outside [0, {block_width}) for this block"
+            )
+        if k % 2 != 0:
+            raise ConfigError(f"candidate K={k} must be even")
+    return cands
+
+
+def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0):
+    """Run one trial per K; return (mask, winning block, per-K errors,
+    winning reconstruction).
+
+    Candidates are tried in ascending order with strict improvement
+    required, so equal errors resolve to the smaller K. COL mode plans
+    every column on its own, so every K reconstructs the block identically
+    and only the smallest K is tried. The winning trial block and its
+    reconstruction are returned for reuse: trials run without compensation,
+    so the final quantization of the same values would reproduce them
+    exactly.
+    """
+    wm = as_matrix(w_block, "block")
+    cands = _validated_candidates(k_candidates, wm.shape[1])
+    if mode is Axis.COL:
+        cands = cands[:1]
+    quantize = row_haarquant if mode is Axis.ROW else col_haarquant
+    best = None
+    errors: dict[int, float] = {}
+    for k in cands:
+        mask = top_k_mask(scores, k, wm.shape[1])
+        block, recon = quantize(wm, mask, cfg, col_offset)
+        err = frobenius_error(wm, recon)
+        errors[k] = err
+        if best is None or err < best[0]:
+            best = (err, mask, block, recon)
+    return best[1], best[2], errors, best[3]
 
 
 def hbllm_quantize(

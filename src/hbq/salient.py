@@ -1,9 +1,9 @@
-"""Salient-column scoring, trial-based top-K selection, and hole filling.
+"""Salient-column scoring, top-K masks, and hole filling.
 
 Columns whose quantization error disproportionately affects layer output get
-special treatment. Candidate counts K are tried with a full (uncompensated)
-trial quantization of the block and the error-minimizing K wins, so "how
-many columns are salient" is decided by measurement, not by a fixed ratio.
+special treatment. Which K of the top-scoring columns are salient is decided
+by trial quantization in ``pipeline._select_salient_full``, so "how many
+columns are salient" is measured, not a fixed ratio.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .haar import Axis
-from .tensor import as_matrix, frobenius_error
+from .tensor import as_matrix
 
 __all__ = [
     "SalientMask",
@@ -74,51 +73,6 @@ def top_k_mask(scores, k: int, block_width: int) -> SalientMask:
         order = np.argsort(-sc, kind="stable")  # stable: lower index wins ties
         bits[order[:k]] = True
     return SalientMask(block_width=block_width, bits=bits)
-
-
-def _validated_candidates(k_candidates, block_width: int) -> list[int]:
-    cands = sorted(set(int(k) for k in k_candidates))
-    if not cands:
-        raise ConfigError("k_candidates must not be empty")
-    for k in cands:
-        if k < 0 or k >= block_width:
-            raise ConfigError(
-                f"candidate K={k} outside [0, {block_width}) for this block"
-            )
-        if k % 2 != 0:
-            raise ConfigError(f"candidate K={k} must be even")
-    return cands
-
-
-def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0):
-    """Run one trial per K; return (mask, winning block, per-K errors,
-    winning reconstruction).
-
-    Candidates are tried in ascending order with strict improvement
-    required, so equal errors resolve to the smaller K. COL mode plans
-    every column on its own, so every K reconstructs the block identically
-    and only the smallest K is tried. The winning trial block and its
-    reconstruction are returned for reuse: trials run without compensation,
-    so the final quantization of the same values would reproduce them
-    exactly.
-    """
-    from .pipeline import col_haarquant, row_haarquant
-
-    wm = as_matrix(w_block, "block")
-    cands = _validated_candidates(k_candidates, wm.shape[1])
-    if mode is Axis.COL:
-        cands = cands[:1]
-    quantize = row_haarquant if mode is Axis.ROW else col_haarquant
-    best = None
-    errors: dict[int, float] = {}
-    for k in cands:
-        mask = top_k_mask(scores, k, wm.shape[1])
-        block, recon = quantize(wm, mask, cfg, col_offset)
-        err = frobenius_error(wm, recon)
-        errors[k] = err
-        if best is None or err < best[0]:
-            best = (err, mask, block, recon)
-    return best[1], best[2], errors, best[3]
 
 
 def fill_avg(w_block, mask: SalientMask) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Scalar reference versions of the kernels in ``hbq._kernels``.
+"""Scalar reference versions of the kernels in ``hbq._kernels`` and of the
+Haar row pair in ``hbq.haar``.
 
 Plain Python, one value, one line and one band at a time, written to be
 read rather than to be fast. ``tests/test_kernels.py`` checks the numpy

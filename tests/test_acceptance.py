@@ -25,7 +25,7 @@ from hbq.cli import run
 from hbq.config import nested_levels
 from hbq.errors import IntegrityError
 from hbq.grouping import compute_ciq, quantize_lines
-from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
+from hbq.haar import Axis, haar_fwd_rows, haar_inv_rows
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -52,11 +52,11 @@ def test_criterion_01_transform_roundtrip_and_energy():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     v = rng.normal(size=(1000, 128)).astype(np.float32)
-    c = haar_matrix(v, Axis.ROW)
-    back = inverse_haar_matrix(c)
+    c = haar_fwd_rows(v)
+    back = haar_inv_rows(c)
     rt = float(np.max(np.abs(back.astype(np.float64) - v.astype(np.float64))))
     ev = np.sum(v.astype(np.float64) ** 2, axis=1)
-    ec = 2.0 * np.sum(c.mat.astype(np.float64) ** 2, axis=1)
+    ec = 2.0 * np.sum(c.astype(np.float64) ** 2, axis=1)
     energy = float(np.max(np.abs(ev - ec) / ev))
     elapsed = time.perf_counter() - t0
     ok = rt <= 1e-6 and energy <= 1e-6
@@ -96,7 +96,7 @@ def test_criterion_03_candidate_search_dominance():
     sse = {}
     for count in (10, 20, 40, 80):
         cfg = QuantConfig(n_candidates=count, candidate_levels=levels[count])
-        plans, _ = quantize_lines(haar_matrix(rows, Axis.ROW), cfg)
+        plans, _ = quantize_lines(rows, cfg)
         sse[count] = plans.sse[:, 0] + plans.sse[:, 1]
     mono = (
         np.all(sse[20] <= sse[10])
@@ -104,12 +104,8 @@ def test_criterion_03_candidate_search_dominance():
         and np.all(sse[80] <= sse[40])
     )
 
-    coeffs = haar_matrix(rows, Axis.ROW)
-    _, rec_t = quantize_lines(coeffs, QuantConfig())
-    w_t = inverse_haar_matrix(HaarCoeffs(rec_t, Axis.ROW, coeffs.band_split))
-    _, w_r = quantize_lines(
-        raw_lines(rows, Axis.ROW), QuantConfig(haar_enabled=False)
-    )
+    _, w_t = quantize_lines(rows, QuantConfig())
+    _, w_r = quantize_lines(rows, QuantConfig(haar_enabled=False))
     r64 = rows.astype(np.float64)
     err_t = np.sum((r64 - w_t) ** 2, axis=1)
     err_r = np.sum((r64 - w_r) ** 2, axis=1)

@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from hbq.config import QuantConfig
-from hbq.errors import IntegrityError
+from hbq.config import QuantConfig, nested_levels, percentile_levels
+from hbq.errors import ConfigError, IntegrityError
 from hbq.formats import (
     _pack_bits,
     _unpack_bits,
@@ -217,6 +217,17 @@ def test_reencode_idempotent(cfg, mode):
     assert encode_layer(q2) == blob
     assert q2.cfg == cfg
     assert np.array_equal(dequantize_layer(q2), dequantize_layer(q))
+
+
+def test_encode_rejects_custom_threshold_grid():
+    # the header stores only n_candidates, which decode expands to the
+    # default grid; a nested 10-of-20 grid would name other percentiles
+    custom = QuantConfig(n_candidates=10, candidate_levels=nested_levels((10, 20))[10])
+    with pytest.raises(ConfigError, match="candidate_levels"):
+        encode_layer(random_layer(3, cfg=custom))
+    spelled_out = QuantConfig(n_candidates=10, candidate_levels=percentile_levels(10))
+    q = random_layer(3, cfg=spelled_out)
+    assert decode_layer(encode_layer(q)).cfg.levels() == spelled_out.levels()
 
 
 def test_flip_any_byte_raises_integrity_error():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
-from hbq.errors import ConfigError, NumericError, ShapeError
+from hbq.errors import NumericError, ShapeError
 from conftest import binarize_group, candidate_thresholds, shared_mean
 from hbq.grouping import LinePlans, compute_ciq, quantize_lines
-from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix, raw_lines
 
 
 def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
@@ -17,7 +16,7 @@ def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
         candidate_levels=levels,
     )
     row = np.asarray(band, np.float32).reshape(1, -1)
-    return quantize_lines(raw_lines(row, Axis.ROW), cfg)[0]
+    return quantize_lines(row, cfg)[0]
 
 
 def f16(x):
@@ -259,9 +258,7 @@ def test_plan_band_sse_matches_its_own_fields():
 
 
 def test_line_plans_validates_shapes():
-    plans, _ = quantize_lines(
-        haar_matrix(np.ones((3, 8), np.float32), Axis.ROW), QuantConfig()
-    )
+    plans, _ = quantize_lines(np.ones((3, 8), np.float32), QuantConfig())
     fields = {name: getattr(plans, name) for name in (
         "split", "thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
         "alpha_dense", "sparse", "signs", "thr_val", "sse")}
@@ -270,6 +267,7 @@ def test_line_plans_validates_shapes():
         ("split", 0),
         ("split", 9),
         ("split", 8),  # one band, but the scalars hold two
+        ("split", 3),  # neither the width nor half of it
         ("alpha_dense", fields["alpha_dense"][:, :1]),
         ("sparse", fields["sparse"][:2]),
     ):
@@ -283,20 +281,18 @@ def test_line_plans_validates_shapes():
 
 
 def test_quantize_lines_two_element_bands_exact():
-    coeffs = haar_matrix([[2.0, 4.0, 6.0, 10.0]], Axis.ROW)
-    assert np.array_equal(coeffs.mat, np.array([[3, 8, -1, -2]], dtype=np.float32))
-    plans, recon = quantize_lines(coeffs, QuantConfig())
+    plans, recon = quantize_lines([[2.0, 4.0, 6.0, 10.0]], QuantConfig())
     assert plans.lines == 1
-    assert np.array_equal(recon, coeffs.mat)  # <=2 values per band: exact
+    # <=2 values per band: the coefficients are stored exactly
+    want = np.array([[3, 8, -1, -2]], dtype=np.float32)
+    assert np.array_equal(plans.recon(), want)
     assert plans.sse[0, 0] == 0.0
     assert plans.sse[0, 1] == 0.0
-    back = inverse_haar_matrix(HaarCoeffs(recon, Axis.ROW, coeffs.band_split))
-    assert np.array_equal(back, np.array([[2, 4, 6, 10]], dtype=np.float32))
+    assert np.array_equal(recon, np.array([[2, 4, 6, 10]], dtype=np.float32))
 
 
 def test_quantize_lines_zero_matrix():
-    coeffs = haar_matrix(np.zeros((3, 8), dtype=np.float32), Axis.ROW)
-    plans, recon = quantize_lines(coeffs, QuantConfig())
+    plans, recon = quantize_lines(np.zeros((3, 8), dtype=np.float32), QuantConfig())
     assert np.all(recon == 0.0)
     assert np.all(plans.alpha_sparse == 0.0)
     assert plans.alpha_sparse.shape == (3, 2)
@@ -306,11 +302,10 @@ def test_quantize_lines_col_axis_matches_row_of_transpose():
     rng = np.random.default_rng(59)
     m = rng.normal(size=(8, 6)).astype(np.float32)
     cfg = QuantConfig()
-    col_plans, col_recon = quantize_lines(haar_matrix(m, Axis.COL), cfg)
-    row_plans, row_recon = quantize_lines(
-        haar_matrix(np.ascontiguousarray(m.T), Axis.ROW), cfg
-    )
-    assert np.array_equal(col_recon, row_recon.T)
+    # column lines arrive as a transposed view
+    col_plans, col_recon = quantize_lines(m.T, cfg)
+    row_plans, row_recon = quantize_lines(np.ascontiguousarray(m.T), cfg)
+    assert np.array_equal(col_recon, row_recon)
     assert col_plans.lines == row_plans.lines == 6
     assert np.array_equal(col_plans.signs, row_plans.signs)
     assert np.array_equal(col_plans.thr_val[:, 0], row_plans.thr_val[:, 0])
@@ -320,18 +315,10 @@ def test_quantize_lines_raw_mode_single_band():
     rng = np.random.default_rng(61)
     m = rng.normal(size=(4, 7)).astype(np.float32)  # odd width fine when raw
     cfg = QuantConfig(haar_enabled=False)
-    plans, recon = quantize_lines(raw_lines(m, Axis.ROW), cfg)
+    plans, recon = quantize_lines(m, cfg)
     assert plans.bands == [(0, 7)]
     assert plans.width == 7
     assert recon.shape == m.shape
-
-
-def test_quantize_lines_mode_mismatch_rejected():
-    m = np.zeros((2, 4), dtype=np.float32)
-    with pytest.raises(ConfigError):
-        quantize_lines(raw_lines(m, Axis.ROW), QuantConfig(haar_enabled=True))
-    with pytest.raises(ConfigError):
-        quantize_lines(haar_matrix(m, Axis.ROW), QuantConfig(haar_enabled=False))
 
 
 def test_quantize_lines_haar_beats_raw_on_most_rows():
@@ -345,8 +332,8 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
     m = structured_rows(rng, 64, 128)
     cfg_h = QuantConfig()
     cfg_r = QuantConfig(haar_enabled=False)
-    plans_h, _ = quantize_lines(haar_matrix(m, Axis.ROW), cfg_h)
-    plans_r, _ = quantize_lines(raw_lines(m, Axis.ROW), cfg_r)
+    plans_h, _ = quantize_lines(m, cfg_h)
+    plans_r, _ = quantize_lines(m, cfg_r)
     wins = 0
     for ph, pr in zip(plans_h.sse, plans_r.sse):
         haar_weight_sse = 2.0 * (ph[0] + ph[1])
@@ -358,16 +345,14 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
 def test_plans_recon_matches_planner_recon():
     rng = np.random.default_rng(71)
     m = rng.normal(size=(8, 32)).astype(np.float32)
-    for cfg, coeffs in (
-        (QuantConfig(), haar_matrix(m, Axis.ROW)),
-        (QuantConfig(haar_enabled=False), raw_lines(m, Axis.ROW)),
-        (QuantConfig(share_mean=False), haar_matrix(m, Axis.ROW)),
-        (QuantConfig(share_mean=False), haar_matrix(m, Axis.COL)),
+    for cfg, lines in (
+        (QuantConfig(), m),
+        (QuantConfig(haar_enabled=False), m),
+        (QuantConfig(share_mean=False), m),
+        (QuantConfig(share_mean=False), m.T),
     ):
-        plans, recon = quantize_lines(coeffs, cfg)
-        if coeffs.axis is Axis.COL:
-            recon = recon.T
-        assert np.array_equal(plans.recon(), recon)
+        plans, recon = quantize_lines(lines, cfg)
+        assert np.array_equal(plans.weights(), recon)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +380,7 @@ def test_ciq_single_row_block_bound():
     rng = np.random.default_rng(73)
     for _ in range(10):
         row = rng.normal(scale=2.0, size=128).astype(np.float32).reshape(1, -1)
-        coeffs = haar_matrix(row, Axis.ROW)
-        _, recon = quantize_lines(coeffs, QuantConfig())
-        back = inverse_haar_matrix(HaarCoeffs(recon, Axis.ROW, coeffs.band_split))
+        _, back = quantize_lines(row, QuantConfig())
         assert compute_ciq(back[0]) <= 32
 
 
@@ -414,4 +397,4 @@ def test_quantize_lines_rejects_binary16_overflow():
     m = rng.normal(size=(4, 16)).astype(np.float32)
     m[2] *= 3e5  # one line of overflow-scale weights poisons the batch
     with pytest.raises(NumericError, match="binary16"):
-        quantize_lines(raw_lines(m, Axis.ROW), QuantConfig(haar_enabled=False))
+        quantize_lines(m, QuantConfig(haar_enabled=False))

@@ -1,21 +1,31 @@
 import numpy as np
 import pytest
 
+from hbq.config import QuantConfig
 from hbq.errors import ShapeError
-from hbq.haar import Axis, HaarCoeffs, haar_matrix, inverse_haar_matrix
+from hbq.grouping import band_split, quantize_lines
+from hbq.haar import haar_fwd_rows, haar_inv_rows
+from hbq.tensor import as_matrix
+
+
+def one_line(v):
+    """v as a one-line matrix whose length passed the package's checks:
+    non-empty (as_matrix) and even (band_split); returns it and its split."""
+    line = as_matrix(np.reshape(np.asarray(v, np.float32), (1, -1)))
+    return line, band_split(line.shape[1], QuantConfig())
 
 
 def haar_forward_1d(v):
-    """(low, high) of one sequence, through the ROW matrix transform."""
-    c = haar_matrix(np.asarray(v, np.float32).reshape(1, -1), Axis.ROW)
-    return c.mat[0, : c.band_split], c.mat[0, c.band_split :]
+    """(low, high) of one sequence, through the row transform."""
+    line, split = one_line(v)
+    c = haar_fwd_rows(line)
+    return c[0, :split], c[0, split:]
 
 
 def haar_inverse_1d(low, high):
-    """Synthesis of one (low, high) pair, through the ROW matrix inverse."""
-    lo = np.asarray(low, np.float32)
-    c = np.concatenate([lo, np.asarray(high, np.float32)]).reshape(1, -1)
-    return inverse_haar_matrix(HaarCoeffs(c, Axis.ROW, lo.shape[0]))[0]
+    """Synthesis of one (low, high) pair, through the row inverse."""
+    line, _ = one_line(np.concatenate([low, high]))
+    return haar_inv_rows(line)[0]
 
 
 def test_forward_known_vector():
@@ -92,44 +102,21 @@ def test_linearity():
 
 
 def test_matrix_row_example():
-    m = [[2.0, 4.0, 6.0, 10.0], [1.0, 1.0, 1.0, 1.0]]
-    c = haar_matrix(m, Axis.ROW)
-    assert c.band_split == 2
-    assert c.axis is Axis.ROW
+    m = np.array([[2.0, 4.0, 6.0, 10.0], [1.0, 1.0, 1.0, 1.0]], np.float32)
+    assert band_split(4, QuantConfig()) == 2
     want = np.array([[3, 8, -1, -2], [1, 1, 0, 0]], dtype=np.float32)
-    assert np.array_equal(c.mat, want)
+    assert np.array_equal(haar_fwd_rows(m), want)
 
 
-def test_matrix_col_example():
-    m = [[2.0], [4.0], [6.0], [10.0]]
-    c = haar_matrix(m, Axis.COL)
-    assert c.band_split == 2
-    want = np.array([[3], [8], [-1], [-2]], dtype=np.float32)
-    assert np.array_equal(c.mat, want)
-
-
-def test_matrix_roundtrip_both_axes():
+def test_matrix_roundtrip():
     rng = np.random.default_rng(21)
     m = rng.normal(scale=2.0, size=(64, 128)).astype(np.float32)
-    for axis in (Axis.ROW, Axis.COL):
-        back = inverse_haar_matrix(haar_matrix(m, axis))
-        assert np.max(np.abs(back - m)) <= 1e-6
+    back = haar_inv_rows(haar_fwd_rows(m))
+    assert np.max(np.abs(back - m)) <= 1e-6
 
 
 def test_matrix_rejects_odd_axis():
     with pytest.raises(ShapeError):
-        haar_matrix(np.zeros((2, 5), dtype=np.float32), Axis.ROW)
-    with pytest.raises(ShapeError):
-        haar_matrix(np.zeros((5, 2), dtype=np.float32), Axis.COL)
-    # the untransformed axis may be odd
-    haar_matrix(np.zeros((5, 2), dtype=np.float32), Axis.ROW)
-    haar_matrix(np.zeros((2, 5), dtype=np.float32), Axis.COL)
-
-
-def test_coeffs_validate_band_split():
-    with pytest.raises(ShapeError):
-        HaarCoeffs(mat=np.zeros((2, 4), dtype=np.float32), axis=Axis.ROW, band_split=1)
-    with pytest.raises(ShapeError):
-        HaarCoeffs(mat=np.zeros((2, 5), dtype=np.float32), axis=Axis.ROW, band_split=2)
-    c = HaarCoeffs(mat=np.zeros((2, 4), dtype=np.float32), axis=Axis.ROW, band_split=2)
-    assert c.mat.dtype == np.float32
+        quantize_lines(np.zeros((2, 5), dtype=np.float32), QuantConfig())
+    # the line count may be odd
+    quantize_lines(np.zeros((5, 2), dtype=np.float32), QuantConfig())

@@ -4,13 +4,8 @@ import pytest
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, ShapeError
 from hbq.haar import Axis
-from hbq.salient import (
-    SalientMask,
-    _select_salient_full,
-    column_scores,
-    fill_avg,
-    top_k_mask,
-)
+from hbq.pipeline import _select_salient_full
+from hbq.salient import SalientMask, column_scores, fill_avg, top_k_mask
 
 
 def mask_of(bits):
