@@ -33,15 +33,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CalibStats:
-    """Everything Algorithm-style block compensation needs, built once.
+    """Everything block compensation and saliency need, built once from the
+    m x m Hessian H, which is not kept.
 
-    hessian: m x m symmetric PSD, float32.
     damping: the lambda actually applied (resolved if auto).
-    chol_inv: upper-triangular U with U^T U = (H + lambda I)^-1, float32.
+    chol_inv: upper-triangular m x m U with U^T U = (H + lambda I)^-1, float32.
     hinv_diag: diag((H + lambda I)^-1), float64, all > 0.
     """
 
-    hessian: np.ndarray
     damping: float
     chol_inv: np.ndarray
     hinv_diag: np.ndarray
@@ -108,7 +107,7 @@ def build_calib_stats(x, damping="auto") -> CalibStats:
     h = build_hessian(x)
     lam = resolve_damping(h, damping)
     u, hinv_diag = damped_cholesky_inverse(h, lam)
-    return CalibStats(hessian=h, damping=lam, chol_inv=u, hinv_diag=hinv_diag)
+    return CalibStats(damping=lam, chol_inv=u, hinv_diag=hinv_diag)
 
 
 def saliency_matrix(w, hinv_diag) -> np.ndarray:

@@ -261,7 +261,7 @@ def cmd_inspect(args) -> int:
     q = decode_layer(path.read_bytes())
     r = bit_report(q)
     recon = dequantize_layer(q)
-    ciqs = np.array([compute_ciq(recon[i]) for i in range(q.n)])
+    ciqs = compute_ciq(recon)
     print(
         f"sign_bits={r.sign_bits} scalar_bits={r.scalar_bits} "
         f"mask_bits={r.mask_bits} index_bits={r.index_bits} "
@@ -276,12 +276,7 @@ def cmd_inspect(args) -> int:
     errors = _sidecar_errors(path)
     fmt = args.report or "csv"
     rows = []
-    for i, block in enumerate(q.blocks):
-        b = block.block_col_offset
-        width = block.shape[1]
-        block_ciq = max(
-            compute_ciq(recon[row, b : b + width]) for row in range(q.n)
-        )
+    for i, ((b, width), block) in enumerate(zip(q.spans, q.blocks)):
         rows.append(
             {
                 "schema": SCHEMA,
@@ -289,7 +284,7 @@ def cmd_inspect(args) -> int:
                 "col_offset": b,
                 "width": width,
                 "k": block.mask.k,
-                "ciq_max": block_ciq,
+                "ciq_max": int(compute_ciq(recon[:, b : b + width]).max()),
                 "error": errors.get(i, ""),
             }
         )

@@ -21,7 +21,7 @@ from .config import MAX_CANDIDATES, QuantConfig, percentile_levels
 from .errors import ConfigError, IntegrityError, ShapeError
 from .grouping import LinePlans, band_bounds, band_split
 from .haar import Axis
-from .pipeline import QuantizedBlock, QuantizedLayer
+from .pipeline import QuantizedBlock, QuantizedLayer, block_spans
 from .salient import SalientMask
 
 __all__ = [
@@ -47,6 +47,8 @@ _DTYPE_F32 = 0
 # magic, version, n, m, beta, mode, lambda, flags, n_candidates,
 # scalar code, k-candidate count
 _HEADER = struct.Struct("<4sHIIIBdBHBB")
+# per block, before its mask: first column, width
+_BLOCK = struct.Struct("<II")
 _FLAG_SHARE = 1
 _FLAG_HAAR = 2
 _FLAG_L1 = 4
@@ -191,8 +193,8 @@ def encode_layer(q: QuantizedLayer) -> bytes:
     )
     for k in cfg.k_candidates:
         out += struct.pack("<H", k)
-    for block in q.blocks:
-        out += struct.pack("<II", block.block_col_offset, block.shape[1])
+    for span, block in zip(q.spans, q.blocks):
+        out += _BLOCK.pack(*span)
         out += _pack_bits(block.mask.bits).tobytes()
         out += _encode_plans(block.nonsalient_plans, cfg.share_mean)
         out += _encode_plans(block.salient_plans, cfg.share_mean)
@@ -304,34 +306,26 @@ def decode_layer(data: bytes) -> QuantizedLayer:
         raise IntegrityError(f"{exc} at byte {pos}") from None
     pos += 2 * k_count
     blocks = []
-    for b in range(0, m, beta):
-        width = min(beta, m - b)
-        mask_end = pos + 8 + _bitset_bytes(width)
+    for span in block_spans(m, beta):
+        width = span[1]
+        mask_at = pos + _BLOCK.size
+        mask_end = mask_at + _bitset_bytes(width)
         if mask_end > end:
             raise IntegrityError(f"container truncated at byte {pos}")
-        if struct.unpack_from("<II", data, pos) != (b, width):
+        if _BLOCK.unpack_from(data, pos) != span:
             raise IntegrityError(f"block record disagrees with header at byte {pos}")
-        packed = np.frombuffer(data, np.uint8, mask_end - pos - 8, pos + 8)
+        packed = np.frombuffer(data, np.uint8, mask_end - mask_at, mask_at)
         if packed[-1] & _padding_bits(width):
             raise IntegrityError(f"nonzero padding bits at byte {mask_end - 1}")
         bits = _unpack_bits(packed, width)
         if bits.all():
-            raise IntegrityError(f"no non-salient column in mask at byte {pos + 8}")
-        mask = SalientMask(block_width=width, bits=bits)
+            raise IntegrityError(f"no non-salient column in mask at byte {mask_at}")
+        mask = SalientMask(bits)
         pos = mask_end
         count, length = (n, width) if mode is Axis.ROW else (width - mask.k, n)
         nonsal, pos = _decode_plans(data, pos, end, count, length, cfg)
         salient, pos = _decode_plans(data, pos, end, mask.k, n, cfg)
-        blocks.append(
-            QuantizedBlock(
-                mode=mode,
-                mask=mask,
-                nonsalient_plans=nonsal,
-                salient_plans=salient,
-                block_col_offset=b,
-                shape=(n, width),
-            )
-        )
+        blocks.append(QuantizedBlock(mode, mask, nonsal, salient))
     if pos != end:
         raise IntegrityError(f"unexpected trailing bytes at byte {pos}")
     return QuantizedLayer(
@@ -344,10 +338,10 @@ def decode_layer(data: bytes) -> QuantizedLayer:
 
 @dataclass(frozen=True)
 class BitReport:
-    """Where the stored bits go, and the resulting average per weight.
+    """Where the stored bits go; totals and averages derive from these.
 
     Counts mirror the HBQ1 payload exactly: sign_bits and mask_bits are
-    raw bit counts, byte-padding and per-block headers land in
+    raw bit counts, and byte padding and the per-block records land in
     container_overhead_bits. The fixed file header and CRC are excluded.
     """
 
@@ -357,7 +351,6 @@ class BitReport:
     index_bits: int
     container_overhead_bits: int
     total_weights: int
-    avg_bits_per_weight: float
 
     @property
     def total_bits(self) -> int:
@@ -369,36 +362,30 @@ class BitReport:
             + self.container_overhead_bits
         )
 
-
-def _pad_bits(count: int) -> int:
-    return (-count) % 8
+    @property
+    def avg_bits_per_weight(self) -> float:
+        return self.total_bits / self.total_weights
 
 
 def bit_report(q: QuantizedLayer) -> BitReport:
-    scalars_per_band = len(_scalar_names(q.cfg.share_mean))
-    sign = scalar = mask = index = overhead = 0
-    for block in q.blocks:
-        width = block.shape[1]
-        overhead += 64  # per-block column offset and width
+    share = q.cfg.share_mean
+    scalars_per_band = len(_scalar_names(share))
+    sign = scalar = mask = index = stored = 0
+    for (_, width), block in zip(q.spans, q.blocks):
         mask += width
-        overhead += _pad_bits(width)
+        stored += 8 * (_BLOCK.size + _bitset_bytes(width))
         for plans in (block.nonsalient_plans, block.salient_plans):
-            lines = plans.lines
-            for lo, hi in plans.bands:
-                index += 8 * lines
-                scalar += 16 * scalars_per_band * lines
-                mask += (hi - lo) * lines
-                overhead += _pad_bits(hi - lo) * lines
+            lines, bands = plans.lines, len(plans.bands)
+            stored += 8 * lines * _line_dtype(plans.width, plans.split, share).itemsize
+            index += 8 * bands * lines
+            scalar += 16 * scalars_per_band * bands * lines
+            mask += plans.width * lines  # the bands' bitmaps cover the line
             sign += plans.width * lines
-            overhead += _pad_bits(plans.width) * lines
-    weights = q.n * q.m
-    total = sign + scalar + mask + index + overhead
     return BitReport(
         sign_bits=sign,
         scalar_bits=scalar,
         mask_bits=mask,
         index_bits=index,
-        container_overhead_bits=overhead,
-        total_weights=weights,
-        avg_bits_per_weight=total / weights,
+        container_overhead_bits=stored - sign - scalar - mask - index,
+        total_weights=q.n * q.m,
     )

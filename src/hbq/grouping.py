@@ -26,6 +26,8 @@ from .errors import NumericError, ShapeError
 from .haar import haar_fwd_rows, haar_inv_rows
 from .tensor import as_matrix
 
+CIQ_TOLERANCE = 1e-9
+
 __all__ = [
     "LinePlans",
     "band_bounds",
@@ -176,15 +178,13 @@ def quantize_lines(lines, cfg: QuantConfig) -> tuple[LinePlans, np.ndarray]:
     return plans, recon if raw else haar_inv_rows(recon)
 
 
-def compute_ciq(recon_row, tolerance: float = 1e-9) -> int:
-    """Count distinct values in a reconstructed row.
+def compute_ciq(recon) -> np.ndarray:
+    """Count the distinct values in each row of a reconstructed matrix (a
+    vector is one row).
 
-    Sorted-adjacent merge: neighbors within tolerance collapse into one
-    level (transitively), so near-duplicates from float noise count once.
+    Sorted-adjacent merge: a value starts a new level when it lies more than
+    CIQ_TOLERANCE above its sorted predecessor, so near-duplicates from
+    float noise count once (transitively).
     """
-    if tolerance < 0:
-        raise ShapeError("tolerance must be non-negative")
-    v = np.sort(np.asarray(recon_row, dtype=np.float64).ravel())
-    if v.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(v) > tolerance))
+    v = np.sort(np.atleast_2d(np.asarray(recon, dtype=np.float64)), axis=-1)
+    return np.count_nonzero(np.diff(v, prepend=-np.inf) > CIQ_TOLERANCE, axis=-1)

@@ -19,7 +19,9 @@ Callers needing the original must copy first.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -35,6 +37,7 @@ from .tensor import as_matrix, frobenius_error
 __all__ = [
     "QuantizedBlock",
     "QuantizedLayer",
+    "block_spans",
     "row_haarquant",
     "col_haarquant",
     "reconstruct_block",
@@ -44,44 +47,52 @@ __all__ = [
 ]
 
 
+def block_spans(m: int, beta: int) -> Iterator[tuple[int, int]]:
+    """Each block's (first column, width): beta-wide blocks from the left,
+    the last holding the remainder. Lazy, because a decoder takes m and
+    beta from an untrusted header."""
+    return ((b, min(beta, m - b)) for b in range(0, m, beta))
+
+
 @dataclass
 class QuantizedBlock:
-    """One quantized block of beta (or remainder) columns.
+    """One quantized block of n rows and beta (or remainder) columns.
 
-    ROW mode: nonsalient_plans holds one row-axis line per matrix row of
-    the hole-filled block; salient_plans holds one column-axis residual
-    line per salient column. COL mode: nonsalient_plans holds one
-    column-axis line per non-salient column; salient_plans one per salient
-    column (quantized directly, no residual to subtract).
+    ROW mode: nonsalient_plans holds one line per matrix row of the
+    hole-filled block; salient_plans one column line of n residuals per
+    salient column. COL mode: nonsalient_plans holds one column line per
+    non-salient column; salient_plans one per salient column (quantized
+    directly, no residual to subtract). The block stores no shape or
+    position: its width is the mask's, its rows follow from the non-salient
+    plans and the mode, and QuantizedLayer.spans places it.
     """
 
     mode: Axis
     mask: SalientMask
     nonsalient_plans: LinePlans
     salient_plans: LinePlans
-    block_col_offset: int
-    shape: tuple[int, int]
 
     def __post_init__(self):
         n, width = self.shape
-        if self.mask.block_width != width:
-            raise ShapeError(
-                f"mask width {self.mask.block_width} != block width {width}"
-            )
-        if self.salient_plans.lines != self.mask.k:
-            raise ShapeError(
-                f"{self.salient_plans.lines} salient plans for K={self.mask.k}"
-            )
-        expected = n if self.mode is Axis.ROW else width - self.mask.k
-        if self.nonsalient_plans.lines != expected:
-            raise ShapeError(
-                f"{self.nonsalient_plans.lines} non-salient plans, expected {expected}"
-            )
+        k = self.mask.k
+        nonsalient = (n, width) if self.mode is Axis.ROW else (width - k, n)
+        for name, want in (("nonsalient", nonsalient), ("salient", (k, n))):
+            got = getattr(self, f"{name}_plans").signs.shape
+            if got != want:
+                raise ShapeError(f"{name} plans have shape {got}, expected {want}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        plans = self.nonsalient_plans
+        rows = plans.lines if self.mode is Axis.ROW else plans.width
+        return rows, self.mask.bits.size
 
 
 @dataclass
 class QuantizedLayer:
-    """Ordered blocks plus the settings needed to reconstruct them."""
+    """An n x m layer: one block per span, in order, plus the settings
+    needed to reconstruct them. Each block is in the layer's mode and has
+    n rows and its span's width; nothing else records where a block sits."""
 
     blocks: list[QuantizedBlock]
     n: int
@@ -93,23 +104,27 @@ class QuantizedLayer:
     diagnostics: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if sum(b.shape[1] for b in self.blocks) != self.m:
-            raise ShapeError("block widths do not sum to layer width")
-        if any(b.shape[0] != self.n for b in self.blocks):
-            raise ShapeError("blocks disagree on row count")
-        if any(b.mode is not self.mode for b in self.blocks):
-            raise ShapeError("blocks disagree on mode")
+        for i, (block, span) in enumerate(zip_longest(self.blocks, self.spans)):
+            if block is None or span is None or block.shape != (self.n, span[1]):
+                raise ShapeError(f"block {i} does not fit span {span} of {self.n} rows")
+            if block.mode is not self.mode:
+                raise ShapeError("blocks disagree on mode")
+
+    @property
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """Each block's (first column, width), in block order."""
+        return block_spans(self.m, self.beta)
 
 
 def row_haarquant(
-    w_block, mask: SalientMask, cfg: QuantConfig, col_offset: int = 0
+    w_block, mask: SalientMask, cfg: QuantConfig
 ) -> tuple[QuantizedBlock, np.ndarray]:
     """Fill holes, row-quantize, then column-quantize the salient residual.
 
     Returns the block and its weight-domain reconstruction.
     """
     wm = as_matrix(w_block, "block")
-    n, width = wm.shape
+    n = wm.shape[0]
     row_plans, recon = quantize_lines(fill_avg(wm, mask), cfg)
     salient_plans = LinePlans.empty(n)
     if mask.k:
@@ -117,19 +132,11 @@ def row_haarquant(
         residual = wm[:, idx] - recon[:, idx]
         salient_plans, sal = quantize_lines(residual.T, cfg)
         recon[:, idx] = recon[:, idx] + sal.T
-    block = QuantizedBlock(
-        mode=Axis.ROW,
-        mask=mask,
-        nonsalient_plans=row_plans,
-        salient_plans=salient_plans,
-        block_col_offset=col_offset,
-        shape=(n, width),
-    )
-    return block, recon
+    return QuantizedBlock(Axis.ROW, mask, row_plans, salient_plans), recon
 
 
 def col_haarquant(
-    w_block, mask: SalientMask, cfg: QuantConfig, col_offset: int = 0
+    w_block, mask: SalientMask, cfg: QuantConfig
 ) -> tuple[QuantizedBlock, np.ndarray]:
     """Column-quantize non-salient and salient columns independently.
 
@@ -145,15 +152,7 @@ def col_haarquant(
         idx = mask.indices
         salient_plans, recon[idx] = quantize_lines(wm[:, idx].T, cfg)
     recon = np.ascontiguousarray(recon.T)
-    block = QuantizedBlock(
-        mode=Axis.COL,
-        mask=mask,
-        nonsalient_plans=nonsal_plans,
-        salient_plans=salient_plans,
-        block_col_offset=col_offset,
-        shape=(n, width),
-    )
-    return block, recon
+    return QuantizedBlock(Axis.COL, mask, nonsal_plans, salient_plans), recon
 
 
 def reconstruct_block(block: QuantizedBlock) -> np.ndarray:
@@ -231,26 +230,14 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
     return wm, xm, beta
 
 
-def _block_candidates(cfg: QuantConfig, width: int) -> list[int]:
-    cands = [k for k in cfg.k_candidates if k < width]
-    return cands if cands else [0]
+def _trial_ks(k_candidates, width: int, mode: Axis) -> list[int]:
+    """The distinct K below width, ascending ([0] if there is none); COL mode
+    tries only the first. QuantConfig keeps every K even and >= 0."""
+    ks = sorted({int(k) for k in k_candidates if k < width}) or [0]
+    return ks[:1] if mode is Axis.COL else ks
 
 
-def _validated_candidates(k_candidates, block_width: int) -> list[int]:
-    cands = sorted(set(int(k) for k in k_candidates))
-    if not cands:
-        raise ConfigError("k_candidates must not be empty")
-    for k in cands:
-        if k < 0 or k >= block_width:
-            raise ConfigError(
-                f"candidate K={k} outside [0, {block_width}) for this block"
-            )
-        if k % 2 != 0:
-            raise ConfigError(f"candidate K={k} must be even")
-    return cands
-
-
-def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0):
+def _select_salient_full(w_block, scores, k_candidates, cfg, mode):
     """Run one trial per K; return (mask, winning block, per-K errors,
     winning reconstruction).
 
@@ -263,15 +250,12 @@ def _select_salient_full(w_block, scores, k_candidates, cfg, mode, col_offset=0)
     exactly.
     """
     wm = as_matrix(w_block, "block")
-    cands = _validated_candidates(k_candidates, wm.shape[1])
-    if mode is Axis.COL:
-        cands = cands[:1]
     quantize = row_haarquant if mode is Axis.ROW else col_haarquant
     best = None
     errors: dict[int, float] = {}
-    for k in cands:
-        mask = top_k_mask(scores, k, wm.shape[1])
-        block, recon = quantize(wm, mask, cfg, col_offset)
+    for k in _trial_ks(k_candidates, wm.shape[1], mode):
+        mask = top_k_mask(scores, k)
+        block, recon = quantize(wm, mask, cfg)
         err = frobenius_error(wm, recon)
         errors[k] = err
         if best is None or err < best[0]:
@@ -287,37 +271,33 @@ def hbllm_quantize(
     mode: Axis = Axis.ROW,
     cfg: QuantConfig = QuantConfig(),
     calib: CalibStats | None = None,
-    compensation: bool = True,
 ) -> QuantizedLayer:
     """Quantize one layer blockwise with compensation; w is consumed.
 
     calib, when given, must match w's column count and skips the Hessian
-    build (the CLI reuses one CalibStats across A/B runs). compensation=False
-    quantizes blocks independently, for A/B comparison.
+    build (the CLI reuses one CalibStats across A/B runs).
     """
     wm, xm, beta = _validate_layer_inputs(w, x, beta, mode, cfg)
     n, m = wm.shape
     if calib is None:
         calib = build_calib_stats(xm, damping)
-    if calib.hessian.shape[0] != m:
+    if calib.chol_inv.shape[0] != m:
         raise ShapeError(
-            f"calibration width {calib.hessian.shape[0]} != weight columns {m}"
+            f"calibration width {calib.chol_inv.shape[0]} != weight columns {m}"
         )
     w_orig = wm.copy()
     recon_full = np.empty_like(wm)
     blocks: list[QuantizedBlock] = []
     per_block: list[dict] = []
-    for b in range(0, m, beta):
-        width = min(beta, m - b)
+    for b, width in block_spans(m, beta):
         w_blk = np.ascontiguousarray(wm[:, b : b + width])
         if cfg.score_raw_weights:
             scores = column_scores(w_blk, cfg.norm)
         else:
             sal = saliency_matrix(w_blk, calib.hinv_diag[b : b + width])
             scores = column_scores(sal, cfg.norm)
-        cands = _block_candidates(cfg, width)
         mask, block, trial_errors, recon = _select_salient_full(
-            w_blk, scores, cands, cfg, mode, b
+            w_blk, scores, cfg.k_candidates, cfg, mode
         )
         err = trial_errors[mask.k]
         thresholds = block.nonsalient_plans.thr_val[:, 0].astype(np.float64)
@@ -333,8 +313,7 @@ def hbllm_quantize(
             }
         )
         recon_full[:, b : b + width] = recon
-        if compensation:
-            compensate(wm, recon, calib.chol_inv, b, width)
+        compensate(wm, recon, calib.chol_inv, b, width)
         blocks.append(block)
     layer = QuantizedLayer(
         blocks=blocks,
@@ -355,7 +334,6 @@ def hbllm_quantize(
 def dequantize_layer(q: QuantizedLayer) -> np.ndarray:
     """Assemble the full n x m reconstruction from per-block plans."""
     out = np.empty((q.n, q.m), dtype=np.float32)
-    for block in q.blocks:
-        b = block.block_col_offset
-        out[:, b : b + block.shape[1]] = reconstruct_block(block)
+    for (b, width), block in zip(q.spans, q.blocks):
+        out[:, b : b + width] = reconstruct_block(block)
     return out

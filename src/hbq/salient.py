@@ -25,19 +25,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SalientMask:
-    """Which columns of one block get the salient treatment."""
+    """Which columns of one block get the salient treatment: one bit per
+    column, so the block's width is bits.size."""
 
-    block_width: int
     bits: np.ndarray
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=bool)
         object.__setattr__(self, "bits", bits)
-        if bits.shape != (self.block_width,):
-            raise ShapeError(
-                f"mask length {bits.shape} != block width {self.block_width}"
-            )
-        if int(bits.sum()) >= self.block_width:
+        if bits.ndim != 1:
+            raise ShapeError(f"mask bits must be one row, got shape {bits.shape}")
+        if bits.all():
             raise ConfigError("at least one column must stay non-salient")
 
     @property
@@ -61,18 +59,17 @@ def column_scores(s, norm: str = "l2") -> np.ndarray:
     raise ConfigError(f"norm must be 'l1' or 'l2', got {norm!r}")
 
 
-def top_k_mask(scores, k: int, block_width: int) -> SalientMask:
-    """Mask of the K highest-scoring columns; ties go to the lower index."""
+def top_k_mask(scores, k: int) -> SalientMask:
+    """Mask of the K highest-scoring columns, one score per column; ties go
+    to the lower index."""
     sc = np.asarray(scores, dtype=np.float64).ravel()
-    if sc.size != block_width:
-        raise ShapeError(f"got {sc.size} scores for width {block_width}")
-    if not 0 <= k < block_width:
-        raise ConfigError(f"K must satisfy 0 <= K < {block_width}, got {k}")
-    bits = np.zeros(block_width, dtype=bool)
+    if not 0 <= k < sc.size:
+        raise ConfigError(f"K must satisfy 0 <= K < {sc.size}, got {k}")
+    bits = np.zeros(sc.size, dtype=bool)
     if k:
         order = np.argsort(-sc, kind="stable")  # stable: lower index wins ties
         bits[order[:k]] = True
-    return SalientMask(block_width=block_width, bits=bits)
+    return SalientMask(bits)
 
 
 def fill_avg(w_block, mask: SalientMask) -> np.ndarray:
@@ -83,10 +80,8 @@ def fill_avg(w_block, mask: SalientMask) -> np.ndarray:
     never to other filled values, so the result is order-independent.
     """
     wm = as_matrix(w_block, "block").copy()
-    if mask.block_width != wm.shape[1]:
-        raise ShapeError(
-            f"mask width {mask.block_width} != block width {wm.shape[1]}"
-        )
+    if mask.bits.size != wm.shape[1]:
+        raise ShapeError(f"mask width {mask.bits.size} != block width {wm.shape[1]}")
     if mask.k == 0:
         return wm
     keep = np.flatnonzero(~mask.bits)  # non-empty: mask validation ensures it

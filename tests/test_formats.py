@@ -383,6 +383,20 @@ def test_decode_huge_line_count_is_truncation(mode):
     assert peak < 4 * len(blob) + 2**20
 
 
+def test_decode_huge_block_count_fails_fast():
+    # a CRC-valid header claiming 2^32 - 1 one-column blocks and holding no
+    # block bytes must fail on the first block, without listing every span
+    import struct
+    import time
+
+    payload = bytearray(encode_layer(toy_layer())[: _HEADER_BYTES + 2 * 4])
+    struct.pack_into("<II", payload, 10, 2**32 - 1, 1)  # m, beta
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrityError, match="truncated"):
+        decode_layer(_with_crc(bytes(payload)))
+    assert time.perf_counter() - t0 < 1.0
+
+
 # --- bit accounting ---
 
 

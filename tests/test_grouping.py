@@ -4,7 +4,7 @@ import pytest
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
 from hbq.errors import NumericError, ShapeError
 from conftest import binarize_group, candidate_thresholds, shared_mean
-from hbq.grouping import LinePlans, compute_ciq, quantize_lines
+from hbq.grouping import CIQ_TOLERANCE, LinePlans, compute_ciq, quantize_lines
 
 
 def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
@@ -361,17 +361,23 @@ def test_plans_recon_matches_planner_recon():
 
 
 def test_ciq_known_cases():
-    assert compute_ciq([1.5, 1.5, 9.5, 9.5, 1.5]) == 2
-    assert compute_ciq(np.full(64, 3.25)) == 1
-    assert compute_ciq([1.0, 1.0 + 1e-12, 2.0]) == 2
-    assert compute_ciq([]) == 0
+    assert compute_ciq([1.5, 1.5, 9.5, 9.5, 1.5]).tolist() == [2]
+    assert compute_ciq(np.full(64, 3.25)).tolist() == [1]
+    assert compute_ciq([1.0, 1.0 + 1e-12, 2.0]).tolist() == [2]
+    assert compute_ciq([]).tolist() == [0]
+
+
+def test_ciq_counts_each_row():
+    m = np.array([[1.5, 1.5, 9.5, 9.5], [3.25] * 4, [0.0, 1.0, 2.0, 3.0]])
+    assert compute_ciq(m).tolist() == [2, 1, 4]
+    assert compute_ciq(m.T).tolist() == [3, 3, 3, 3]
+    assert compute_ciq(np.zeros((3, 0))).tolist() == [0, 0, 0]
 
 
 def test_ciq_tolerance_merges_neighbors():
-    assert compute_ciq([0.0, 0.5, 1.0], tolerance=0.5) == 1  # chain merge
-    assert compute_ciq([0.0, 0.5, 1.0], tolerance=0.4) == 3
-    with pytest.raises(ShapeError):
-        compute_ciq([1.0], tolerance=-1.0)
+    t = CIQ_TOLERANCE
+    assert compute_ciq([0.0, 0.6 * t, 1.2 * t]).tolist() == [1]  # chain merge
+    assert compute_ciq([0.0, 1.1 * t, 2.2 * t]).tolist() == [3]
 
 
 def test_ciq_single_row_block_bound():
@@ -381,7 +387,7 @@ def test_ciq_single_row_block_bound():
     for _ in range(10):
         row = rng.normal(scale=2.0, size=128).astype(np.float32).reshape(1, -1)
         _, back = quantize_lines(row, QuantConfig())
-        assert compute_ciq(back[0]) <= 32
+        assert compute_ciq(back).max() <= 32
 
 
 def test_plan_band_rejects_binary16_overflow():

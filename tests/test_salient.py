@@ -9,8 +9,7 @@ from hbq.salient import SalientMask, column_scores, fill_avg, top_k_mask
 
 
 def mask_of(bits):
-    bits = np.asarray(bits, dtype=bool)
-    return SalientMask(block_width=bits.size, bits=bits)
+    return SalientMask(bits)
 
 
 def test_column_scores_known():
@@ -40,7 +39,7 @@ def test_column_scores_validation():
 
 def test_top_k_stable_tie_break():
     scores = [5.0, 5.0, 3.0, 5.0]
-    mask = top_k_mask(scores, 2, 4)
+    mask = top_k_mask(scores, 2)
     assert np.array_equal(mask.bits, [True, True, False, False])
     assert mask.k == 2
 
@@ -50,7 +49,7 @@ def test_top_k_matches_sort_oracle():
     for _ in range(20):
         scores = rng.normal(size=12)
         k = int(rng.integers(0, 12))
-        mask = top_k_mask(scores, k, 12)
+        mask = top_k_mask(scores, k)
         # oracle: sort by (-score, index), take first k
         want = sorted(range(12), key=lambda j: (-scores[j], j))[:k]
         assert sorted(mask.indices.tolist()) == sorted(want)
@@ -58,16 +57,14 @@ def test_top_k_matches_sort_oracle():
 
 def test_top_k_validation():
     with pytest.raises(ConfigError):
-        top_k_mask([1.0, 2.0], 2, 2)  # K must stay < width
-    with pytest.raises(ShapeError):
-        top_k_mask([1.0, 2.0], 1, 3)
+        top_k_mask([1.0, 2.0], 2)  # K must stay < width
 
 
 def test_mask_validation():
     with pytest.raises(ConfigError):
         mask_of([True, True])  # no non-salient column left
     with pytest.raises(ShapeError):
-        SalientMask(block_width=3, bits=np.array([True, False]))
+        mask_of([[False, True], [False, False]])  # one bit per column
     m = mask_of([False, True, False])
     assert m.k == 1
     assert m.indices.tolist() == [1]
@@ -106,15 +103,15 @@ def test_select_salient_superset_never_worse():
     assert min(errs_big.values()) <= min(errs_small.values())
 
 
-def test_select_salient_validation():
-    w = np.zeros((4, 4), dtype=np.float32)
-    scores = np.ones(4)
+def test_k_candidates_validation():
+    # the K trial loop trusts QuantConfig for these; K >= width falls back
+    # to K=0 (test_hbllm_small_blocks_fall_back_to_k0)
     with pytest.raises(ConfigError):
-        _select_salient_full(w, scores, [], QuantConfig(), Axis.ROW)
+        QuantConfig(k_candidates=())
     with pytest.raises(ConfigError):
-        _select_salient_full(w, scores, [1], QuantConfig(), Axis.ROW)  # odd K
+        QuantConfig(k_candidates=(0, 1))  # odd K
     with pytest.raises(ConfigError):
-        _select_salient_full(w, scores, [4], QuantConfig(), Axis.ROW)  # K == width
+        QuantConfig(k_candidates=(-2, 0))
 
 
 def test_select_salient_deterministic():
