@@ -1,15 +1,45 @@
 """Hot numeric kernels: the threshold planner and the binary16 rounder,
 vectorized with numpy. The Haar row pair lives in ``haar.py``.
 
-The planner evaluates one band of a whole chunk of lines in a single pass,
-with chunks sized so the temporaries stay bounded, and takes each line's
-winner with a first-index argmin. Its per-candidate tensors are
-position-major, (band width x lines x candidates): a sum over positions is
-then a reduce over axis 0, which adds whole slices in position order and
-writes only the (lines x candidates) result. With shared means the mean,
-the deviations and the signs depend only on the line, so they are computed
-once per (position, line). A line whose every candidate overflows binary16
-gets a zeroed plan on its own, without touching its neighbours.
+The planner searches one band of many lines at a time and takes each
+line's winning candidate threshold with a first-index argmin. It has two
+paths, which store the same bits.
+
+**Screened path** (shared means, the default). The mean, the deviations
+dev = |v - mu| and the signs depend only on the line, and each candidate's
+sparse set is a suffix of the line's |v| order, starting at the first
+index of its threshold's tie run. Prefix sums over that order of dev,
+dev·[v >= mu] and [v >= mu] give every candidate's group counts and
+deviation sums with one gather, so a band costs O(nv log nv + C) per line
+(nv the band width, C the number of candidates) instead of O(nv · C).
+
+- The scales are binary16 roundings of deviation sums over counts. Each
+  prefix-sum total carries a float64 error bound; where both ends of that
+  interval round to the same binary16 value, the value is exact. The rare
+  (line, candidate) whose interval straddles a rounding midpoint or the
+  overflow edge has its sum redone in position order.
+- The error of a candidate is Σdev² - 2·Σ o·D + Σ n·o² over its four
+  (group, sign) cells, where o is the cell's float32 level minus the mean
+  (sign-adjusted) and D and n the cell's deviation sum and count. Its
+  bound covers both this estimate's rounding and that of the position-
+  order sum. Every candidate whose lower bound reaches the line's smallest
+  upper bound has its error computed exactly, in position order; the
+  winner is the first-index argmin of those exact errors. Any candidate
+  left out is strictly worse than one that was kept, so winner, error and
+  stored bits are the dense path's.
+- Equal ranks are scored once. Of the ranks on one tie run (one sparse
+  set) only the first is evaluated exactly and the others share its
+  error, so the first index still wins.
+
+**Dense path** (``share_mean=False``, whose group means and so whose
+deviations depend on the candidate, and shared-mean lines whose mean is
+not finite). Every candidate is evaluated on every position of a chunk of
+lines in one pass, with chunks sized so the temporaries stay bounded. The
+per-candidate tensors are position-major, (band width x lines x
+candidates): a sum over positions is then a reduce over axis 0, which adds
+whole slices in position order. A line whose every candidate overflows
+binary16 gets a zeroed plan on its own, on either path, without touching
+its neighbours.
 
 The planner narrows group scalars to IEEE-754 binary16 (round to nearest,
 ties to even) *during* the threshold search, so the selected split minimizes
@@ -48,16 +78,25 @@ def f16_round(x):
 # (first index on ties). Empty dense groups degenerate to single-group
 # binarization and store mu = alpha = 0.
 #
-# Every float64 sum runs over positions in order, starting from +0.0, so
-# the stored bits do not depend on how lines are batched. Starting from
-# +0.0 matters for the sign of zero: a band of -0.0 values sums to +0.0,
-# and its mean is stored as binary16 0x0000, not 0x8000.
+# Every float64 sum that decides a stored bit runs over positions in
+# order, starting from +0.0, so the stored bits do not depend on how lines
+# are batched. Starting from +0.0 matters for the sign of zero: a band of
+# -0.0 values sums to +0.0, and its mean is stored as binary16 0x0000, not
+# 0x8000.
 
-# Element budget of one batched evaluation: lines are planned in chunks
+# Element budget of one dense evaluation: lines are planned in chunks
 # whose (lines x candidates x band width) temporaries hold at most this
 # many values (64 lines of a 64-wide band at 40 candidates), so peak memory
 # does not grow with the number of lines or the band width.
 _CHUNK_VALUES = 64 * 40 * 64
+
+# The screen's error bounds, in float64 roundings (2**-53) of the line's
+# magnitudes, per position of the band plus a constant. Accounting for the
+# prefix sums, the cell arithmetic and the position-order sum needs about
+# 21·nv + 40 of them; _SLACK · (nv + 8) keeps a margin of three or more,
+# and still ranks the candidates to ~1e-12 of a line's error.
+_SLACK = 64.0
+_ULP = 2.0**-53
 
 
 def _sum_positions(a):
@@ -75,8 +114,15 @@ def _sum_positions(a):
     return np.add.reduce(a, axis=0) + 0.0
 
 
+def _shared_means(v):
+    """Each line's binary16 mean: the position-order sum over the width."""
+    vt = np.ascontiguousarray(v.T, dtype=np.float64)  # (nv, lines)
+    return f16_round(_sum_positions(vt) / v.shape[1])
+
+
 def _plan_band(v, ranks, share):
-    """Plan one band on every line of ``v`` (lines x band width) at once.
+    """Plan one band on every line of ``v`` (lines x band width) at once,
+    evaluating every candidate on every position (the dense path).
 
     Returns per-line (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
     and the per-position (sparse, signs, recon) of the winning candidates.
@@ -168,6 +214,177 @@ def _plan_band(v, ranks, share):
     )
 
 
+def _group_sums(v, mu, li, thr, sparse):
+    """Position-order sums of dev over the sparse (or dense) group of
+    (line ``li``, threshold ``thr``) pairs, one pair per column, as the
+    dense path sums them."""
+    vs = np.ascontiguousarray(v[li].T, dtype=np.float64)  # (nv, pairs)
+    dev = np.abs(vs - mu[li])
+    return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, dev, 0.0))
+
+
+def _scales(v, mu, thr, dsums, counts, width):
+    """binary16 of dsums / counts, for the sparse ([0]) and dense ([1])
+    groups of every (line, candidate), each sum known to within ``width``.
+
+    Where the two ends of the interval round alike that is the value; the
+    other pairs redo their sum in position order. The low end is clamped
+    at 0, so a zero sum gives +0.0.
+    """
+    den = np.maximum(counts, 1)
+    lo = f16_round(np.maximum(dsums - width, 0.0) / den)
+    hi = f16_round((dsums + width) / den)
+    g, li, ki = np.nonzero(lo != hi)
+    if li.size:
+        exact = _group_sums(v, mu, li, thr[li, ki], g == 0)
+        lo[g, li, ki] = f16_round(exact / den[g, li, ki])
+    return np.where(counts > 0, lo, 0.0)
+
+
+def _sorted_sums(v64, mu_c, ranks):
+    """Sort each line by |v| and sum over that order.
+
+    Returns per (line, candidate) the threshold and the dense count (the
+    first index of the threshold's tie run), the dense group's sums of dev,
+    dev·[v >= mu] and [v >= mu] (3, lines, candidates), the same over the
+    whole line (3, lines, 1), and the line's Σdev² (lines, 1).
+    """
+    n, nv = v64.shape
+    rc = np.arange(n)[:, None]
+    order = np.argsort(np.abs(v64), axis=1)
+    vs = v64[rc, order]
+    srt = np.abs(vs)
+    run = np.zeros((n, nv), np.intp)
+    run[:, 1:] = np.where(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), 0)
+    n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
+    dev = np.abs(vs - mu_c)
+    pos = vs >= mu_c
+    pre = np.zeros((3, n, nv + 1))
+    pre[0, :, 1:] = dev
+    np.multiply(dev, pos, out=pre[1, :, 1:])
+    pre[2, :, 1:] = pos
+    np.cumsum(pre, axis=2, out=pre)
+    dense = np.take(pre.reshape(3, -1), n_de + (nv + 1) * rc, axis=1)
+    q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
+    return srt[:, ranks - 1], n_de, dense, pre[:, :, nv:].copy(), q_all
+
+
+def _error_bounds(levels, mu_c, nv, n_de, dense, total, q_all, bound):
+    """Lower and upper bounds on each candidate's position-order error.
+
+    With o a cell's level minus the mean (sign-adjusted), |v - level| =
+    |dev - o| in the cell, so the cell's error is Σdev² + o·(n·o - 2·Σdev).
+    The estimate sums that over the four (group, sign) cells. Its bound is
+    ``bound`` times the line's magnitudes and covers the rounding of this
+    estimate and of the position-order sum.
+    """
+    (d_de, dp_de, c_de), (d_all, dp_all, c_all) = dense, total
+    dp_sp = dp_all - dp_de
+    c_sp = c_all - c_de
+    cells = (
+        (d_de - dp_de, n_de - c_de),
+        (dp_de, c_de),
+        (d_all - d_de - dp_sp, nv - n_de - c_sp),
+        (dp_sp, c_sp),
+    )
+    o = levels - mu_c
+    o[0::2] *= -1.0
+    est = np.repeat(q_all, n_de.shape[1], axis=1)
+    for oc, (dc, nc) in zip(o, cells):
+        est += oc * (nc * oc - 2.0 * dc)
+    o_max = np.abs(o).max(axis=0)
+    err = bound * (q_all + 2.0 * o_max * d_all + nv * (o_max * o_max))
+    return est - err, est + err
+
+
+def _screen_band(v, mu, ranks_in):
+    """Plan one band of ``v`` with shared means ``mu`` (all finite) by the
+    screen; same returns as ``_plan_band``."""
+    n, nv = v.shape
+    rows = np.arange(n)
+    rc = rows[:, None]
+    # equal ranks are the same candidate: screen each rank once
+    ranks = np.unique(ranks_in)
+    inv = np.searchsorted(ranks, ranks_in)
+    ncand = ranks.size
+    v64 = v.astype(np.float64)
+    mu_c = mu[:, None]
+    t, n_de, dense, total, q_all = _sorted_sums(v64, mu_c, ranks)
+    d_all = total[0]
+    bound = _SLACK * (nv + 8) * _ULP
+    dsums = np.stack([d_all - dense[0], dense[0]])
+    al_s, al_d = _scales(v, mu, t, dsums, np.stack([nv - n_de, n_de]), bound * d_all)
+    # a candidate with an overflowed scale has infinite error and never wins
+    finite = np.isfinite(al_s) & np.isfinite(al_d)
+    al_s[~finite] = 0.0
+    al_d[~finite] = 0.0
+
+    # the four f32 levels of each candidate, indexed by 2 * sparse + (v >= mu)
+    levels = np.empty((4, n, ncand), np.float32)
+    for c, al in enumerate((-al_d, al_d, -al_s, al_s)):
+        levels[c] = mu_c + al
+    lower, upper = _error_bounds(levels, mu_c, nv, n_de, dense, total, q_all, bound)
+    upper[~finite] = np.inf
+    keep = finite & (lower <= upper.min(axis=1, keepdims=True))
+    # candidates on one tie run are one candidate: evaluate the first
+    # and give the others its error
+    new_run = np.ones(t.shape, bool)
+    new_run[:, 1:] = n_de[:, 1:] != n_de[:, :-1]
+    keep &= new_run
+    first = np.maximum.accumulate(np.where(new_run, np.arange(ncand), 0), axis=1)
+
+    # exact, position-order errors of the candidates that could win
+    li, ki = np.nonzero(keep)
+    vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
+    cell = 2 * (np.abs(vp) >= t[li, ki]) + (vp >= mu[li])
+    diff = vp - levels[:, li, ki][cell, np.arange(li.size)]
+    errs = np.full(t.shape, np.inf)
+    errs[li, ki] = _sum_positions(np.square(diff, out=diff))
+    errs = errs[rc, first]
+
+    # back to the caller's candidates; first minimum: smaller index wins ties
+    best = np.argmin(errs[:, inv], axis=1)
+    k = inv[best]
+    ok = np.isfinite(errs[rows, k])
+    best[~ok] = 0
+    k[~ok] = inv[0]
+    okc = ok[:, None]
+    sparse = np.abs(v64) >= t[rows, k][:, None]
+    rec = levels[:, rows, k].T[rc, 2 * sparse + (v64 >= mu_c)]
+    return (
+        best,
+        t[rows, k],
+        np.where(ok, mu, 0.0),
+        np.where(ok, mu, 0.0),
+        np.where(ok, al_s[rows, k], 0.0),
+        np.where(ok, al_d[rows, k], 0.0),
+        np.where(ok, errs[rows, k], np.inf),
+        sparse,
+        np.where(np.where(okc, v64 >= mu_c, v64 >= 0.0), 1, -1),
+        np.where(okc, rec, np.float32(0.0)),
+    )
+
+
+def _band_plans(v, ranks, share):
+    """Yield (rows, plan) pairs that cover every line of the band ``v``:
+    the screen plans shared-mean lines whose mean is finite, all at once;
+    the dense path plans the rest in chunks."""
+    dense = np.arange(v.shape[0])
+    if share:
+        mu = _shared_means(v)
+        fin = np.isfinite(mu)
+        if fin.all():
+            yield slice(None), _screen_band(v, mu, ranks)
+            return
+        if fin.any():
+            yield fin, _screen_band(v[fin], mu[fin], ranks)
+        dense = dense[~fin]
+    step = max(1, _CHUNK_VALUES // (len(ranks) * v.shape[1]))
+    for i in range(0, dense.size, step):
+        rs = dense[i : i + step]
+        yield rs, _plan_band(v[rs], ranks, share)
+
+
 def plan_lines(lines, band_split, ranks0, ranks1, share):
     """Plan every line of ``lines`` (lines x width), band by band.
 
@@ -196,10 +413,7 @@ def plan_lines(lines, band_split, ranks0, ranks1, share):
             lo, hi, ranks = 0, (band_split if nbands == 2 else d), ranks0
         else:
             lo, hi, ranks = band_split, d, ranks1
-        step = max(1, _CHUNK_VALUES // (len(ranks) * (hi - lo)))
-        for i in range(0, n_lines, step):
-            rs = slice(i, i + step)
-            out = _plan_band(lines[rs, lo:hi], ranks, share)
+        for rs, out in _band_plans(lines[:, lo:hi], ranks, share):
             for dst, src in zip(per_line, out[:7]):
                 dst[rs, b] = src
             for dst, src in zip(per_pos, out[7:]):

@@ -220,7 +220,11 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
             raise ConfigError(
                 f"remainder block of {rem} columns is odd; ROW mode needs even"
             )
-        if n % 2 != 0 and any(k > 0 for k in cfg.k_candidates):
+        # a residual pass pairs rows; it runs where some block tries a K > 0
+        if n % 2 != 0 and any(
+            _trial_ks(cfg.k_candidates, width, mode)[-1] > 0
+            for _, width in block_spans(m, beta)
+        ):
             raise ConfigError(
                 f"salient residual pass needs even rows in ROW mode, got {n}"
             )

@@ -6,6 +6,8 @@ defines the bits a container stores, and the batched planner must store
 the same ones however its lines are chunked."""
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as R
 from hbq import _kernels as K
@@ -78,7 +80,7 @@ def test_haar_kernels_bitwise_identical():
 
 def _trial_lines(rng, kind, n, d):
     if kind == "plateau":
-        base = rng.normal(size=(n, max(d // 4, 1)))
+        base = rng.normal(size=(n, -(-d // 4)))
         return np.repeat(base, 4, axis=1)[:, :d].astype(np.float32)
     scale = rng.choice([1e-4, 1.0, 1e4])
     lines = (rng.normal(size=(n, d)) * scale).astype(np.float32)
@@ -160,13 +162,20 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
 
 def test_plan_lines_across_chunk_boundaries(monkeypatch):
     # shrink the batch budget to 5 lines per 8-wide band so 23 lines
-    # cross four chunk boundaries, the last chunk a partial one
+    # cross four chunk boundaries of the dense path, the last chunk a
+    # partial one. With shared means only lines whose mean overflows
+    # binary16 take the dense path: every other line here does, so its
+    # chunks hold scattered rows while the screen plans the rest at once.
     monkeypatch.setattr(K, "_CHUNK_VALUES", 5 * 40 * 8)
     rng = np.random.default_rng(4)
     for kind in ("gauss", "plateau", "spiky"):
         lines = _trial_lines(rng, kind, 23, 16)
-        for share in (True, False):
-            _assert_matches_reference(lines, 8, share)
+        _assert_matches_reference(lines, 8, False)
+        lines[::2, :8] += np.float32(1e5)
+        lines[1::4, 8:] -= np.float32(1e5)
+        out = _assert_matches_reference(lines, 8, True)
+        assert np.all(np.isinf(out[6][::2, 0]))
+        assert np.all(np.isinf(out[6][1::4, 1]))
 
 
 def test_plan_lines_mixed_overflow_lines_in_one_batch():
@@ -247,3 +256,123 @@ def test_plan_lines_wide_dynamic_range_line_bitwise():
     lines = line.astype(np.float32).reshape(1, 64)
     for share in (True, False):
         _assert_matches_reference(lines, 64, share, n_candidates=1)
+
+
+# ---------------------------------------------------------------------------
+# The screened shared-mean path: its prefix-sum estimates must never change
+# a stored bit. Each case below is checked against the reference scan.
+# ---------------------------------------------------------------------------
+
+
+def test_screen_exact_ties_between_candidates():
+    # Plateau lines put many candidates on one tie run (the same sparse
+    # set); 256 candidates on narrow bands repeat ranks. Tied candidates
+    # have equal errors, and the first index must win.
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 4, 5, 8, 16):
+        for kind in ("plateau", "gauss"):
+            lines = _trial_lines(rng, kind, 4, d)
+            for n_candidates in (40, 256):
+                _assert_matches_reference(lines, d, True, n_candidates)
+    # Different sparse sets, equal errors: every candidate rounds both
+    # scales to 1.0, so all 40 reconstruct the line alike and index 0 wins.
+    e = np.float32(1.0 - 2.0**-14)
+    line = np.array([[1, -1, 1, -1, 1, -1, e, -e]], np.float32)
+    thr_idx, thr_val, *_ = _assert_matches_reference(line, 8, True)
+    assert thr_idx[0, 0] == 0 and thr_val[0, 0] == e
+    # The same with noise: mean 1, and every deviation within 2**-25 of 1,
+    # so every candidate stores both scales as 1.0 and levels {0, 2}, and
+    # all tie exactly. The deviations of the tiny values are not exact in
+    # float64, so the prefix-sum estimates of the tied errors differ in
+    # their last bits; only the bound keeps candidate 0 in the running.
+    tiny = [-5.329719345438348e-14, 2.945602789461432e-11, -4.2149633392926655e-14,
+            1.4345733531217347e-13, 1.76237868743101e-08, 2.825554373808714e-11,
+            6.146613843989804e-14]
+    line = np.array([[2, 0, tiny[0], 2, tiny[1], tiny[2], 2, tiny[3], 2, tiny[4],
+                      2, 2, tiny[5], 2, 2, tiny[6]]], np.float32)
+    thr_idx, *_, recon = _assert_matches_reference(line, 16, True)
+    assert thr_idx[0, 0] == 0
+    assert set(recon[0].tolist()) == {0.0, 2.0}
+
+
+def test_screen_scale_on_binary16_midpoint():
+    # The sparse deviations sum to exactly 5 * (1 + 2**-11) in position
+    # order, where the tiny values are lost against the running total, so
+    # the scale sits on the midpoint between binary16 1.0 and 1 + 2**-10 and
+    # ties to even (1.0). Summed smallest first, the tiny values survive and
+    # the quotient lands above the midpoint: the screen must redo the sum.
+    a = 10245 / 4096  # 2.5 * (1 + 2**-11)
+    s, tiny = 2.0**-52, 2.0**-60
+    line = np.array([[a, -a, s, s, s, tiny, -tiny, 0.0]], np.float32)
+    by_size = 0.0
+    for x in sorted(abs(float(x)) for x in line[0, 2:5]) + [a, a]:
+        by_size += x
+    assert by_size / 5 > 1 + 2.0**-11
+    out = _assert_matches_reference(line, 8, True, n_candidates=1)
+    assert out[4][0, 0] == 1.0  # al_sp
+
+
+def test_screen_plateau_and_small_integer_lines():
+    rng = np.random.default_rng(9)
+    for d, split in ((8, 4), (16, 8), (64, 32), (33, 33)):
+        plateau = _trial_lines(rng, "plateau", 6, d)
+        ints = rng.integers(-3, 4, size=(6, d)).astype(np.float32)
+        ints[0] = 0.0
+        ints[1] = 2.0
+        for lines in (plateau, ints, ints * np.float32(2.0**-20)):
+            for n_candidates in (2, 7, 40):
+                _assert_matches_reference(lines, split, True, n_candidates)
+
+
+def test_screen_large_mean_tiny_spread_lines():
+    # deviations far below the mean: the binary16 mean is off by up to half
+    # its grid step, and every deviation is a small difference of big values
+    rng = np.random.default_rng(10)
+    for mean in (1000.0, 1000.25, -3e4, 6.5e4):
+        lines = (mean + rng.normal(size=(5, 32)) * 1e-3).astype(np.float32)
+        lines[0, 0] += np.float32(0.5)
+        _assert_matches_reference(lines, 16, True)
+        _assert_matches_reference(lines, 32, True, n_candidates=256)
+
+
+_values = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.floats(-4.0, 4.0, width=32),
+    st.integers(-4, 4).map(float),
+)
+
+
+@st.composite
+def _planner_inputs(draw):
+    d = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 3))
+    vals = draw(st.lists(_values, min_size=n * d, max_size=n * d))
+    lines = np.array(vals, np.float32).reshape(n, d)
+    split = draw(st.integers(1, d))
+    widths = (split, d - split) if split < d else (d,)
+    ranks = []
+    for nvals in widths:
+        if draw(st.booleans()):
+            n_candidates = draw(st.sampled_from((1, 2, 7, 40, 256)))
+            ranks.append(_ranks(nvals, n_candidates))
+        else:  # any ranks, in any order, repeats included
+            drawn = st.lists(st.integers(1, nvals), min_size=1, max_size=12)
+            ranks.append(np.array(draw(drawn), np.int64))
+    if len(ranks) == 1:
+        ranks.append(np.zeros(0, np.int64))
+    return lines, split, ranks
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_planner_inputs())
+def test_screen_matches_reference_on_random_lines(case):
+    lines, split, (r0, r1) = case
+    out_ref = R.plan_lines(lines, split, r0, r1, True)
+    out = K.plan_lines(lines, split, r0, r1, True)
+    for got, want in zip(out, out_ref):
+        _assert_same_bits(got, want, (split, r0, r1))

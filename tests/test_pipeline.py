@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -424,6 +426,21 @@ def test_hbllm_validation():
         hbllm_quantize(w5.copy(), x, beta=8)  # odd rows + residual pass
     q = hbllm_quantize(w5.copy(), x, beta=8, cfg=QuantConfig(k_candidates=(0,)))
     assert q.n == 5  # fine without the residual pass
+
+
+def test_hbllm_odd_rows_without_residual_pass_in_row_mode():
+    # every K is at least the 2-wide block, so each block falls back to
+    # K = 0 and no residual pass runs: odd rows are fine, and the container
+    # is the one K = 0 alone gives, apart from the K list its header stores
+    rng = np.random.default_rng(23)
+    w = rng.normal(size=(5, 4)).astype(np.float32)
+    x = rng.normal(size=(4, 8)).astype(np.float32)
+    q, q0 = (
+        hbllm_quantize(w.copy(), x, beta=2, cfg=QuantConfig(k_candidates=ks))
+        for ks in ((2, 4), (0,))
+    )
+    assert q.cfg.k_candidates == (2, 4)
+    assert encode_layer(replace(q, cfg=q0.cfg)) == encode_layer(q0)
 
 
 def test_hbllm_odd_remainder_rejected():
