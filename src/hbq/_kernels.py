@@ -1,9 +1,10 @@
 """Hot numeric kernels: the threshold planner and the binary16 rounder,
 vectorized with numpy. The Haar row pair lives in ``haar.py``.
 
-The planner searches one band of many lines at a time and takes each
-line's winning candidate threshold with a first-index argmin. It has two
-paths, which store the same bits.
+The planner searches one band of a chunk of lines at a time and takes
+each line's winning candidate threshold with a first-index argmin. Chunks
+are sized so the temporaries stay bounded however many lines a band has.
+It has two paths, which store the same bits.
 
 **Screened path** (shared means, the default). The mean, the deviations
 dev = |v - mu| and the signs depend only on the line, and each candidate's
@@ -30,16 +31,17 @@ deviation sums with one gather, so a band costs O(nv log nv + C) per line
 - Equal ranks are scored once. Of the ranks on one tie run (one sparse
   set) only the first is evaluated exactly and the others share its
   error, so the first index still wins.
+- A line whose mean overflows binary16 has no finite candidate; it is
+  screened around 0 and gets the zeroed plan.
 
 **Dense path** (``share_mean=False``, whose group means and so whose
-deviations depend on the candidate, and shared-mean lines whose mean is
-not finite). Every candidate is evaluated on every position of a chunk of
-lines in one pass, with chunks sized so the temporaries stay bounded. The
-per-candidate tensors are position-major, (band width x lines x
-candidates): a sum over positions is then a reduce over axis 0, which adds
-whole slices in position order. A line whose every candidate overflows
-binary16 gets a zeroed plan on its own, on either path, without touching
-its neighbours.
+deviations depend on the candidate). Every candidate is evaluated on every
+position of the chunk in one pass. The per-candidate tensors are
+position-major, (band width x lines x candidates): a sum over positions
+is then a reduce over axis 0, which adds whole slices in position order.
+
+On either path a line whose every candidate overflows binary16 gets a
+zeroed plan on its own, without touching its neighbours.
 
 The planner narrows group scalars to IEEE-754 binary16 (round to nearest,
 ties to even) *during* the threshold search, so the selected split minimizes
@@ -90,6 +92,12 @@ def f16_round(x):
 # does not grow with the number of lines or the band width.
 _CHUNK_VALUES = 64 * 40 * 64
 
+# Element budget of one screen call: its temporaries are (lines x (band
+# width + candidates)), and a chunk holds at most this many such values
+# (256 lines of a 64-wide band at 40 candidates, a traced peak of ~2.4 MB
+# against ~4 MB for a dense chunk).
+_SCREEN_VALUES = 256 * (64 + 40)
+
 # The screen's error bounds, in float64 roundings (2**-53) of the line's
 # magnitudes, per position of the band plus a constant. Accounting for the
 # prefix sums, the cell arithmetic and the position-order sum needs about
@@ -120,15 +128,15 @@ def _shared_means(v):
     return f16_round(_sum_positions(vt) / v.shape[1])
 
 
-def _plan_band(v, ranks, share):
-    """Plan one band on every line of ``v`` (lines x band width) at once,
-    evaluating every candidate on every position (the dense path).
+def _plan_band(v, ranks):
+    """Plan one band on every line of ``v`` (lines x band width) at once
+    with each group's own mean, evaluating every candidate on every
+    position (the dense path).
 
     Returns per-line (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
     and the per-position (sparse, signs, recon) of the winning candidates.
     """
     n, nv = v.shape
-    ncand = ranks.shape[0]
     rows = np.arange(n)
     v64 = v.astype(np.float64)
     t = np.sort(np.abs(v64), axis=1)[:, ranks - 1]  # (lines, candidates)
@@ -146,22 +154,12 @@ def _plan_band(v, ranks, share):
     # a candidate whose scalars overflow binary16 gets inf or nan scalars
     # and a non-finite error; the selection below discards it
     with np.errstate(over="ignore", invalid="ignore"):
-        if share:
-            # one mean per line: deviations and signs do not depend on
-            # the candidate, and the sparse sum is never read
-            mu = f16_round(total / nv)
-            mu_s = mu_d = np.broadcast_to(mu[:, None], t.shape)
-            pos = vt >= mu  # (nv, lines)
-            dev = np.abs(vc - mu[:, None])
-        else:
-            sum_sp = _sum_positions(np.where(sp, vc, 0.0))
-            mu_s = f16_round(sum_sp / n_sp)
-            mu_d = np.where(
-                n_de > 0, f16_round((total[:, None] - sum_sp) / de_den), 0.0
-            )
-            mu_pos = np.where(sp, mu_s, mu_d)
-            pos = vc >= mu_pos
-            dev = np.abs(vc - mu_pos, out=mu_pos)
+        sum_sp = _sum_positions(np.where(sp, vc, 0.0))
+        mu_s = f16_round(sum_sp / n_sp)
+        mu_d = np.where(n_de > 0, f16_round((total[:, None] - sum_sp) / de_den), 0.0)
+        mu_pos = np.where(sp, mu_s, mu_d)
+        pos = vc >= mu_pos
+        dev = np.abs(vc - mu_pos, out=mu_pos)
         part = np.where(sp, dev, 0.0)
         al_s = f16_round(_sum_positions(part) / n_sp)
         # dense part: x - x = 0 and x - 0 = x are exact (an infinite
@@ -175,18 +173,11 @@ def _plan_band(v, ranks, share):
         levels = np.stack(
             [mu_d - al_d, mu_d + al_d, mu_s - al_s, mu_s + al_s], axis=-1
         ).astype(np.float32)  # (lines, candidates, 4)
-        if share:
-            # pos is per (position, line): gather whole candidate rows
-            table = levels.transpose(0, 2, 1).reshape(n * 4, ncand)
-            dense_row = 4 * rows + pos
-            rec = np.take(table, dense_row, axis=0)
-            np.copyto(rec, np.take(table, dense_row + 2, axis=0), where=sp)
-        else:
-            rec = np.where(
-                sp,
-                np.where(pos, levels[..., 3], levels[..., 2]),
-                np.where(pos, levels[..., 1], levels[..., 0]),
-            )
+        rec = np.where(
+            sp,
+            np.where(pos, levels[..., 3], levels[..., 2]),
+            np.where(pos, levels[..., 1], levels[..., 0]),
+        )
         diff = vc - rec
         errs = _sum_positions(np.square(diff, out=diff))  # (lines, candidates)
 
@@ -199,7 +190,6 @@ def _plan_band(v, ranks, share):
     ok = np.isfinite(pick[rows, best])
     best[~ok] = 0
     okc = ok[:, None]
-    pos_best = pos.T if share else pos[:, rows, best].T
     return (
         best,
         t[rows, best],
@@ -209,7 +199,7 @@ def _plan_band(v, ranks, share):
         np.where(ok, al_d[rows, best], 0.0),
         np.where(ok, errs[rows, best], np.inf),
         sp[:, rows, best].T,
-        np.where(np.where(okc, pos_best, v64 >= 0.0), 1, -1),
+        np.where(np.where(okc, pos[:, rows, best].T, v64 >= 0.0), 1, -1),
         np.where(okc, rec[:, rows, best].T, np.float32(0.0)),
     )
 
@@ -297,12 +287,17 @@ def _error_bounds(levels, mu_c, nv, n_de, dense, total, q_all, bound):
     return est - err, est + err
 
 
-def _screen_band(v, mu, ranks_in):
-    """Plan one band of ``v`` with shared means ``mu`` (all finite) by the
-    screen; same returns as ``_plan_band``."""
+def _screen_band(v, ranks_in):
+    """Plan one band of ``v`` with one mean per line by the screen; same
+    returns as ``_plan_band``."""
     n, nv = v.shape
     rows = np.arange(n)
     rc = rows[:, None]
+    # A line whose mean overflows binary16 has no finite candidate. It is
+    # screened around 0 instead and gets the zeroed plan below.
+    mu = _shared_means(v)
+    fin = np.isfinite(mu)
+    mu[~fin] = 0.0
     # equal ranks are the same candidate: screen each rank once
     ranks = np.unique(ranks_in)
     inv = np.searchsorted(ranks, ranks_in)
@@ -314,8 +309,9 @@ def _screen_band(v, mu, ranks_in):
     bound = _SLACK * (nv + 8) * _ULP
     dsums = np.stack([d_all - dense[0], dense[0]])
     al_s, al_d = _scales(v, mu, t, dsums, np.stack([nv - n_de, n_de]), bound * d_all)
-    # a candidate with an overflowed scale has infinite error and never wins
-    finite = np.isfinite(al_s) & np.isfinite(al_d)
+    # a candidate with an overflowed scale or mean has infinite error and
+    # never wins
+    finite = np.isfinite(al_s) & np.isfinite(al_d) & fin[:, None]
     al_s[~finite] = 0.0
     al_d[~finite] = 0.0
 
@@ -366,23 +362,16 @@ def _screen_band(v, mu, ranks_in):
 
 
 def _band_plans(v, ranks, share):
-    """Yield (rows, plan) pairs that cover every line of the band ``v``:
-    the screen plans shared-mean lines whose mean is finite, all at once;
-    the dense path plans the rest in chunks."""
-    dense = np.arange(v.shape[0])
+    """Yield (lines, plan) pairs that cover the band ``v`` in chunks of
+    lines: the screen plans shared-mean bands, the dense path the rest."""
+    n, nv = v.shape
     if share:
-        mu = _shared_means(v)
-        fin = np.isfinite(mu)
-        if fin.all():
-            yield slice(None), _screen_band(v, mu, ranks)
-            return
-        if fin.any():
-            yield fin, _screen_band(v[fin], mu[fin], ranks)
-        dense = dense[~fin]
-    step = max(1, _CHUNK_VALUES // (len(ranks) * v.shape[1]))
-    for i in range(0, dense.size, step):
-        rs = dense[i : i + step]
-        yield rs, _plan_band(v[rs], ranks, share)
+        plan, step = _screen_band, _SCREEN_VALUES // (nv + len(ranks))
+    else:
+        plan, step = _plan_band, _CHUNK_VALUES // (nv * len(ranks))
+    step = max(1, step)
+    for i in range(0, n, step):
+        yield slice(i, i + step), plan(v[i : i + step], ranks)
 
 
 def plan_lines(lines, band_split, ranks0, ranks1, share):

@@ -161,12 +161,12 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
 
 
 def test_plan_lines_across_chunk_boundaries(monkeypatch):
-    # shrink the batch budget to 5 lines per 8-wide band so 23 lines
-    # cross four chunk boundaries of the dense path, the last chunk a
-    # partial one. With shared means only lines whose mean overflows
-    # binary16 take the dense path: every other line here does, so its
-    # chunks hold scattered rows while the screen plans the rest at once.
+    # shrink both paths' budgets to 5 lines per 8-wide band so 23 lines
+    # cross four chunk boundaries, the last chunk a partial one. With
+    # shared means every other line's mean overflows binary16, so each
+    # screen chunk mixes zeroed plans with finite ones.
     monkeypatch.setattr(K, "_CHUNK_VALUES", 5 * 40 * 8)
+    monkeypatch.setattr(K, "_SCREEN_VALUES", 5 * (8 + 40))
     rng = np.random.default_rng(4)
     for kind in ("gauss", "plateau", "spiky"):
         lines = _trial_lines(rng, kind, 23, 16)
