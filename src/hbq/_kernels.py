@@ -1,47 +1,46 @@
 """Hot numeric kernels: the threshold planner and the binary16 rounder,
 vectorized with numpy. The Haar row pair lives in ``haar.py``.
 
-The planner searches one band of a chunk of lines at a time and takes
-each line's winning candidate threshold with a first-index argmin. Chunks
-are sized so the temporaries stay bounded however many lines a band has.
-It has two paths, which store the same bits.
+The planner screens one band of a chunk of lines at a time and takes each
+line's winning candidate threshold with a first-index argmin. Chunks are
+sized so the temporaries stay bounded however many lines a band has. A
+band costs O(nv log nv + C) per line (nv the band width, C the number of
+candidates), with group means shared or each group's own.
 
-**Screened path** (shared means, the default). The mean, the deviations
-dev = |v - mu| and the signs depend only on the line, and each candidate's
-sparse set is a suffix of the line's |v| order, starting at the first
-index of its threshold's tie run. Prefix sums over that order of dev,
-dev·[v >= mu] and [v >= mu] give every candidate's group counts and
-deviation sums with one gather, so a band costs O(nv log nv + C) per line
-(nv the band width, C the number of candidates) instead of O(nv · C).
+- **Sums over the |v| order.** Each candidate's sparse set is a suffix of
+  the line's |v| order, starting at the first index of its threshold's tie
+  run. With c the line's binary16 mean (the shared mean), prefix sums over
+  that order of dev = |v - c|, dev·[v >= c] and [v >= c] give every
+  candidate's group counts and sums with one gather.
+- **Own means** (``share_mean=False``). A group's sum of x = v - c is
+  2·Σdev·[v >= c] - Σdev, which gives its binary16 mean by the interval
+  test below. Sorted by value, a line's dense group is the run of values
+  between -t and t, and the values below a mean are a prefix, so prefix
+  sums of x over the value order re-split each group at its own mean into
+  the same (dev, dev·pos, pos) sums, relative to c. The scales' deviation
+  sums follow as Σdev - y·(2·npos - n), with y the group mean minus c.
+- **Binary16 scalars.** Means and scales are binary16 roundings of sums
+  over counts. Each sum carries a float64 error bound; where both ends of
+  that interval round to the same binary16 value, sign of zero included,
+  the value is exact. The rare (line, candidate) whose interval straddles
+  a rounding midpoint or the overflow edge has its sum redone in position
+  order.
+- **Errors.** The error of a candidate is Σx² - 2·Σ o·D + Σ n·o² over its
+  four (group, sign) cells, where o is the cell's float32 level minus c
+  (sign-adjusted) and D and n the cell's sum and count. Its bound covers
+  both this estimate's rounding and that of the position-order sum. Every
+  candidate whose lower bound reaches the line's smallest upper bound has
+  its error computed exactly, in position order; the winner is the
+  first-index argmin of those exact errors. Any candidate left out is
+  strictly worse than one that was kept, so winner, error and stored bits
+  are those of evaluating every candidate on every position.
+- **Ties.** Equal ranks are scored once. Of the ranks on one tie run (one
+  sparse set) only the first is evaluated exactly and the others share
+  its error, so the first index still wins.
 
-- The scales are binary16 roundings of deviation sums over counts. Each
-  prefix-sum total carries a float64 error bound; where both ends of that
-  interval round to the same binary16 value, the value is exact. The rare
-  (line, candidate) whose interval straddles a rounding midpoint or the
-  overflow edge has its sum redone in position order.
-- The error of a candidate is Σdev² - 2·Σ o·D + Σ n·o² over its four
-  (group, sign) cells, where o is the cell's float32 level minus the mean
-  (sign-adjusted) and D and n the cell's deviation sum and count. Its
-  bound covers both this estimate's rounding and that of the position-
-  order sum. Every candidate whose lower bound reaches the line's smallest
-  upper bound has its error computed exactly, in position order; the
-  winner is the first-index argmin of those exact errors. Any candidate
-  left out is strictly worse than one that was kept, so winner, error and
-  stored bits are the dense path's.
-- Equal ranks are scored once. Of the ranks on one tie run (one sparse
-  set) only the first is evaluated exactly and the others share its
-  error, so the first index still wins.
-- A line whose mean overflows binary16 has no finite candidate; it is
-  screened around 0 and gets the zeroed plan.
-
-**Dense path** (``share_mean=False``, whose group means and so whose
-deviations depend on the candidate). Every candidate is evaluated on every
-position of the chunk in one pass. The per-candidate tensors are
-position-major, (band width x lines x candidates): a sum over positions
-is then a reduce over axis 0, which adds whole slices in position order.
-
-On either path a line whose every candidate overflows binary16 gets a
-zeroed plan on its own, without touching its neighbours.
+A line whose every candidate overflows binary16 gets a zeroed plan on its
+own, without touching its neighbours. With shared means that includes a
+line whose mean overflows; it is screened around 0.
 
 The planner narrows group scalars to IEEE-754 binary16 (round to nearest,
 ties to even) *during* the threshold search, so the selected split minimizes
@@ -84,25 +83,21 @@ def f16_round(x):
 # order, starting from +0.0, so the stored bits do not depend on how lines
 # are batched. Starting from +0.0 matters for the sign of zero: a band of
 # -0.0 values sums to +0.0, and its mean is stored as binary16 0x0000, not
-# 0x8000.
-
-# Element budget of one dense evaluation: lines are planned in chunks
-# whose (lines x candidates x band width) temporaries hold at most this
-# many values (64 lines of a 64-wide band at 40 candidates), so peak memory
-# does not grow with the number of lines or the band width.
-_CHUNK_VALUES = 64 * 40 * 64
+# 0x8000. A small negative sum still gives a -0.0 mean (0x8000).
 
 # Element budget of one screen call: its temporaries are (lines x (band
 # width + candidates)), and a chunk holds at most this many such values
 # (256 lines of a 64-wide band at 40 candidates, a traced peak of ~2.4 MB
-# against ~4 MB for a dense chunk).
+# with shared means).
 _SCREEN_VALUES = 256 * (64 + 40)
 
 # The screen's error bounds, in float64 roundings (2**-53) of the line's
 # magnitudes, per position of the band plus a constant. Accounting for the
 # prefix sums, the cell arithmetic and the position-order sum needs about
-# 21·nv + 40 of them; _SLACK · (nv + 8) keeps a margin of three or more,
-# and still ranks the candidates to ~1e-12 of a line's error.
+# 21·nv + 40 of them with shared means, and about twice that for own
+# means, whose cell sums combine up to six prefix sums; _SLACK · (nv + 8)
+# keeps a margin, and still ranks the candidates to ~1e-12 of a line's
+# error.
 _SLACK = 64.0
 _ULP = 2.0**-53
 
@@ -122,99 +117,17 @@ def _sum_positions(a):
     return np.add.reduce(a, axis=0) + 0.0
 
 
-def _shared_means(v):
-    """Each line's binary16 mean: the position-order sum over the width."""
-    vt = np.ascontiguousarray(v.T, dtype=np.float64)  # (nv, lines)
-    return f16_round(_sum_positions(vt) / v.shape[1])
-
-
-def _plan_band(v, ranks):
-    """Plan one band on every line of ``v`` (lines x band width) at once
-    with each group's own mean, evaluating every candidate on every
-    position (the dense path).
-
-    Returns per-line (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
-    and the per-position (sparse, signs, recon) of the winning candidates.
-    """
-    n, nv = v.shape
-    rows = np.arange(n)
-    v64 = v.astype(np.float64)
-    t = np.sort(np.abs(v64), axis=1)[:, ranks - 1]  # (lines, candidates)
-
-    # Position-major: per-candidate tensors are (band width, lines,
-    # candidates), so every sum over positions is a _sum_positions over
-    # axis 0, in position order.
-    vt = np.ascontiguousarray(v64.T)  # (nv, lines)
-    vc = vt[:, :, None]
-    sp = np.abs(vc) >= t
-    n_sp = np.add.reduce(sp, axis=0, dtype=np.intp)
-    n_de = nv - n_sp
-    de_den = np.maximum(n_de, 1)
-    total = _sum_positions(vt)  # (lines,)
-    # a candidate whose scalars overflow binary16 gets inf or nan scalars
-    # and a non-finite error; the selection below discards it
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_sp = _sum_positions(np.where(sp, vc, 0.0))
-        mu_s = f16_round(sum_sp / n_sp)
-        mu_d = np.where(n_de > 0, f16_round((total[:, None] - sum_sp) / de_den), 0.0)
-        mu_pos = np.where(sp, mu_s, mu_d)
-        pos = vc >= mu_pos
-        dev = np.abs(vc - mu_pos, out=mu_pos)
-        part = np.where(sp, dev, 0.0)
-        al_s = f16_round(_sum_positions(part) / n_sp)
-        # dense part: x - x = 0 and x - 0 = x are exact (an infinite
-        # deviation comes only from an overflowed mean, discarded below)
-        part = np.subtract(dev, part, out=part)
-        al_d = np.where(n_de > 0, f16_round(_sum_positions(part) / de_den), 0.0)
-        del dev, part
-
-        # The four reconstruction levels of each (line, candidate), narrowed
-        # to f32 once, indexed by 2 * sparse + (v >= mu).
-        levels = np.stack(
-            [mu_d - al_d, mu_d + al_d, mu_s - al_s, mu_s + al_s], axis=-1
-        ).astype(np.float32)  # (lines, candidates, 4)
-        rec = np.where(
-            sp,
-            np.where(pos, levels[..., 3], levels[..., 2]),
-            np.where(pos, levels[..., 1], levels[..., 0]),
-        )
-        diff = vc - rec
-        errs = _sum_positions(np.square(diff, out=diff))  # (lines, candidates)
-
-    # Candidates whose scalars overflow binary16 have inf/nan error and
-    # never win. A line on which every candidate overflows gets a zeroed
-    # plan with infinite sse (callers reject it before anything is stored);
-    # its neighbours keep their own winners.
-    pick = np.where(np.isnan(errs), np.inf, errs)
-    best = np.argmin(pick, axis=1)  # first minimum: smaller index wins ties
-    ok = np.isfinite(pick[rows, best])
-    best[~ok] = 0
-    okc = ok[:, None]
-    return (
-        best,
-        t[rows, best],
-        np.where(ok, mu_s[rows, best], 0.0),
-        np.where(ok, mu_d[rows, best], 0.0),
-        np.where(ok, al_s[rows, best], 0.0),
-        np.where(ok, al_d[rows, best], 0.0),
-        np.where(ok, errs[rows, best], np.inf),
-        sp[:, rows, best].T,
-        np.where(np.where(okc, pos[:, rows, best].T, v64 >= 0.0), 1, -1),
-        np.where(okc, rec[:, rows, best].T, np.float32(0.0)),
-    )
-
-
-def _group_sums(v, mu, li, thr, sparse):
-    """Position-order sums of dev over the sparse (or dense) group of
-    (line ``li``, threshold ``thr``) pairs, one pair per column, as the
-    dense path sums them."""
+def _group_sums(v, li, thr, sparse, mu=None):
+    """Position-order sums over the sparse (or dense) group of (line
+    ``li``, threshold ``thr``) pairs, one pair per column: of |v - mu|,
+    with ``mu`` per pair, or of v itself when ``mu`` is None."""
     vs = np.ascontiguousarray(v[li].T, dtype=np.float64)  # (nv, pairs)
-    dev = np.abs(vs - mu[li])
-    return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, dev, 0.0))
+    term = vs if mu is None else np.abs(vs - mu)
+    return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, term, 0.0))
 
 
-def _scales(v, mu, thr, dsums, counts, width):
-    """binary16 of dsums / counts, for the sparse ([0]) and dense ([1])
+def _scales(v, means, thr, dsums, counts, width):
+    """binary16 of dsums / counts, for the dense ([0]) and sparse ([1])
     groups of every (line, candidate), each sum known to within ``width``.
 
     Where the two ends of the interval round alike that is the value; the
@@ -226,18 +139,18 @@ def _scales(v, mu, thr, dsums, counts, width):
     hi = f16_round((dsums + width) / den)
     g, li, ki = np.nonzero(lo != hi)
     if li.size:
-        exact = _group_sums(v, mu, li, thr[li, ki], g == 0)
+        exact = _group_sums(v, li, thr[li, ki], g == 1, means[g, li, ki])
         lo[g, li, ki] = f16_round(exact / den[g, li, ki])
     return np.where(counts > 0, lo, 0.0)
 
 
-def _sorted_sums(v64, mu_c, ranks):
+def _sorted_sums(v64, c, ranks):
     """Sort each line by |v| and sum over that order.
 
     Returns per (line, candidate) the threshold and the dense count (the
-    first index of the threshold's tie run), the dense group's sums of dev,
-    dev·[v >= mu] and [v >= mu] (3, lines, candidates), the same over the
-    whole line (3, lines, 1), and the line's Σdev² (lines, 1).
+    first index of the threshold's tie run); the sums of dev, dev·[v >= c]
+    and [v >= c] over the dense and the sparse group (2, 3, lines,
+    candidates); and the line's Σdev and Σdev² (lines, 1).
     """
     n, nv = v64.shape
     rc = np.arange(n)[:, None]
@@ -247,55 +160,124 @@ def _sorted_sums(v64, mu_c, ranks):
     run = np.zeros((n, nv), np.intp)
     run[:, 1:] = np.where(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), 0)
     n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
-    dev = np.abs(vs - mu_c)
-    pos = vs >= mu_c
+    dev = np.abs(vs - c)
+    pos = vs >= c
     pre = np.zeros((3, n, nv + 1))
     pre[0, :, 1:] = dev
     np.multiply(dev, pos, out=pre[1, :, 1:])
     pre[2, :, 1:] = pos
     np.cumsum(pre, axis=2, out=pre)
-    dense = np.take(pre.reshape(3, -1), n_de + (nv + 1) * rc, axis=1)
+    sums = np.empty((2, 3, n, ranks.size))
+    at = n_de + (nv + 1) * rc  # every index is in range; "clip" writes unbuffered
+    np.take(pre.reshape(3, -1), at, axis=1, out=sums[0], mode="clip")
+    np.subtract(pre[:, :, nv:], sums[0], out=sums[1])
     q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
-    return srt[:, ranks - 1], n_de, dense, pre[:, :, nv:].copy(), q_all
+    return srt[:, ranks - 1], n_de, sums, pre[0, :, nv:].copy(), q_all
 
 
-def _error_bounds(levels, mu_c, nv, n_de, dense, total, q_all, bound):
+def _own_means(v, c, line_sums, thr, counts, sums, width):
+    """Each group's own binary16 mean (2, lines, candidates), 0 for an
+    empty group.
+
+    Σv of a group is 2·Σdev·[v >= c] - Σdev + n·c, known to within
+    ``width``. An interval whose ends round apart, or to zeros of opposite
+    sign (a -0.0 mean is stored as 0x8000), has its sum redone in position
+    order: the sparse group's directly, the dense group's as the line's
+    sum minus it.
+    """
+    den = np.maximum(counts, 1)
+    s = 2.0 * sums[:, 1] - sums[:, 0] + counts * c
+    lo = f16_round((s - width) / den)
+    hi = f16_round((s + width) / den)
+    redo = (lo != hi) | (np.signbit(lo) != np.signbit(hi))
+    g, li, ki = np.nonzero(redo & (counts > 0))
+    if li.size:
+        sp = _group_sums(v, li, thr[li, ki], True)
+        exact = np.where(g == 1, sp, line_sums[li] - sp)
+        lo[g, li, ki] = f16_round(exact / den[g, li, ki])
+    return np.where(counts > 0, lo, 0.0)
+
+
+def _keys(rows, vals):
+    """Complex keys row + i·value: lines of ascending values, one after
+    another, are one ascending array, so one searchsorted serves them all."""
+    k = np.empty(np.broadcast_shapes(rows.shape, vals.shape), np.complex128)
+    k.real, k.imag = rows, vals
+    return k.ravel()
+
+
+def _split_at_means(v64, c, thr, n_de, counts, means):
+    """Re-split each group of every (line, candidate) at its own mean.
+
+    Returns the sums of x = v - c, signed by [v >= mean] (the dev of the
+    shared layout), of x·[v >= mean] and of [v >= mean], over the dense
+    and the sparse group (2, 3, lines, candidates).
+
+    Sorted by value, the sparse negatives (v <= -t) come first and the
+    dense group is the next n_de values. The values below a mean are a
+    prefix, so a group's part below its mean is one run (dense) or two
+    runs (sparse) of one prefix sum of x.
+    """
+    n, nv = v64.shape
+    rc = np.arange(n)[:, None]
+    vs = np.sort(v64, axis=1)
+    keys = _keys(rc, vs)
+    pre = np.zeros((n, nv + 1))
+    np.cumsum(vs - c, axis=1, out=pre[:, 1:])
+
+    def count(q, side):  # per line, how many values lie left of q
+        at = np.searchsorted(keys, _keys(rc, q), side).reshape(q.shape)
+        return at - nv * rc
+
+    a = count(-thr, "right")
+    e = a + n_de
+    b = count(means, "left")
+    ends = np.stack(
+        [a, np.clip(b[0], a, e), e, np.minimum(b[1], a), np.maximum(b[1], e)]
+    )
+    pa, pd, pe, p1, p2 = np.take(pre, ends + (nv + 1) * rc)
+    s_de = pe - pa
+    total = np.stack([s_de, pre[:, nv:] - s_de])
+    below = np.stack([pd - pa, p1 + (p2 - pe)])
+    n_below = np.stack([ends[1] - a, ends[3] + ends[4] - e])
+    return np.stack([total - 2.0 * below, total - below, counts - n_below], axis=1)
+
+
+def _error_bounds(levels, c, nv, counts, sums, d_all, q_all, bound):
     """Lower and upper bounds on each candidate's position-order error.
 
-    With o a cell's level minus the mean (sign-adjusted), |v - level| =
-    |dev - o| in the cell, so the cell's error is Σdev² + o·(n·o - 2·Σdev).
-    The estimate sums that over the four (group, sign) cells. Its bound is
-    ``bound`` times the line's magnitudes and covers the rounding of this
-    estimate and of the position-order sum.
+    With o a cell's level minus c (sign-adjusted) and D its signed sum of
+    x = v - c, the cell's error is Σx² + o·(n·o - 2·D). The estimate sums
+    that over the four (group, sign) cells. Its bound is ``bound`` times
+    the line's magnitudes and covers the rounding of this estimate and of
+    the position-order sum.
     """
-    (d_de, dp_de, c_de), (d_all, dp_all, c_all) = dense, total
-    dp_sp = dp_all - dp_de
-    c_sp = c_all - c_de
-    cells = (
-        (d_de - dp_de, n_de - c_de),
-        (dp_de, c_de),
-        (d_all - d_de - dp_sp, nv - n_de - c_sp),
-        (dp_sp, c_sp),
-    )
-    o = levels - mu_c
+    o = levels - c
     o[0::2] *= -1.0
-    est = np.repeat(q_all, n_de.shape[1], axis=1)
-    for oc, (dc, nc) in zip(o, cells):
-        est += oc * (nc * oc - 2.0 * dc)
+    est = np.repeat(q_all, counts.shape[2], axis=1)
+    for g in (0, 1):
+        d, dp, npos = sums[g]
+        cells = ((d - dp, counts[g] - npos), (dp, npos))
+        for oc, (dc, nc) in zip(o[2 * g : 2 * g + 2], cells):
+            est += oc * (nc * oc - 2.0 * dc)
     o_max = np.abs(o).max(axis=0)
     err = bound * (q_all + 2.0 * o_max * d_all + nv * (o_max * o_max))
     return est - err, est + err
 
 
-def _screen_band(v, ranks_in):
-    """Plan one band of ``v`` with one mean per line by the screen; same
-    returns as ``_plan_band``."""
+def _screen_band(v, ranks_in, share):
+    """Plan one band on every line of ``v`` (lines x band width).
+
+    Returns per-line (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
+    and the per-position (sparse, signs, recon) of the winning candidates.
+    """
     n, nv = v.shape
     rows = np.arange(n)
     rc = rows[:, None]
-    # A line whose mean overflows binary16 has no finite candidate. It is
-    # screened around 0 instead and gets the zeroed plan below.
-    mu = _shared_means(v)
+    line_sums = _sum_positions(np.ascontiguousarray(v.T, dtype=np.float64))
+    # The shared mean; a line where it overflows binary16 is screened
+    # around 0 instead.
+    mu = f16_round(line_sums / nv)
     fin = np.isfinite(mu)
     mu[~fin] = 0.0
     # equal ranks are the same candidate: screen each rank once
@@ -303,23 +285,36 @@ def _screen_band(v, ranks_in):
     inv = np.searchsorted(ranks, ranks_in)
     ncand = ranks.size
     v64 = v.astype(np.float64)
-    mu_c = mu[:, None]
-    t, n_de, dense, total, q_all = _sorted_sums(v64, mu_c, ranks)
-    d_all = total[0]
+    c = mu[:, None]
+    t, n_de, sums, d_all, q_all = _sorted_sums(v64, c, ranks)
+    counts = np.stack([n_de, nv - n_de])
     bound = _SLACK * (nv + 8) * _ULP
-    dsums = np.stack([d_all - dense[0], dense[0]])
-    al_s, al_d = _scales(v, mu, t, dsums, np.stack([nv - n_de, n_de]), bound * d_all)
+    if share:
+        # a line whose mean overflowed has no finite candidate and gets
+        # the zeroed plan below
+        means = np.broadcast_to(c, counts.shape)
+        finite = fin[:, None]
+        dsums, width = sums[:, 0], bound * d_all
+    else:
+        width = bound * (d_all + nv * np.abs(c))
+        means = _own_means(v, c, line_sums, t, counts, sums, width)
+        finite = np.isfinite(means).all(axis=0)
+        means = np.where(finite, means, 0.0)
+        sums = _split_at_means(v64, c, t, n_de, counts, means)
+        y = means - c
+        dsums = sums[:, 0] - y * (2.0 * sums[:, 2] - counts)
+        width = bound * (d_all + nv * np.abs(y))
+    al = _scales(v, means, t, dsums, counts, width)
     # a candidate with an overflowed scale or mean has infinite error and
     # never wins
-    finite = np.isfinite(al_s) & np.isfinite(al_d) & fin[:, None]
-    al_s[~finite] = 0.0
-    al_d[~finite] = 0.0
+    finite = finite & np.isfinite(al).all(axis=0)
+    al[:, ~finite] = 0.0
 
     # the four f32 levels of each candidate, indexed by 2 * sparse + (v >= mu)
     levels = np.empty((4, n, ncand), np.float32)
-    for c, al in enumerate((-al_d, al_d, -al_s, al_s)):
-        levels[c] = mu_c + al
-    lower, upper = _error_bounds(levels, mu_c, nv, n_de, dense, total, q_all, bound)
+    levels[0::2] = means - al
+    levels[1::2] = means + al
+    lower, upper = _error_bounds(levels, c, nv, counts, sums, d_all, q_all, bound)
     upper[~finite] = np.inf
     keep = finite & (lower <= upper.min(axis=1, keepdims=True))
     # candidates on one tie run are one candidate: evaluate the first
@@ -332,79 +327,67 @@ def _screen_band(v, ranks_in):
     # exact, position-order errors of the candidates that could win
     li, ki = np.nonzero(keep)
     vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
-    cell = 2 * (np.abs(vp) >= t[li, ki]) + (vp >= mu[li])
+    sp = np.abs(vp) >= t[li, ki]
+    m_de, m_sp = means[:, li, ki]
+    cell = 2 * sp + (vp >= np.where(sp, m_sp, m_de))
     diff = vp - levels[:, li, ki][cell, np.arange(li.size)]
     errs = np.full(t.shape, np.inf)
     errs[li, ki] = _sum_positions(np.square(diff, out=diff))
     errs = errs[rc, first]
 
-    # back to the caller's candidates; first minimum: smaller index wins ties
+    # back to the caller's candidates; first minimum: smaller index wins
+    # ties. A line with no finite candidate keeps mu = alpha = 0 and signs
+    # against 0.
     best = np.argmin(errs[:, inv], axis=1)
     k = inv[best]
     ok = np.isfinite(errs[rows, k])
     best[~ok] = 0
     k[~ok] = inv[0]
-    okc = ok[:, None]
+    mu_de, mu_sp = np.where(ok, means[:, rows, k], 0.0)
+    al_de, al_sp = np.where(ok, al[:, rows, k], 0.0)
     sparse = np.abs(v64) >= t[rows, k][:, None]
-    rec = levels[:, rows, k].T[rc, 2 * sparse + (v64 >= mu_c)]
+    pos = v64 >= np.where(sparse, mu_sp[:, None], mu_de[:, None])
+    rec = levels[:, rows, k].T[rc, 2 * sparse + pos]
     return (
         best,
         t[rows, k],
-        np.where(ok, mu, 0.0),
-        np.where(ok, mu, 0.0),
-        np.where(ok, al_s[rows, k], 0.0),
-        np.where(ok, al_d[rows, k], 0.0),
+        mu_sp,
+        mu_de,
+        al_sp,
+        al_de,
         np.where(ok, errs[rows, k], np.inf),
         sparse,
-        np.where(np.where(okc, v64 >= mu_c, v64 >= 0.0), 1, -1),
-        np.where(okc, rec, np.float32(0.0)),
+        np.where(pos, 1, -1),
+        np.where(ok[:, None], rec, np.float32(0.0)),
     )
-
-
-def _band_plans(v, ranks, share):
-    """Yield (lines, plan) pairs that cover the band ``v`` in chunks of
-    lines: the screen plans shared-mean bands, the dense path the rest."""
-    n, nv = v.shape
-    if share:
-        plan, step = _screen_band, _SCREEN_VALUES // (nv + len(ranks))
-    else:
-        plan, step = _plan_band, _CHUNK_VALUES // (nv * len(ranks))
-    step = max(1, step)
-    for i in range(0, n, step):
-        yield slice(i, i + step), plan(v[i : i + step], ranks)
 
 
 def plan_lines(lines, band_split, ranks0, ranks1, share):
     """Plan every line of ``lines`` (lines x width), band by band.
 
     ranks0 and ranks1 are the 1-based nearest ranks of the candidate
-    thresholds in the first and second band. Returns per (line, band)
-    thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de and sse, each with two
-    band columns (the second unused when band_split == width), and per
-    position sparse, signs and recon.
+    thresholds in the first and second band; band_split == width plans one
+    band. Returns per (line, band) thr_idx, thr_val, mu_sp, mu_de, al_sp,
+    al_de and sse, and per position sparse, signs and recon. Each band is
+    planned in chunks of lines holding at most ``_SCREEN_VALUES`` values
+    of lines x (band width + candidates).
     """
-    n_lines, d = lines.shape
-    nbands = 1 if band_split >= d else 2
-    thr_idx = np.zeros((n_lines, 2), np.uint8)
-    thr_val = np.zeros((n_lines, 2), np.float32)
-    mu_sp = np.zeros((n_lines, 2), np.float32)
-    mu_de = np.zeros((n_lines, 2), np.float32)
-    al_sp = np.zeros((n_lines, 2), np.float32)
-    al_de = np.zeros((n_lines, 2), np.float32)
-    sse = np.zeros((n_lines, 2), np.float64)
-    sparse = np.zeros((n_lines, d), np.uint8)
-    signs = np.zeros((n_lines, d), np.int8)
-    recon = np.zeros((n_lines, d), np.float32)
-    per_line = (thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de, sse)
-    per_pos = (sparse, signs, recon)
-    for b in range(nbands):
-        if b == 0:
-            lo, hi, ranks = 0, (band_split if nbands == 2 else d), ranks0
-        else:
-            lo, hi, ranks = band_split, d, ranks1
-        for rs, out in _band_plans(lines[:, lo:hi], ranks, share):
+    n, d = lines.shape
+    if band_split >= d:
+        bands = [(0, d, ranks0)]
+    else:
+        bands = [(0, band_split, ranks0), (band_split, d, ranks1)]
+    per_line = [
+        np.zeros((n, len(bands)), dt)
+        for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)
+    ]
+    per_pos = [np.zeros((n, d), dt) for dt in (np.uint8, np.int8, np.float32)]
+    for b, (lo, hi, ranks) in enumerate(bands):
+        step = max(1, _SCREEN_VALUES // (hi - lo + len(ranks)))
+        for i in range(0, n, step):
+            out = _screen_band(lines[i : i + step, lo:hi], ranks, share)
             for dst, src in zip(per_line, out[:7]):
-                dst[rs, b] = src
+                dst[i : i + step, b] = src
             for dst, src in zip(per_pos, out[7:]):
-                dst[rs, lo:hi] = src
-    return thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de, sse, sparse, signs, recon
+                dst[i : i + step, lo:hi] = src
+    return (*per_line, *per_pos)

@@ -51,8 +51,11 @@ def build_hessian(x) -> np.ndarray:
     xm = as_matrix(x, "activations", check_finite=True)
     x64 = xm.astype(np.float64)
     p = x64 @ x64.T
-    # p + p.T symmetrizes bitwise (addition commutes) and equals 2XX^T
-    return (p + p.T).astype(np.float32)
+    del x64  # the float64 copy of X is the largest array here
+    # p + p.T symmetrizes bitwise (addition commutes) and equals 2XX^T; it
+    # is summed in float64 and rounded once, straight into the result
+    h = np.empty(p.shape, np.float32)
+    return np.add(p, p.T, out=h)
 
 
 def resolve_damping(h: np.ndarray, damping) -> float:

@@ -140,20 +140,19 @@ def _ranks_for(levels, nvals: int) -> np.ndarray:
 def _line_plans(out, split: int) -> tuple[LinePlans, np.ndarray]:
     """Wrap plan_lines output; reject lines whose scalars overflow binary16."""
     thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse, signs, recon = out
-    nb = 1 if split == signs.shape[1] else 2
-    if not np.all(np.isfinite(sse[:, :nb])):
+    if not np.all(np.isfinite(sse)):
         raise NumericError("band statistics exceed the binary16 scalar range")
     plans = LinePlans(
         split=split,
-        thr_idx=thr_idx[:, :nb],
-        mu_sparse=mu_s[:, :nb],
-        mu_dense=mu_d[:, :nb],
-        alpha_sparse=al_s[:, :nb],
-        alpha_dense=al_d[:, :nb],
+        thr_idx=thr_idx,
+        mu_sparse=mu_s,
+        mu_dense=mu_d,
+        alpha_sparse=al_s,
+        alpha_dense=al_d,
         sparse=sparse.view(bool),
         signs=signs,
-        thr_val=thr_val[:, :nb],
-        sse=sse[:, :nb],
+        thr_val=thr_val,
+        sse=sse,
     )
     return plans, recon
 

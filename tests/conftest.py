@@ -1,4 +1,13 @@
-import numpy as np
+import os
+
+# One BLAS thread, as perfbench runs. With OpenBLAS's default threads the
+# small factorizations in calibration are slower, and the first of them
+# after the machine has idled can take ~0.3 s. numpy reads these when it
+# is first imported, which happens below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from hbq.config import nearest_rank, percentile_levels
 from hbq.errors import ShapeError

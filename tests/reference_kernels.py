@@ -175,13 +175,13 @@ def plan_lines(lines, band_split, ranks0, ranks1, share):
     """Same contract and outputs as ``hbq._kernels.plan_lines``."""
     n_lines, d = lines.shape
     nbands = 1 if band_split >= d else 2
-    thr_idx = np.zeros((n_lines, 2), np.uint8)
-    thr_val = np.zeros((n_lines, 2), np.float32)
-    mu_sp = np.zeros((n_lines, 2), np.float32)
-    mu_de = np.zeros((n_lines, 2), np.float32)
-    al_sp = np.zeros((n_lines, 2), np.float32)
-    al_de = np.zeros((n_lines, 2), np.float32)
-    sse = np.zeros((n_lines, 2), np.float64)
+    thr_idx = np.zeros((n_lines, nbands), np.uint8)
+    thr_val = np.zeros((n_lines, nbands), np.float32)
+    mu_sp = np.zeros((n_lines, nbands), np.float32)
+    mu_de = np.zeros((n_lines, nbands), np.float32)
+    al_sp = np.zeros((n_lines, nbands), np.float32)
+    al_de = np.zeros((n_lines, nbands), np.float32)
+    sse = np.zeros((n_lines, nbands), np.float64)
     sparse = np.zeros((n_lines, d), np.uint8)
     signs = np.zeros((n_lines, d), np.int8)
     recon = np.zeros((n_lines, d), np.float32)

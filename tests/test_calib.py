@@ -40,6 +40,18 @@ def test_hessian_exactly_symmetric():
     assert np.max(np.abs(h - h.T)) == 0.0
 
 
+def test_hessian_bits_match_float64_sum_rounded_once():
+    # H is the float64 p + p.T, p = X X^T, rounded to float32 once
+    rng = np.random.default_rng(12)
+    for m, n in ((1, 1), (3, 7), (16, 64), (65, 33)):
+        x = (rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1)))
+        x = x.astype(np.float32)
+        x64 = x.astype(np.float64)
+        p = x64 @ x64.T
+        want = (p + p.T).astype(np.float32)
+        assert build_hessian(x).tobytes() == want.tobytes()
+
+
 def test_hessian_rejects_bad_input():
     with pytest.raises(ShapeError):
         build_hessian(np.zeros((0, 4)))

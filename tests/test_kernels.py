@@ -161,11 +161,10 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
 
 
 def test_plan_lines_across_chunk_boundaries(monkeypatch):
-    # shrink both paths' budgets to 5 lines per 8-wide band so 23 lines
-    # cross four chunk boundaries, the last chunk a partial one. With
-    # shared means every other line's mean overflows binary16, so each
-    # screen chunk mixes zeroed plans with finite ones.
-    monkeypatch.setattr(K, "_CHUNK_VALUES", 5 * 40 * 8)
+    # shrink the screen's budget to 5 lines per 8-wide band so 23 lines
+    # cross four chunk boundaries, the last chunk a partial one, with
+    # sharing on and off. With shared means every other line's mean
+    # overflows binary16, so each chunk mixes zeroed plans with finite ones.
     monkeypatch.setattr(K, "_SCREEN_VALUES", 5 * (8 + 40))
     rng = np.random.default_rng(4)
     for kind in ("gauss", "plateau", "spiky"):
@@ -259,8 +258,9 @@ def test_plan_lines_wide_dynamic_range_line_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# The screened shared-mean path: its prefix-sum estimates must never change
-# a stored bit. Each case below is checked against the reference scan.
+# The screen: its prefix-sum estimates must never change a stored bit,
+# with shared means or each group's own. Each case below is checked
+# against the reference scan.
 # ---------------------------------------------------------------------------
 
 
@@ -273,13 +273,16 @@ def test_screen_exact_ties_between_candidates():
         for kind in ("plateau", "gauss"):
             lines = _trial_lines(rng, kind, 4, d)
             for n_candidates in (40, 256):
-                _assert_matches_reference(lines, d, True, n_candidates)
-    # Different sparse sets, equal errors: every candidate rounds both
-    # scales to 1.0, so all 40 reconstruct the line alike and index 0 wins.
+                for share in (True, False):
+                    _assert_matches_reference(lines, d, share, n_candidates)
+    # Different sparse sets, equal errors: every candidate's group means
+    # are 0 and it rounds both scales to 1.0, so all 40 reconstruct the
+    # line alike and index 0 wins.
     e = np.float32(1.0 - 2.0**-14)
     line = np.array([[1, -1, 1, -1, 1, -1, e, -e]], np.float32)
-    thr_idx, thr_val, *_ = _assert_matches_reference(line, 8, True)
-    assert thr_idx[0, 0] == 0 and thr_val[0, 0] == e
+    for share in (True, False):
+        thr_idx, thr_val, *_ = _assert_matches_reference(line, 8, share)
+        assert thr_idx[0, 0] == 0 and thr_val[0, 0] == e
     # The same with noise: mean 1, and every deviation within 2**-25 of 1,
     # so every candidate stores both scales as 1.0 and levels {0, 2}, and
     # all tie exactly. The deviations of the tiny values are not exact in
@@ -293,6 +296,7 @@ def test_screen_exact_ties_between_candidates():
     thr_idx, *_, recon = _assert_matches_reference(line, 16, True)
     assert thr_idx[0, 0] == 0
     assert set(recon[0].tolist()) == {0.0, 2.0}
+    _assert_matches_reference(line, 16, False)
 
 
 def test_screen_scale_on_binary16_midpoint():
@@ -321,7 +325,8 @@ def test_screen_plateau_and_small_integer_lines():
         ints[1] = 2.0
         for lines in (plateau, ints, ints * np.float32(2.0**-20)):
             for n_candidates in (2, 7, 40):
-                _assert_matches_reference(lines, split, True, n_candidates)
+                for share in (True, False):
+                    _assert_matches_reference(lines, split, share, n_candidates)
 
 
 def test_screen_large_mean_tiny_spread_lines():
@@ -331,8 +336,77 @@ def test_screen_large_mean_tiny_spread_lines():
     for mean in (1000.0, 1000.25, -3e4, 6.5e4):
         lines = (mean + rng.normal(size=(5, 32)) * 1e-3).astype(np.float32)
         lines[0, 0] += np.float32(0.5)
-        _assert_matches_reference(lines, 16, True)
-        _assert_matches_reference(lines, 32, True, n_candidates=256)
+        for share in (True, False):
+            _assert_matches_reference(lines, 16, share)
+            _assert_matches_reference(lines, 32, share, n_candidates=256)
+
+
+def test_screen_own_mean_sign_of_zero():
+    # Each line's winning dense group is its four tiny values. Their
+    # position-order sum is a tiny negative in the first line, so the
+    # dense mean is -0.0 (stored as 0x8000), and a tiny positive in the
+    # second (+0.0). The mean's interval then spans zeros of both signs,
+    # which must send the sum to be redone in position order.
+    lines = np.array(
+        [[3, -3, 2.5, -2.5, -1e-30, 1e-31, -2e-30, 0],
+         [3, -3, 2.5, -2.5, 1e-30, -1e-31, 2e-30, 0]],
+        np.float32,
+    )
+    for row in (lines[:1], lines[1:]):
+        _assert_matches_reference(row, 8, False)
+    out = _assert_matches_reference(lines, 8, False)
+    mu_de = out[3][:, 0]
+    assert mu_de.tolist() == [0.0, 0.0]
+    assert np.signbit(mu_de).tolist() == [True, False]
+
+
+def test_screen_own_mean_on_binary16_midpoint():
+    # In position order the tiny part 2**-43 of d is lost against A, so the
+    # dense mean's sum, total - sparse sum, is exactly d - 2**-43: the
+    # midpoint between binary16 16 and 17 times 2**-24, which ties to even
+    # (16). The screen's own dense sums keep it and land above the midpoint,
+    # so the mean must come from the position-order sum.
+    a = np.float32(1024.0)
+    d = np.float32(2.0**-20 + 2.0**-25 + 2.0**-43)
+    assert float(d) == 2.0**-20 + 2.0**-25 + 2.0**-43
+    line = np.array([[a, d, -a]], np.float32)
+    total = 0.0
+    for x in line[0]:
+        total += float(x)
+    assert total == 2.0**-20 + 2.0**-25
+    out = _assert_matches_reference(line, 3, False)
+    assert out[3][0, 0] == 2.0**-20  # mu_de
+    assert out[2][0, 0] == 0.0 and out[4][0, 0] == 1024.0  # mu_sp, al_sp
+
+
+def test_screen_own_mean_at_the_threshold():
+    # The dense values lie just inside the threshold 1, and their binary16
+    # mean rounds onto it (to -1 in the second line), so every dense value
+    # is on the same side of its group's mean. The winning split
+    # reconstructs every value exactly.
+    e = np.float32(1.0 - 2.0**-20)
+    lines = np.array(
+        [[1, -1, 1, -1, e, e, e, e], [1, -1, 1, -1, -e, -e, -e, -e]],
+        np.float32,
+    )
+    out = _assert_matches_reference(lines, 8, False)
+    assert out[3][:, 0].tolist() == [1.0, -1.0]  # mu_de
+    assert np.array_equal(out[9], lines)
+    assert np.all(out[6] == 0.0)
+
+
+def test_screen_own_means_one_sided_sparse_group():
+    # Every sparse value on one side of zero: sorted by value, the sparse
+    # group is one run at either end of the line, with no part on the
+    # other side of the dense group.
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(4, 8)) * 0.1
+    spikes = rng.uniform(4.0, 8.0, size=(4, 4))
+    for sign in (1.0, -1.0):
+        lines = np.hstack([sign * spikes, dense]).astype(np.float32)
+        lines = lines[:, rng.permutation(12)]
+        for n_candidates in (7, 40):
+            _assert_matches_reference(lines, 12, False, n_candidates)
 
 
 _values = st.one_of(
@@ -372,7 +446,8 @@ def _planner_inputs(draw):
 @given(_planner_inputs())
 def test_screen_matches_reference_on_random_lines(case):
     lines, split, (r0, r1) = case
-    out_ref = R.plan_lines(lines, split, r0, r1, True)
-    out = K.plan_lines(lines, split, r0, r1, True)
-    for got, want in zip(out, out_ref):
-        _assert_same_bits(got, want, (split, r0, r1))
+    for share in (True, False):
+        out_ref = R.plan_lines(lines, split, r0, r1, share)
+        out = K.plan_lines(lines, split, r0, r1, share)
+        for got, want in zip(out, out_ref):
+            _assert_same_bits(got, want, (split, r0, r1, share))
