@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import as_matrix
@@ -89,6 +88,10 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"hessian must be square, got {hm.shape}")
     if lam < 0:
         raise ConfigError(f"damping must be >= 0, got {lam}")
+    # imported here, not at module top, so commands that never factor
+    # (dequantize, inspect, gen) start without loading scipy.linalg
+    from scipy.linalg import lapack
+
     # J A J, in Fortran order so LAPACK factors and inverts it in place
     a = np.array(hm[::-1, ::-1], dtype=np.float64, order="F")
     a[np.diag_indices(m)] += lam

@@ -204,13 +204,18 @@ def _diag_rows(q, fmt: str) -> list[dict]:
     return rows
 
 
+def _frobenius_norm(w) -> float:
+    """||w||_F in float64: squaring float32 weights near 1e20 overflows."""
+    return float(np.linalg.norm(np.asarray(w, dtype=np.float64)))
+
+
 def cmd_quantize(args) -> int:
     rc = _resolve_config(args)
     w_path = _require_file(args.weights, "weights file")
     x_path = _require_file(args.calib, "calibration file")
     w = read_tensor(w_path)
     x = read_tensor(x_path)
-    w_norm = float(np.linalg.norm(w))
+    w_norm = _frobenius_norm(w)
     t0 = time.perf_counter()
     q = hbllm_quantize(
         w, x, beta=rc.beta, damping=rc.lam, mode=rc.axis, cfg=rc.to_quant_config()
@@ -317,7 +322,7 @@ def cmd_ab(args) -> int:
     x_path = _require_file(args.calib, "calibration file")
     w = read_tensor(w_path)
     x = read_tensor(x_path)
-    w_norm = float(np.linalg.norm(w))
+    w_norm = _frobenius_norm(w)
     calib = build_calib_stats(x, rc.lam)
     rows = []
     for name, cfg in _ab_variants(rc):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .calib import CalibStats, build_calib_stats, saliency_matrix
 from .config import QuantConfig
@@ -194,12 +193,20 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     )
     if b + beta == m:
         return  # nothing to the right: E would be discarded
+    from scipy.linalg import solve_triangular  # local: see calib's lapack
+
     e = solve_triangular(u_bb, resid.T, lower=False, trans="T").T
     tail = w[:, b + beta :].astype(np.float64)
     w[:, b + beta :] = (tail - e @ u[:, b + beta :]).astype(np.float32)
 
 
 def _validate_layer_inputs(w, x, beta, mode, cfg):
+    try:
+        mode = Axis(mode)
+    except ValueError:
+        raise ConfigError(
+            f"mode must be an Axis, 'row' or 'col', got {mode!r}"
+        ) from None
     wm = as_matrix(w, "weights", check_finite=True)
     xm = as_matrix(x, "activations", check_finite=True)
     n, m = wm.shape
@@ -211,7 +218,7 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
         raise ConfigError(f"beta must be a positive integer, got {beta}")
     beta = int(min(beta, m))
     if not cfg.haar_enabled:
-        return wm, xm, beta  # raw lines: no Haar pairs to keep whole
+        return wm, xm, beta, mode  # raw lines: no Haar pairs to keep whole
     rem = m % beta
     if mode is Axis.ROW:
         if beta % 2 != 0:
@@ -231,7 +238,7 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
     else:
         if n % 2 != 0:
             raise ConfigError(f"COL mode needs even row count, got {n}")
-    return wm, xm, beta
+    return wm, xm, beta, mode
 
 
 def _trial_ks(k_candidates, width: int, mode: Axis) -> list[int]:
@@ -278,10 +285,12 @@ def hbllm_quantize(
 ) -> QuantizedLayer:
     """Quantize one layer blockwise with compensation; w is consumed.
 
+    mode may be an Axis or its value, "row" or "col" (so mode="row" is
+    Axis.ROW); anything else raises ConfigError before any work is done.
     calib, when given, must match w's column count and skips the Hessian
     build (the CLI reuses one CalibStats across A/B runs).
     """
-    wm, xm, beta = _validate_layer_inputs(w, x, beta, mode, cfg)
+    wm, xm, beta, mode = _validate_layer_inputs(w, x, beta, mode, cfg)
     n, m = wm.shape
     if calib is None:
         calib = build_calib_stats(xm, damping)

@@ -2,14 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hbq
 from hbq.cli import run
 from hbq.formats import decode_layer, read_tensor, write_tensor
 from hbq.pipeline import dequantize_layer
@@ -322,3 +325,79 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
     assert "generated shape=4x8" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["quantize", "ab"])
+def test_overflowing_weights_exit_4_without_warning(tmp_path, capsys, command):
+    # ||w|| of float32 weights near 1e30 overflows if taken in float32;
+    # the command must fail on the binary16 range alone, with no warning
+    rng = np.random.default_rng(31)
+    w, x = tmp_path / "w.rts", tmp_path / "x.rts"
+    write_tensor(w, (rng.normal(size=(16, 64)) * 1e30).astype(np.float32))
+    write_tensor(x, rng.normal(size=(64, 128)).astype(np.float32))
+    argv = [command, str(w), str(x), "--beta", "32"]
+    if command == "quantize":
+        argv += ["--out", str(tmp_path / "o.hbq")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "binary16" in captured.err
+    assert "Warning" not in captured.err
+
+
+# Runs one CLI command (or none) in a fresh interpreter, then prints the
+# scipy modules loaded. The suite itself imports scipy, so only a child
+# process can show what a command loads.
+CHILD = """
+import json, sys
+import hbq
+rc = 0
+if len(sys.argv) > 1:
+    import hbq.cli
+    rc = hbq.cli.run(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"rc": rc, "scipy": loaded}))
+"""
+
+
+def run_child(argv):
+    env = dict(os.environ)
+    src = str(Path(hbq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["rc"] == 0, proc.stderr
+    return report["scipy"]
+
+
+def test_bare_import_leaves_scipy_unloaded():
+    assert run_child([]) == []
+
+
+@pytest.mark.parametrize("command", ["dequantize", "inspect", "gen"])
+def test_read_commands_leave_scipy_unloaded(tmp_path, capsys, command):
+    _, _, out, _ = quantized(tmp_path, capsys)
+    argv = {
+        "dequantize": ["dequantize", str(out), "--out", str(tmp_path / "r.rts")],
+        "inspect": ["inspect", str(out)],
+        "gen": ["gen", "--rows", "4", "--cols", "8", "--seed", "3",
+                "--out", str(tmp_path / "g.rts")],
+    }[command]
+    assert run_child(argv) == []
+
+
+def test_quantize_in_a_fresh_process_loads_scipy(tmp_path, capsys):
+    w, x, want, _ = quantized(tmp_path, capsys)
+    out = tmp_path / "child.hbq"
+    loaded = run_child(["quantize", str(w), str(x), "--out", str(out),
+                        "--beta", "32"])
+    assert out.read_bytes() == want.read_bytes()
+    assert "scipy.linalg" in loaded  # the probe sees scipy when it is loaded

@@ -428,6 +428,27 @@ def test_hbllm_validation():
     assert q.n == 5  # fine without the residual pass
 
 
+def test_hbllm_mode_must_be_an_axis(monkeypatch):
+    # a mode that is not an axis is refused before calibration runs; the
+    # axis values "row" and "col" stand for Axis.ROW and Axis.COL
+    rng = np.random.default_rng(24)
+    w = rng.normal(size=(4, 16)).astype(np.float32)
+    x = rng.normal(size=(16, 32)).astype(np.float32)
+    for mode, axis in (("row", Axis.ROW), ("col", Axis.COL)):
+        q = hbllm_quantize(w.copy(), x, beta=8, mode=mode)
+        assert q.mode is axis
+        want = hbllm_quantize(w.copy(), x, beta=8, mode=axis)
+        assert encode_layer(q) == encode_layer(want)
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration ran for an invalid mode")
+
+    monkeypatch.setattr("hbq.pipeline.build_calib_stats", no_calibration)
+    for bad in ("ROW", "rows", 0, None):
+        with pytest.raises(ConfigError, match="mode"):
+            hbllm_quantize(w.copy(), x, beta=8, mode=bad)
+
+
 def test_hbllm_odd_rows_without_residual_pass_in_row_mode():
     # every K is at least the 2-wide block, so each block falls back to
     # K = 0 and no residual pass runs: odd rows are fine, and the container
