@@ -1,11 +1,13 @@
 """Hot numeric kernels: the threshold planner and the binary16 rounder,
 vectorized with numpy. The Haar row pair lives in ``haar.py``.
 
-The planner screens one band of a chunk of lines at a time and takes each
-line's winning candidate threshold with a first-index argmin. Chunks are
-sized so the temporaries stay bounded however many lines a band has. A
-band costs O(nv log nv + C) per line (nv the band width, C the number of
-candidates), with group means shared or each group's own.
+The planner takes rows of one width, each row one band (the caller
+reshapes a line's Haar bands into rows of their own), screens a chunk of
+rows at a time and takes each row's winning candidate threshold with a
+first-index argmin. Chunks are sized so the temporaries stay bounded
+however many rows there are. A row costs O(nv log nv + C) (nv the band
+width, C the number of candidates), with group means shared or each
+group's own. Below, a "line" is one such row.
 
 - **Sums over the |v| order.** Each candidate's sparse set is a suffix of
   the line's |v| order, starting at the first index of its threshold's tie
@@ -48,7 +50,8 @@ the error that will actually be stored.
 
 ``tests/reference_kernels.py`` holds a scalar, one-line-at-a-time version of
 every kernel here and of the Haar row pair; ``tests/test_kernels.py`` checks
-these against it bit for bit.
+these against it bit for bit. Its planner takes whole lines and a band
+split, so the tests hand this one the same lines reshaped to band rows.
 """
 
 from __future__ import annotations
@@ -69,11 +72,9 @@ def f16_round(x):
 # band planner: threshold search + sign binarization
 # ---------------------------------------------------------------------------
 #
-# Lines are matrix rows. Each line is split at band_split into two bands
-# (band_split == line length means one band covering the raw line). Per
-# band, every candidate threshold t = sorted(|band|)[rank-1] splits
-# positions into sparse (|c| >= t) and dense (|c| < t); group means (pooled
-# when share_mean) and mean-absolute-deviation scales are narrowed to
+# Each row is one band. Every candidate threshold t = sorted(|band|)[rank-1]
+# splits positions into sparse (|c| >= t) and dense (|c| < t); group means
+# (pooled when share_mean) and mean-absolute-deviation scales are narrowed to
 # binary16, signs are taken against the narrowed mean with sign(0) = +1,
 # and the candidate with the smallest narrowed reconstruction SSE wins
 # (first index on ties). Empty dense groups degenerate to single-group
@@ -266,10 +267,10 @@ def _error_bounds(levels, c, nv, counts, sums, d_all, q_all, bound):
 
 
 def _screen_band(v, ranks_in, share):
-    """Plan one band on every line of ``v`` (lines x band width).
+    """Plan every row of ``v`` (rows x band width) as one band.
 
-    Returns per-line (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
-    and the per-position (sparse, signs, recon) of the winning candidates.
+    Returns per row (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
+    and per position (sparse, signs) of the winning candidates.
     """
     n, nv = v.shape
     rows = np.arange(n)
@@ -347,7 +348,6 @@ def _screen_band(v, ranks_in, share):
     al_de, al_sp = np.where(ok, al[:, rows, k], 0.0)
     sparse = np.abs(v64) >= t[rows, k][:, None]
     pos = v64 >= np.where(sparse, mu_sp[:, None], mu_de[:, None])
-    rec = levels[:, rows, k].T[rc, 2 * sparse + pos]
     return (
         best,
         t[rows, k],
@@ -358,36 +358,23 @@ def _screen_band(v, ranks_in, share):
         np.where(ok, errs[rows, k], np.inf),
         sparse,
         np.where(pos, 1, -1),
-        np.where(ok[:, None], rec, np.float32(0.0)),
     )
 
 
-def plan_lines(lines, band_split, ranks0, ranks1, share):
-    """Plan every line of ``lines`` (lines x width), band by band.
+def plan_lines(lines, ranks, share):
+    """Plan every row of ``lines`` (rows x band width) as one band.
 
-    ranks0 and ranks1 are the 1-based nearest ranks of the candidate
-    thresholds in the first and second band; band_split == width plans one
-    band. Returns per (line, band) thr_idx, thr_val, mu_sp, mu_de, al_sp,
-    al_de and sse, and per position sparse, signs and recon. Each band is
-    planned in chunks of lines holding at most ``_SCREEN_VALUES`` values
-    of lines x (band width + candidates).
+    ranks are the 1-based nearest ranks of the candidate thresholds in a
+    row. Returns per row thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de and
+    sse, and per position sparse and signs. Rows are planned in chunks
+    holding at most ``_SCREEN_VALUES`` values of rows x (band width +
+    candidates).
     """
-    n, d = lines.shape
-    if band_split >= d:
-        bands = [(0, d, ranks0)]
-    else:
-        bands = [(0, band_split, ranks0), (band_split, d, ranks1)]
-    per_line = [
-        np.zeros((n, len(bands)), dt)
-        for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)
-    ]
-    per_pos = [np.zeros((n, d), dt) for dt in (np.uint8, np.int8, np.float32)]
-    for b, (lo, hi, ranks) in enumerate(bands):
-        step = max(1, _SCREEN_VALUES // (hi - lo + len(ranks)))
-        for i in range(0, n, step):
-            out = _screen_band(lines[i : i + step, lo:hi], ranks, share)
-            for dst, src in zip(per_line, out[:7]):
-                dst[i : i + step, b] = src
-            for dst, src in zip(per_pos, out[7:]):
-                dst[i : i + step, lo:hi] = src
-    return (*per_line, *per_pos)
+    n, nv = lines.shape
+    out = [np.zeros(n, dt) for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)]
+    out += [np.zeros((n, nv), dt) for dt in (bool, np.int8)]
+    step = max(1, _SCREEN_VALUES // (nv + len(ranks)))
+    for i in range(0, n, step):
+        for dst, src in zip(out, _screen_band(lines[i : i + step], ranks, share)):
+            dst[i : i + step] = src
+    return tuple(out)

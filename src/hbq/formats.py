@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import MAX_CANDIDATES, QuantConfig, percentile_levels
 from .errors import ConfigError, IntegrityError, ShapeError
-from .grouping import LinePlans, band_bounds, band_split
+from .grouping import LinePlans, band_split
 from .haar import Axis
 from .pipeline import QuantizedBlock, QuantizedLayer, block_spans
 from .salient import SalientMask
@@ -131,41 +131,40 @@ def _scalar_names(share: bool) -> tuple[str, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _line_dtype(width: int, split: int, share: bool) -> np.dtype:
+def _line_dtype(width: int, bands: int, share: bool) -> np.dtype:
     """One line record: per band a threshold index, the binary16 scalars
     and the sparse-group bitmap, then the line's sign bits."""
-    fields = []
-    for b, (lo, hi) in enumerate(band_bounds(width, split)):
-        fields += [
-            (f"idx{b}", "u1"),
-            (f"scalars{b}", "<f2", (len(_scalar_names(share)),)),
-            (f"sparse{b}", "u1", (_bitset_bytes(hi - lo),)),
-        ]
-    fields.append(("signs", "u1", (_bitset_bytes(width),)))
-    return np.dtype(fields)
+    band = np.dtype([
+        ("idx", "u1"),
+        ("scalars", "<f2", (len(_scalar_names(share)),)),
+        ("sparse", "u1", (_bitset_bytes(width // bands),)),
+    ])
+    signs = ("signs", "u1", (_bitset_bytes(width),))
+    return np.dtype([("bands", band, (bands,)), signs])
 
 
 @functools.lru_cache(maxsize=64)
-def _record_padding(width: int, split: int, share: bool) -> np.ndarray:
+def _record_padding(width: int, bands: int, share: bool) -> np.ndarray:
     """Per byte of a line record, the padding bits of its bitsets."""
-    dt = _line_dtype(width, split, share)
-    padding = np.zeros(dt.itemsize, np.uint8)
-    bands = band_bounds(width, split)
-    bitsets = [(f"sparse{b}", hi - lo) for b, (lo, hi) in enumerate(bands)]
-    for name, count in bitsets + [("signs", width)]:
-        padding[dt.fields[name][1] + dt[name].itemsize - 1] = _padding_bits(count)
+    rec = np.zeros((), _line_dtype(width, bands, share))
+    rec["bands"]["sparse"][:, -1] = _padding_bits(width // bands)
+    rec["signs"][-1] = _padding_bits(width)
+    padding = rec.reshape(1).view(np.uint8)
     padding.flags.writeable = False
     return padding
 
 
 def _encode_plans(plans: LinePlans, share: bool) -> bytes:
-    rec = np.empty(plans.lines, _line_dtype(plans.width, plans.split, share))
-    for b, (lo, hi) in enumerate(plans.bands):
-        rec[f"idx{b}"] = plans.thr_idx[:, b]
-        rec[f"scalars{b}"] = np.stack(
-            [getattr(plans, name)[:, b] for name in _scalar_names(share)], axis=1
-        )
-        rec[f"sparse{b}"] = _pack_bits(plans.sparse[:, lo:hi])
+    lines, bands = plans.thr_idx.shape
+    rec = np.empty(lines, _line_dtype(plans.width, bands, share))
+    per_band = rec["bands"]
+    per_band["idx"] = plans.thr_idx
+    per_band["scalars"] = np.stack(
+        [getattr(plans, name) for name in _scalar_names(share)], axis=-1
+    )
+    per_band["sparse"] = _pack_bits(
+        plans.sparse.reshape(lines, bands, plans.width // bands)
+    )
     rec["signs"] = _pack_bits(plans.signs > 0)
     return rec.tobytes()
 
@@ -207,8 +206,9 @@ def _reject_first(bad: np.ndarray, rec: np.ndarray, pos: int, field: str, what: 
     band) or (line, band, scalar); C order over those is byte order."""
     if bad.any():
         row, b, *j = np.argwhere(bad)[0]
-        at = pos + row * rec.itemsize + rec.dtype.fields[f"{field}{b}"][1] + 2 * sum(j)
-        raise IntegrityError(f"{what} at byte {at}")
+        band = rec.dtype["bands"].base
+        at = pos + row * rec.itemsize + b * band.itemsize + band.fields[field][1]
+        raise IntegrityError(f"{what} at byte {at + 2 * sum(j)}")
 
 
 def _decode_plans(
@@ -222,14 +222,14 @@ def _decode_plans(
         split = band_split(width, cfg)
     except ShapeError as exc:
         raise IntegrityError(f"{exc} at byte {pos}") from None
-    dt = _line_dtype(width, split, cfg.share_mean)
+    bands = width // split
+    dt = _line_dtype(width, bands, cfg.share_mean)
     if count * dt.itemsize > end - pos:
         raise IntegrityError(f"container truncated at byte {pos}")
     rec = np.frombuffer(data, dt, count=count, offset=pos)
-    bands = band_bounds(width, split)
-    thr_idx = np.stack([rec[f"idx{b}"] for b in range(len(bands))], axis=1)
-    scalars = np.stack([rec[f"scalars{b}"] for b in range(len(bands))], axis=1)
-    scalars = scalars.astype(np.float32)  # (line, band, scalar)
+    per_band = rec["bands"]
+    thr_idx = per_band["idx"]
+    scalars = per_band["scalars"].astype(np.float32)  # (line, band, scalar)
     _reject_first(thr_idx >= cfg.n_candidates, rec, pos, "idx",
                   f"threshold index beyond {cfg.n_candidates} candidates")
     bad = ~np.isfinite(scalars)
@@ -237,20 +237,16 @@ def _decode_plans(
     _reject_first(bad, rec, pos, "scalars", "non-finite or negative plan scalar")
     # set padding bits would be dropped by re-encoding
     raw = np.frombuffer(data, np.uint8, count * dt.itemsize, pos)
-    padded = raw.reshape(count, -1) & _record_padding(width, split, cfg.share_mean)
+    padded = raw.reshape(count, -1) & _record_padding(width, bands, cfg.share_mean)
     if padded.any():
         at = pos + int(np.flatnonzero(padded)[0])
         raise IntegrityError(f"nonzero padding bits at byte {at}")
     named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
     named.setdefault("mu_dense", named["mu_sparse"])
-    sparse = [
-        _unpack_bits(rec[f"sparse{b}"], hi - lo) for b, (lo, hi) in enumerate(bands)
-    ]
     nan = np.full(thr_idx.shape, np.nan)
     plans = LinePlans(
-        split=split,
         thr_idx=thr_idx,
-        sparse=np.concatenate(sparse, axis=1),
+        sparse=_unpack_bits(per_band["sparse"], split).reshape(count, width),
         signs=np.where(_unpack_bits(rec["signs"], width), 1, -1).astype(np.int8),
         thr_val=nan.astype(np.float32),
         sse=nan,
@@ -375,8 +371,8 @@ def bit_report(q: QuantizedLayer) -> BitReport:
         mask += width
         stored += 8 * (_BLOCK.size + _bitset_bytes(width))
         for plans in (block.nonsalient_plans, block.salient_plans):
-            lines, bands = plans.lines, len(plans.bands)
-            stored += 8 * lines * _line_dtype(plans.width, plans.split, share).itemsize
+            lines, bands = plans.thr_idx.shape
+            stored += 8 * lines * _line_dtype(plans.width, bands, share).itemsize
             index += 8 * bands * lines
             scalar += 16 * scalars_per_band * bands * lines
             mask += plans.width * lines  # the bands' bitmaps cover the line

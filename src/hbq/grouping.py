@@ -2,12 +2,13 @@
 
 A line is one row of the matrix handed to ``quantize_lines``; which way
 lines run through a weight block is the pipeline's business. With the
-transform on, each line is Haar-transformed and split at ``band_split``
-into a low and a high band; with it off, the raw line is one band. Within a
-band, every candidate threshold t (an absolute-value percentile of the
-band) separates sparse positions (|c| >= t) from dense ones, each group is
-binarized around its mean (or around the pooled mean when sharing is on),
-and the candidate with the smallest reconstruction error wins.
+transform on, each line is Haar-transformed into a low and a high band of
+equal width; with it off, the raw line is one band. The planner sees only
+bands: each band is a row of its own. Within a band, every candidate
+threshold t (an absolute-value percentile of the band) separates sparse
+positions (|c| >= t) from dense ones, each group is binarized around its
+mean (or around the pooled mean when sharing is on), and the candidate
+with the smallest reconstruction error wins.
 
 Planned scalars are narrowed to binary16 at plan time, not at write time:
 the error the search optimizes is then exactly the error of what the file
@@ -30,7 +31,6 @@ CIQ_TOLERANCE = 1e-9
 
 __all__ = [
     "LinePlans",
-    "band_bounds",
     "band_split",
     "quantize_lines",
     "compute_ciq",
@@ -38,7 +38,7 @@ __all__ = [
 
 
 def band_split(width: int, cfg: QuantConfig) -> int:
-    """Where the low band of a line of width positions ends: half of it
+    """The width of each band of a line of width positions: half of it
     with the transform on, all of it (one raw band) with it off."""
     if not cfg.haar_enabled:
         return width
@@ -47,47 +47,41 @@ def band_split(width: int, cfg: QuantConfig) -> int:
     return width // 2
 
 
-def band_bounds(width: int, split: int) -> list[tuple[int, int]]:
-    """[lo, hi) position ranges of the bands of a line split at split."""
-    return [(0, split)] if split == width else [(0, split), (split, width)]
-
-
 @dataclass(frozen=True, eq=False)
 class LinePlans:
     """Winning groupings of a set of lines, as arrays (one line per row).
 
-    Lines hold width positions, split into bands at split: one band when
-    split == width (untransformed lines), else the Haar low band [0, split)
-    and high band [split, width), split == width // 2. Per (line, band):
+    A line of width positions holds one band (an untransformed line) or
+    two of width // 2, the Haar low and high band. Per (line, band):
     thr_idx, the binary16-representable mu_sparse/mu_dense/alpha_sparse/
     alpha_dense (mu_dense and alpha_dense are 0.0 when the dense group is
     empty; with mean sharing both mu slots hold the pooled mean), and
     thr_val/sse, diagnostics that are never serialized and read NaN after
     decode. Per position: sparse (group membership) and signs (+1/-1).
+    The fields are in ``plan_lines``' output order.
     """
 
-    split: int
     thr_idx: np.ndarray
+    thr_val: np.ndarray = field(repr=False)
     mu_sparse: np.ndarray
     mu_dense: np.ndarray
     alpha_sparse: np.ndarray
     alpha_dense: np.ndarray
+    sse: np.ndarray = field(repr=False)
     sparse: np.ndarray
     signs: np.ndarray = field(repr=False)
-    thr_val: np.ndarray = field(repr=False)
-    sse: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         lines, width = self.signs.shape
-        if self.split != width and (width % 2 or self.split != width // 2):
-            raise ShapeError(
-                f"band split {self.split} is neither {width} nor half of it"
-            )
-        bands = (lines, 1 if self.split == width else 2)
-        for name in ("thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
-                     "alpha_dense", "thr_val", "sse"):
-            if getattr(self, name).shape != bands:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {bands}")
+        bands = self.thr_idx.shape[-1]
+        if bands not in (1, 2) or width % bands:
+            raise ShapeError(f"lines of width {width} do not hold {bands} bands")
+        for name in ("thr_idx", "thr_val", "mu_sparse", "mu_dense",
+                     "alpha_sparse", "alpha_dense", "sse"):
+            if getattr(self, name).shape != (lines, bands):
+                raise ShapeError(
+                    f"{name} shape {getattr(self, name).shape} != {(lines, bands)}"
+                )
         if self.sparse.shape != (lines, width):
             raise ShapeError(f"sparse shape {self.sparse.shape} != {(lines, width)}")
 
@@ -95,9 +89,9 @@ class LinePlans:
     def empty(cls, width: int) -> LinePlans:
         """A set of zero lines of length width (e.g. no salient columns)."""
         f32 = np.zeros((0, 1), np.float32)
-        return cls(width, np.zeros((0, 1), np.uint8), f32, f32, f32, f32,
-                   np.zeros((0, width), bool), np.zeros((0, width), np.int8),
-                   f32, np.zeros((0, 1), np.float64))
+        return cls(np.zeros((0, 1), np.uint8), f32, f32, f32, f32, f32,
+                   np.zeros((0, 1), np.float64), np.zeros((0, width), bool),
+                   np.zeros((0, width), np.int8))
 
     @property
     def lines(self) -> int:
@@ -107,74 +101,49 @@ class LinePlans:
     def width(self) -> int:
         return self.signs.shape[1]
 
-    @property
-    def bands(self) -> list[tuple[int, int]]:
-        return band_bounds(self.width, self.split)
-
     def recon(self) -> np.ndarray:
         """Dequantize every line from its plan and sign bits alone.
 
-        Matches planner reconstructions bit for bit: the same f64
-        mu + alpha*sign evaluation narrowed to f32 at the end.
+        Each band is a row of mu + alpha * sign, evaluated in f64 and
+        narrowed to f32: the reconstruction the planner scores.
         """
-        band = np.zeros(self.width, np.intp)
-        band[self.split :] = 1
-        mu = np.where(self.sparse, self.mu_sparse[:, band], self.mu_dense[:, band])
-        al = np.where(
-            self.sparse, self.alpha_sparse[:, band], self.alpha_dense[:, band]
-        )
-        return (mu.astype(np.float64) + al.astype(np.float64) * self.signs).astype(
-            np.float32
-        )
+        bands = self.thr_idx.shape[1]
+        rows = (self.lines * bands, self.width // bands)
+        sparse = self.sparse.reshape(rows)
+
+        def per_position(sp, de):
+            return np.where(sparse, sp.reshape(-1, 1), de.reshape(-1, 1))
+
+        mu = per_position(self.mu_sparse, self.mu_dense).astype(np.float64)
+        al = per_position(self.alpha_sparse, self.alpha_dense).astype(np.float64)
+        rec = (mu + al * self.signs.reshape(rows)).astype(np.float32)
+        return rec.reshape(self.lines, self.width)
 
     def weights(self) -> np.ndarray:
         """recon() synthesized back to the line domain, one row per line."""
         coeffs = self.recon()
-        return coeffs if self.split == self.width else haar_inv_rows(coeffs)
+        return coeffs if self.thr_idx.shape[1] == 1 else haar_inv_rows(coeffs)
 
 
-def _ranks_for(levels, nvals: int) -> np.ndarray:
-    return np.array([nearest_rank(lv, nvals) for lv in levels], dtype=np.int64)
+def quantize_lines(lines, cfg: QuantConfig) -> LinePlans:
+    """Plan every row of lines as one line.
 
-
-def _line_plans(out, split: int) -> tuple[LinePlans, np.ndarray]:
-    """Wrap plan_lines output; reject lines whose scalars overflow binary16."""
-    thr_idx, thr_val, mu_s, mu_d, al_s, al_d, sse, sparse, signs, recon = out
-    if not np.all(np.isfinite(sse)):
-        raise NumericError("band statistics exceed the binary16 scalar range")
-    plans = LinePlans(
-        split=split,
-        thr_idx=thr_idx,
-        mu_sparse=mu_s,
-        mu_dense=mu_d,
-        alpha_sparse=al_s,
-        alpha_dense=al_d,
-        sparse=sparse.view(bool),
-        signs=signs,
-        thr_val=thr_val,
-        sse=sse,
-    )
-    return plans, recon
-
-
-def quantize_lines(lines, cfg: QuantConfig) -> tuple[LinePlans, np.ndarray]:
-    """Plan every row of lines as one line and reconstruct it.
-
-    Lines are transformed when cfg.haar_enabled, planned band by band, and
-    synthesized back: recon holds the planner's reconstruction of each
-    line in the domain of lines, bit for bit what plans.weights() gives.
+    With cfg.haar_enabled the lines are transformed, and the (n, width)
+    coefficients are viewed, without a copy, as (n·2, width/2) band rows:
+    each line's low band, then its high band. One ``plan_lines`` call plans
+    every band row, and its outputs are viewed back as (n, bands) and
+    (n, width). ``plans.weights()`` reconstructs the lines.
     """
     mat = as_matrix(lines, "lines")
-    width = mat.shape[1]
+    n, width = mat.shape
     split = band_split(width, cfg)
-    raw = split == width
-    levels = cfg.levels()
-    ranks0 = _ranks_for(levels, split)
-    ranks1 = np.zeros(0, np.int64) if raw else _ranks_for(levels, width - split)
-    coeffs = mat if raw else haar_fwd_rows(mat)
-    out = plan_lines(coeffs, split, ranks0, ranks1, cfg.share_mean)
-    plans, recon = _line_plans(out, split)
-    return plans, recon if raw else haar_inv_rows(recon)
+    coeffs = mat if split == width else haar_fwd_rows(mat)
+    ranks = np.array([nearest_rank(lv, split) for lv in cfg.levels()], np.int64)
+    out = plan_lines(coeffs.reshape(-1, split), ranks, cfg.share_mean)
+    plans = LinePlans(*(a.reshape(n, -1) for a in out))
+    if not np.all(np.isfinite(plans.sse)):
+        raise NumericError("band statistics exceed the binary16 scalar range")
+    return plans
 
 
 def compute_ciq(recon) -> np.ndarray:

@@ -124,13 +124,14 @@ def row_haarquant(
     """
     wm = as_matrix(w_block, "block")
     n = wm.shape[0]
-    row_plans, recon = quantize_lines(fill_avg(wm, mask), cfg)
+    row_plans = quantize_lines(fill_avg(wm, mask), cfg)
+    recon = row_plans.weights()
     salient_plans = LinePlans.empty(n)
     if mask.k:
         idx = mask.indices
         residual = wm[:, idx] - recon[:, idx]
-        salient_plans, sal = quantize_lines(residual.T, cfg)
-        recon[:, idx] = recon[:, idx] + sal.T
+        salient_plans = quantize_lines(residual.T, cfg)
+        recon[:, idx] = recon[:, idx] + salient_plans.weights().T
     return QuantizedBlock(Axis.ROW, mask, row_plans, salient_plans), recon
 
 
@@ -145,11 +146,13 @@ def col_haarquant(
     n, width = wm.shape
     recon = np.zeros((width, n), dtype=np.float32)  # one row per column
     keep = np.flatnonzero(~mask.bits)
-    nonsal_plans, recon[keep] = quantize_lines(wm[:, keep].T, cfg)
+    nonsal_plans = quantize_lines(wm[:, keep].T, cfg)
+    recon[keep] = nonsal_plans.weights()
     salient_plans = LinePlans.empty(n)
     if mask.k:
         idx = mask.indices
-        salient_plans, recon[idx] = quantize_lines(wm[:, idx].T, cfg)
+        salient_plans = quantize_lines(wm[:, idx].T, cfg)
+        recon[idx] = salient_plans.weights()
     recon = np.ascontiguousarray(recon.T)
     return QuantizedBlock(Axis.COL, mask, nonsal_plans, salient_plans), recon
 

@@ -96,7 +96,7 @@ def test_criterion_03_candidate_search_dominance():
     sse = {}
     for count in (10, 20, 40, 80):
         cfg = QuantConfig(n_candidates=count, candidate_levels=levels[count])
-        plans, _ = quantize_lines(rows, cfg)
+        plans = quantize_lines(rows, cfg)
         sse[count] = plans.sse[:, 0] + plans.sse[:, 1]
     mono = (
         np.all(sse[20] <= sse[10])
@@ -104,8 +104,8 @@ def test_criterion_03_candidate_search_dominance():
         and np.all(sse[80] <= sse[40])
     )
 
-    _, w_t = quantize_lines(rows, QuantConfig())
-    _, w_r = quantize_lines(rows, QuantConfig(haar_enabled=False))
+    w_t = quantize_lines(rows, QuantConfig()).weights()
+    w_r = quantize_lines(rows, QuantConfig(haar_enabled=False)).weights()
     r64 = rows.astype(np.float64)
     err_t = np.sum((r64 - w_t) ** 2, axis=1)
     err_r = np.sum((r64 - w_r) ** 2, axis=1)

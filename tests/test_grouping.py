@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import reference_kernels as R
 from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
 from hbq.errors import NumericError, ShapeError
 from conftest import binarize_group, candidate_thresholds, shared_mean
 from hbq.grouping import CIQ_TOLERANCE, LinePlans, compute_ciq, quantize_lines
+from hbq.haar import haar_fwd_rows, haar_inv_rows
 
 
 def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
@@ -16,7 +18,7 @@ def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
         candidate_levels=levels,
     )
     row = np.asarray(band, np.float32).reshape(1, -1)
-    return quantize_lines(row, cfg)[0]
+    return quantize_lines(row, cfg)
 
 
 def f16(x):
@@ -258,16 +260,16 @@ def test_plan_band_sse_matches_its_own_fields():
 
 
 def test_line_plans_validates_shapes():
-    plans, _ = quantize_lines(np.ones((3, 8), np.float32), QuantConfig())
+    plans = quantize_lines(np.ones((3, 8), np.float32), QuantConfig())
     fields = {name: getattr(plans, name) for name in (
-        "split", "thr_idx", "mu_sparse", "mu_dense", "alpha_sparse",
-        "alpha_dense", "sparse", "signs", "thr_val", "sse")}
+        "thr_idx", "thr_val", "mu_sparse", "mu_dense", "alpha_sparse",
+        "alpha_dense", "sse", "sparse", "signs")}
     LinePlans(**fields)
     for name, bad in (
-        ("split", 0),
-        ("split", 9),
-        ("split", 8),  # one band, but the scalars hold two
-        ("split", 3),  # neither the width nor half of it
+        ("thr_idx", fields["thr_idx"][:, :1]),  # one band, the scalars two
+        ("thr_idx", fields["thr_idx"][:2]),
+        ("thr_idx", np.zeros((3, 4), np.uint8)),  # neither one band nor two
+        ("signs", fields["signs"][:, :7]),  # two bands of an odd width
         ("alpha_dense", fields["alpha_dense"][:, :1]),
         ("sparse", fields["sparse"][:2]),
     ):
@@ -281,19 +283,19 @@ def test_line_plans_validates_shapes():
 
 
 def test_quantize_lines_two_element_bands_exact():
-    plans, recon = quantize_lines([[2.0, 4.0, 6.0, 10.0]], QuantConfig())
+    plans = quantize_lines([[2.0, 4.0, 6.0, 10.0]], QuantConfig())
     assert plans.lines == 1
     # <=2 values per band: the coefficients are stored exactly
     want = np.array([[3, 8, -1, -2]], dtype=np.float32)
     assert np.array_equal(plans.recon(), want)
     assert plans.sse[0, 0] == 0.0
     assert plans.sse[0, 1] == 0.0
-    assert np.array_equal(recon, np.array([[2, 4, 6, 10]], dtype=np.float32))
+    assert np.array_equal(plans.weights(), np.array([[2, 4, 6, 10]], np.float32))
 
 
 def test_quantize_lines_zero_matrix():
-    plans, recon = quantize_lines(np.zeros((3, 8), dtype=np.float32), QuantConfig())
-    assert np.all(recon == 0.0)
+    plans = quantize_lines(np.zeros((3, 8), dtype=np.float32), QuantConfig())
+    assert np.all(plans.weights() == 0.0)
     assert np.all(plans.alpha_sparse == 0.0)
     assert plans.alpha_sparse.shape == (3, 2)
 
@@ -303,9 +305,9 @@ def test_quantize_lines_col_axis_matches_row_of_transpose():
     m = rng.normal(size=(8, 6)).astype(np.float32)
     cfg = QuantConfig()
     # column lines arrive as a transposed view
-    col_plans, col_recon = quantize_lines(m.T, cfg)
-    row_plans, row_recon = quantize_lines(np.ascontiguousarray(m.T), cfg)
-    assert np.array_equal(col_recon, row_recon)
+    col_plans = quantize_lines(m.T, cfg)
+    row_plans = quantize_lines(np.ascontiguousarray(m.T), cfg)
+    assert np.array_equal(col_plans.weights(), row_plans.weights())
     assert col_plans.lines == row_plans.lines == 6
     assert np.array_equal(col_plans.signs, row_plans.signs)
     assert np.array_equal(col_plans.thr_val[:, 0], row_plans.thr_val[:, 0])
@@ -315,10 +317,10 @@ def test_quantize_lines_raw_mode_single_band():
     rng = np.random.default_rng(61)
     m = rng.normal(size=(4, 7)).astype(np.float32)  # odd width fine when raw
     cfg = QuantConfig(haar_enabled=False)
-    plans, recon = quantize_lines(m, cfg)
-    assert plans.bands == [(0, 7)]
+    plans = quantize_lines(m, cfg)
+    assert plans.thr_idx.shape == (4, 1)
     assert plans.width == 7
-    assert recon.shape == m.shape
+    assert plans.weights().shape == m.shape
 
 
 def test_quantize_lines_haar_beats_raw_on_most_rows():
@@ -332,8 +334,8 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
     m = structured_rows(rng, 64, 128)
     cfg_h = QuantConfig()
     cfg_r = QuantConfig(haar_enabled=False)
-    plans_h, _ = quantize_lines(m, cfg_h)
-    plans_r, _ = quantize_lines(m, cfg_r)
+    plans_h = quantize_lines(m, cfg_h)
+    plans_r = quantize_lines(m, cfg_r)
     wins = 0
     for ph, pr in zip(plans_h.sse, plans_r.sse):
         haar_weight_sse = 2.0 * (ph[0] + ph[1])
@@ -343,6 +345,8 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
 
 
 def test_plans_recon_matches_planner_recon():
+    # the plans alone rebuild, bit for bit, the reconstruction the scalar
+    # reference planner scores, band by band on the transformed lines
     rng = np.random.default_rng(71)
     m = rng.normal(size=(8, 32)).astype(np.float32)
     for cfg, lines in (
@@ -351,8 +355,16 @@ def test_plans_recon_matches_planner_recon():
         (QuantConfig(share_mean=False), m),
         (QuantConfig(share_mean=False), m.T),
     ):
-        plans, recon = quantize_lines(lines, cfg)
-        assert np.array_equal(plans.weights(), recon)
+        plans = quantize_lines(lines, cfg)
+        lines = np.ascontiguousarray(lines)
+        split = lines.shape[1] // 2 if cfg.haar_enabled else lines.shape[1]
+        coeffs = haar_fwd_rows(lines) if cfg.haar_enabled else lines
+        ranks = np.array([nearest_rank(lv, split) for lv in cfg.levels()])
+        r1 = ranks if cfg.haar_enabled else np.zeros(0, np.int64)
+        recon = R.plan_lines(coeffs, split, ranks, r1, cfg.share_mean)[-1]
+        assert plans.recon().tobytes() == recon.tobytes()
+        synth = haar_inv_rows(recon) if cfg.haar_enabled else recon
+        assert plans.weights().tobytes() == synth.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +398,7 @@ def test_ciq_single_row_block_bound():
     rng = np.random.default_rng(73)
     for _ in range(10):
         row = rng.normal(scale=2.0, size=128).astype(np.float32).reshape(1, -1)
-        _, back = quantize_lines(row, QuantConfig())
+        back = quantize_lines(row, QuantConfig()).weights()
         assert compute_ciq(back).max() <= 32
 
 

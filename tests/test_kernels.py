@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import reference_kernels as R
 from hbq import _kernels as K
 from hbq.config import nearest_rank, percentile_levels
+from hbq.grouping import LinePlans
 from hbq.haar import haar_fwd_rows, haar_inv_rows
 
 
@@ -96,14 +97,28 @@ def _assert_same_bits(got, want, ctx):
     assert got.tobytes() == want.tobytes(), ctx
 
 
-def _assert_matches_reference(lines, split, share, n_candidates=40):
+def _plan(lines, split, ranks, share):
+    """K.plan_lines on every band as a row of its own (a line split at
+    split holds two), its outputs viewed back per (line, band) and per
+    (line, position), then the reconstruction LinePlans.recon() makes of
+    them: the reference's output order."""
+    n = lines.shape[0]
+    out = K.plan_lines(lines.reshape(-1, split), ranks, share)
+    out = [a.reshape(n, -1) for a in out]
+    return (*out, LinePlans(*out).recon())
+
+
+def _assert_matches_reference(lines, split, share, n_candidates=40, ranks=None):
     d = lines.shape[1]
-    r0 = _ranks(split, n_candidates)
-    r1 = _ranks(d - split, n_candidates) if split < d else np.zeros(0, np.int64)
-    out_ref = R.plan_lines(lines, split, r0, r1, share)
-    out = K.plan_lines(lines, split, r0, r1, share)
-    for got, want in zip(out_ref, out):
-        _assert_same_bits(got, want, (d, split, share))
+    if ranks is None:
+        ranks = _ranks(split, n_candidates)
+    # the two bands of a split line are equally wide, so share their ranks
+    r1 = ranks if split < d else np.zeros(0, np.int64)
+    want = list(R.plan_lines(lines, split, ranks, r1, share))
+    want[7] = want[7].view(bool)  # the reference stores sparse as 0/1 bytes
+    out = _plan(lines, split, ranks, share)
+    for got, ref in zip(out, want, strict=True):
+        _assert_same_bits(got, ref, (d, split, share))
     return out
 
 
@@ -127,13 +142,9 @@ def test_plan_lines_all_overflow_falls_back_identically():
     # no candidate can win; planner and reference must emit the same zeroed plan
     # with infinite sse (callers reject it before anything is stored)
     lines = np.array([[4e5, -5e5, 3e5, -2e5]], dtype=np.float32)
-    r0 = _ranks(4)
     for share in (True, False):
-        out_ref = R.plan_lines(lines, 4, r0, np.zeros(0, np.int64), share)
-        out = K.plan_lines(lines, 4, r0, np.zeros(0, np.int64), share)
-        for got, want in zip(out_ref, out):
-            _assert_same_bits(got, want, share)
-        thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out_ref
+        out = _assert_matches_reference(lines, 4, share)
+        thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out
         assert thr_idx[0, 0] == 0
         assert mu_sp[0, 0] == 0.0 and mu_de[0, 0] == 0.0
         assert al_sp[0, 0] == 0.0 and al_de[0, 0] == 0.0
@@ -149,22 +160,22 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
         [[99000.0, -99000.0, 50.0, -50.0, 25.0, -25.0, 10.0, -10.0]],
         dtype=np.float32,
     )
-    r0 = _ranks(8)
     for share in (True, False):
-        out_ref = R.plan_lines(lines, 8, r0, np.zeros(0, np.int64), share)
-        out = K.plan_lines(lines, 8, r0, np.zeros(0, np.int64), share)
-        for got, want in zip(out_ref, out):
-            _assert_same_bits(got, want, share)
-        sse, recon = out_ref[6], out_ref[9]
+        out = _assert_matches_reference(lines, 8, share)
+        sse, recon = out[6], out[9]
         assert np.isfinite(sse[0, 0])
         assert np.any(recon != 0.0)
 
 
 def test_plan_lines_across_chunk_boundaries(monkeypatch):
-    # shrink the screen's budget to 5 lines per 8-wide band so 23 lines
-    # cross four chunk boundaries, the last chunk a partial one, with
-    # sharing on and off. With shared means every other line's mean
-    # overflows binary16, so each chunk mixes zeroed plans with finite ones.
+    # shrink the screen's budget to 5 band rows 8 wide, so the 46 band rows
+    # of 23 lines cross nine chunk boundaries, the last chunk a partial
+    # one, with sharing on and off. Band row 2i is line i's low band and
+    # 2i + 1 its high band, so the chunks starting at rows 5, 15, 25, 35
+    # and 45 split a line between its two bands. With shared means every
+    # other line's low band and every fourth line's high band have a mean
+    # that overflows binary16, so each chunk mixes zeroed plans with
+    # finite ones.
     monkeypatch.setattr(K, "_SCREEN_VALUES", 5 * (8 + 40))
     rng = np.random.default_rng(4)
     for kind in ("gauss", "plateau", "spiky"):
@@ -196,11 +207,9 @@ def test_plan_lines_mixed_overflow_lines_in_one_batch():
             assert np.all(np.isfinite(sse[[0, 3], 0]))
             if split == 8:
                 assert np.isfinite(sse[2, 0])
-            r0 = _ranks(split)
-            r1 = _ranks(8 - split) if split < 8 else np.zeros(0, np.int64)
             for i in range(lines.shape[0]):
-                alone = K.plan_lines(lines[i : i + 1], split, r0, r1, share)
-                for got, want in zip(out, alone):
+                alone = _plan(lines[i : i + 1], split, _ranks(split), share)
+                for got, want in zip(out, alone, strict=True):
                     _assert_same_bits(got[i], want[0], (i, split, share))
 
 
@@ -229,16 +238,13 @@ def test_plan_lines_signed_zero_and_mean_overflow_bitwise():
 def test_plan_lines_sse_is_the_in_order_sum():
     # With one line and one candidate only the summed axis is left, where a
     # numpy reduce would sum pairwise. sse must still be the in-order f64
-    # sum, from 0.0, of the squared errors of the returned reconstruction.
+    # sum, from 0.0, of the squared errors of the plan's reconstruction.
     rng = np.random.default_rng(7)
     lines = rng.normal(size=(3, 64)).astype(np.float32)
     for n_lines in (1, 3):
         for n_candidates in (1, 40):
             for share in (True, False):
-                out = K.plan_lines(
-                    lines[:n_lines], 64, _ranks(64, n_candidates),
-                    np.zeros(0, np.int64), share,
-                )
+                out = _plan(lines[:n_lines], 64, _ranks(64, n_candidates), share)
                 for i in range(n_lines):
                     want = 0.0
                     for a, b in zip(lines[i], out[9][i]):
@@ -422,18 +428,13 @@ def _planner_inputs(draw):
     n = draw(st.integers(1, 3))
     vals = draw(st.lists(_values, min_size=n * d, max_size=n * d))
     lines = np.array(vals, np.float32).reshape(n, d)
-    split = draw(st.integers(1, d))
-    widths = (split, d - split) if split < d else (d,)
-    ranks = []
-    for nvals in widths:
-        if draw(st.booleans()):
-            n_candidates = draw(st.sampled_from((1, 2, 7, 40, 256)))
-            ranks.append(_ranks(nvals, n_candidates))
-        else:  # any ranks, in any order, repeats included
-            drawn = st.lists(st.integers(1, nvals), min_size=1, max_size=12)
-            ranks.append(np.array(draw(drawn), np.int64))
-    if len(ranks) == 1:
-        ranks.append(np.zeros(0, np.int64))
+    # one band, or two equal bands
+    split = draw(st.sampled_from((d, d // 2) if d % 2 == 0 else (d,)))
+    if draw(st.booleans()):
+        ranks = _ranks(split, draw(st.sampled_from((1, 2, 7, 40, 256))))
+    else:  # any ranks, in any order, repeats included
+        drawn = st.lists(st.integers(1, split), min_size=1, max_size=12)
+        ranks = np.array(draw(drawn), np.int64)
     return lines, split, ranks
 
 
@@ -445,9 +446,6 @@ def _planner_inputs(draw):
 )
 @given(_planner_inputs())
 def test_screen_matches_reference_on_random_lines(case):
-    lines, split, (r0, r1) = case
+    lines, split, ranks = case
     for share in (True, False):
-        out_ref = R.plan_lines(lines, split, r0, r1, share)
-        out = K.plan_lines(lines, split, r0, r1, share)
-        for got, want in zip(out, out_ref):
-            _assert_same_bits(got, want, (split, r0, r1, share))
+        _assert_matches_reference(lines, split, share, ranks=ranks)
