@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -38,17 +39,21 @@ AB_CANDIDATE_COUNTS = (10, 20, 40, 80)
 __all__ = ["RunConfig", "run", "main"]
 
 
+_LAYER_DEFAULTS = inspect.signature(hbllm_quantize).parameters
+
+
 @dataclass
 class RunConfig:
-    """Operator-facing knobs; validated before any file is touched."""
+    """Operator-facing knobs; validated before any file is touched. The
+    defaults are the library's: hbllm_quantize's and QuantConfig's."""
 
-    mode: str = "row"
-    beta: int = 128
-    candidates: int = 40
-    share_mean: bool = True
-    norm: str = "l2"
-    k_candidates: tuple[int, ...] = (0, 2, 4, 8)
-    lam: str | float = "auto"  # "lambda" is reserved syntax
+    mode: str = _LAYER_DEFAULTS["mode"].default.value
+    beta: int = _LAYER_DEFAULTS["beta"].default
+    candidates: int = QuantConfig.n_candidates
+    share_mean: bool = QuantConfig.share_mean
+    norm: str = QuantConfig.norm
+    k_candidates: tuple[int, ...] = QuantConfig.k_candidates
+    lam: str | float = _LAYER_DEFAULTS["damping"].default  # "lambda" is reserved
     report: str = "csv"
 
     def validate(self) -> None:

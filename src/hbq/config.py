@@ -16,6 +16,8 @@ from .errors import ConfigError
 DEFAULT_CANDIDATES = 40
 DEFAULT_K_CANDIDATES = (0, 2, 4, 8)
 MAX_CANDIDATES = 256  # threshold indices are stored as one byte
+MAX_K = 0xFFFF  # each K is stored as a u16
+MAX_K_CANDIDATES = 0xFF  # the number of Ks is stored as one byte
 
 Level = tuple[int, int]
 
@@ -85,9 +87,16 @@ class QuantConfig:
             raise ConfigError(f"norm must be 'l1' or 'l2', got {self.norm!r}")
         if len(self.k_candidates) == 0:
             raise ConfigError("k_candidates must not be empty")
+        if len(self.k_candidates) > MAX_K_CANDIDATES:
+            raise ConfigError(
+                f"k_candidates must hold at most {MAX_K_CANDIDATES} entries, "
+                f"got {len(self.k_candidates)}"
+            )
         for k in self.k_candidates:
-            if k < 0:
-                raise ConfigError(f"k_candidates entries must be >= 0, got {k}")
+            if not 0 <= k <= MAX_K:
+                raise ConfigError(
+                    f"k_candidates entries must be in [0, {MAX_K}], got {k}"
+                )
             if k % 2 != 0:
                 raise ConfigError(f"k_candidates entries must be even, got {k}")
         if self.candidate_levels is not None:

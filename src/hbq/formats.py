@@ -21,7 +21,7 @@ from .config import MAX_CANDIDATES, QuantConfig, percentile_levels
 from .errors import ConfigError, IntegrityError, ShapeError
 from .grouping import LinePlans, band_split
 from .haar import Axis
-from .pipeline import QuantizedBlock, QuantizedLayer, block_spans
+from .pipeline import QuantizedBlock, QuantizedLayer, block_spans, line_shapes
 from .salient import SalientMask
 
 __all__ = [
@@ -318,10 +318,11 @@ def decode_layer(data: bytes) -> QuantizedLayer:
             raise IntegrityError(f"no non-salient column in mask at byte {mask_at}")
         mask = SalientMask(bits)
         pos = mask_end
-        count, length = (n, width) if mode is Axis.ROW else (width - mask.k, n)
-        nonsal, pos = _decode_plans(data, pos, end, count, length, cfg)
-        salient, pos = _decode_plans(data, pos, end, mask.k, n, cfg)
-        blocks.append(QuantizedBlock(mode, mask, nonsal, salient))
+        plans = []
+        for count, length in line_shapes(mode, n, mask):
+            decoded, pos = _decode_plans(data, pos, end, count, length, cfg)
+            plans.append(decoded)
+        blocks.append(QuantizedBlock(mask, *plans))
     if pos != end:
         raise IntegrityError(f"unexpected trailing bytes at byte {pos}")
     return QuantizedLayer(

@@ -1,17 +1,19 @@
 """End-to-end block pipeline: saliency -> trial selection -> quantize ->
 trailing error compensation.
 
-Blocks of beta columns are processed left to right. Each block is quantized
-by Row-HaarQuant (fill salient holes, transform and binarize rows, then
-column-quantize the salient residual) or Col-HaarQuant (column-quantize
-non-salient and salient columns separately). The block's residual is then
-propagated into not-yet-quantized columns through the Cholesky factor of
-the damped inverse Hessian, so later blocks absorb earlier blocks' error.
+Blocks of beta columns are processed left to right. ``quantize_block``
+quantizes a block by Row-HaarQuant (fill salient holes, transform and
+binarize rows, then column-quantize the salient residual) or Col-HaarQuant
+(column-quantize non-salient and salient columns separately). The block's
+residual is then propagated into not-yet-quantized columns through the
+Cholesky factor of the damped inverse Hessian, so later blocks absorb
+earlier blocks' error.
 
 This is the only module that knows which way lines run through a block:
-``grouping.quantize_lines`` plans the rows of whatever matrix it is given,
-so column lines are handed to it transposed and their reconstructions are
-transposed back.
+``line_shapes`` states it, ``_assemble`` builds a block's weights from its
+lines at quantize and at load time, and ``formats`` reads the layout from
+here. ``grouping.quantize_lines`` plans the rows of whatever matrix it is
+given, so column lines are handed to it transposed.
 
 The input weight matrix is consumed: compensation mutates it in place.
 Callers needing the original must copy first.
@@ -37,8 +39,8 @@ __all__ = [
     "QuantizedBlock",
     "QuantizedLayer",
     "block_spans",
-    "row_haarquant",
-    "col_haarquant",
+    "line_shapes",
+    "quantize_block",
     "reconstruct_block",
     "compensate",
     "hbllm_quantize",
@@ -53,45 +55,39 @@ def block_spans(m: int, beta: int) -> Iterator[tuple[int, int]]:
     return ((b, min(beta, m - b)) for b in range(0, m, beta))
 
 
+def line_shapes(
+    mode: Axis, n: int, mask: SalientMask
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The (lines, length) of a block's non-salient and salient plans.
+
+    ROW: one line per row of the n x width hole-filled block, then one
+    residual line of n per salient column. COL: one line of n per
+    non-salient column, then one per salient column.
+    """
+    width, k = mask.bits.size, mask.k
+    return ((n, width) if mode is Axis.ROW else (width - k, n)), (k, n)
+
+
 @dataclass
 class QuantizedBlock:
-    """One quantized block of n rows and beta (or remainder) columns.
+    """One quantized block: its salient mask and the plans of its lines.
 
-    ROW mode: nonsalient_plans holds one line per matrix row of the
-    hole-filled block; salient_plans one column line of n residuals per
-    salient column. COL mode: nonsalient_plans holds one column line per
-    non-salient column; salient_plans one per salient column (quantized
-    directly, no residual to subtract). The block stores no shape or
-    position: its width is the mask's, its rows follow from the non-salient
-    plans and the mode, and QuantizedLayer.spans places it.
+    The block stores no mode, shape or position: the layer holds the mode,
+    ``line_shapes`` lays the lines out, the mask gives the width and
+    QuantizedLayer.spans places the block.
     """
 
-    mode: Axis
     mask: SalientMask
     nonsalient_plans: LinePlans
     salient_plans: LinePlans
-
-    def __post_init__(self):
-        n, width = self.shape
-        k = self.mask.k
-        nonsalient = (n, width) if self.mode is Axis.ROW else (width - k, n)
-        for name, want in (("nonsalient", nonsalient), ("salient", (k, n))):
-            got = getattr(self, f"{name}_plans").signs.shape
-            if got != want:
-                raise ShapeError(f"{name} plans have shape {got}, expected {want}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        plans = self.nonsalient_plans
-        rows = plans.lines if self.mode is Axis.ROW else plans.width
-        return rows, self.mask.bits.size
 
 
 @dataclass
 class QuantizedLayer:
     """An n x m layer: one block per span, in order, plus the settings
-    needed to reconstruct them. Each block is in the layer's mode and has
-    n rows and its span's width; nothing else records where a block sits."""
+    needed to reconstruct them. Each block's lines have the layer mode's
+    ``line_shapes`` for n rows and its span's width; nothing else records
+    where a block sits."""
 
     blocks: list[QuantizedBlock]
     n: int
@@ -103,11 +99,14 @@ class QuantizedLayer:
     diagnostics: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        self.mode = Axis(self.mode)
         for i, (block, span) in enumerate(zip_longest(self.blocks, self.spans)):
-            if block is None or span is None or block.shape != (self.n, span[1]):
+            if block is None or span is None or block.mask.bits.size != span[1]:
                 raise ShapeError(f"block {i} does not fit span {span} of {self.n} rows")
-            if block.mode is not self.mode:
-                raise ShapeError("blocks disagree on mode")
+            want = line_shapes(self.mode, self.n, block.mask)
+            got = (block.nonsalient_plans.signs.shape, block.salient_plans.signs.shape)
+            if got != want:
+                raise ShapeError(f"block {i} plans have shapes {got}, expected {want}")
 
     @property
     def spans(self) -> Iterator[tuple[int, int]]:
@@ -115,62 +114,52 @@ class QuantizedLayer:
         return block_spans(self.m, self.beta)
 
 
-def row_haarquant(
-    w_block, mask: SalientMask, cfg: QuantConfig
-) -> tuple[QuantizedBlock, np.ndarray]:
-    """Fill holes, row-quantize, then column-quantize the salient residual.
-
-    Returns the block and its weight-domain reconstruction.
-    """
-    wm = as_matrix(w_block, "block")
-    n = wm.shape[0]
-    row_plans = quantize_lines(fill_avg(wm, mask), cfg)
-    recon = row_plans.weights()
-    salient_plans = LinePlans.empty(n)
+def _assemble(
+    mode: Axis, mask: SalientMask, nonsalient, salient: LinePlans
+) -> np.ndarray:
+    """A block's weights from the weights of its non-salient lines (one row
+    per line, laid out by ``line_shapes``; consumed) and its salient plans."""
+    if mode is Axis.ROW:
+        if mask.k:
+            nonsalient[:, mask.indices] += salient.weights().T
+        return nonsalient
+    recon = np.empty((mask.bits.size, nonsalient.shape[1]), np.float32)
+    recon[~mask.bits] = nonsalient  # one row per column
     if mask.k:
-        idx = mask.indices
-        residual = wm[:, idx] - recon[:, idx]
-        salient_plans = quantize_lines(residual.T, cfg)
-        recon[:, idx] = recon[:, idx] + salient_plans.weights().T
-    return QuantizedBlock(Axis.ROW, mask, row_plans, salient_plans), recon
-
-
-def col_haarquant(
-    w_block, mask: SalientMask, cfg: QuantConfig
-) -> tuple[QuantizedBlock, np.ndarray]:
-    """Column-quantize non-salient and salient columns independently.
-
-    Returns the block and its weight-domain reconstruction.
-    """
-    wm = as_matrix(w_block, "block")
-    n, width = wm.shape
-    recon = np.zeros((width, n), dtype=np.float32)  # one row per column
-    keep = np.flatnonzero(~mask.bits)
-    nonsal_plans = quantize_lines(wm[:, keep].T, cfg)
-    recon[keep] = nonsal_plans.weights()
-    salient_plans = LinePlans.empty(n)
-    if mask.k:
-        idx = mask.indices
-        salient_plans = quantize_lines(wm[:, idx].T, cfg)
-        recon[idx] = salient_plans.weights()
-    recon = np.ascontiguousarray(recon.T)
-    return QuantizedBlock(Axis.COL, mask, nonsal_plans, salient_plans), recon
-
-
-def reconstruct_block(block: QuantizedBlock) -> np.ndarray:
-    """Dequantize one block from its plans alone (no original data)."""
-    n, width = block.shape
-    idx = block.mask.indices
-    if block.mode is Axis.ROW:
-        recon = block.nonsalient_plans.weights()
-        if block.mask.k:
-            recon[:, idx] = recon[:, idx] + block.salient_plans.weights().T
-        return recon
-    recon = np.zeros((width, n), dtype=np.float32)  # one row per column
-    recon[~block.mask.bits] = block.nonsalient_plans.weights()
-    if block.mask.k:
-        recon[idx] = block.salient_plans.weights()
+        recon[mask.bits] = salient.weights()
     return np.ascontiguousarray(recon.T)
+
+
+def quantize_block(
+    w_block, mask: SalientMask, mode: Axis, cfg: QuantConfig
+) -> tuple[QuantizedBlock, np.ndarray]:
+    """Quantize one block; return it and its weight-domain reconstruction.
+
+    ROW plans the hole-filled rows, then the residual the rows leave in the
+    salient columns. COL plans the non-salient columns, then the salient
+    columns themselves.
+    """
+    wm = as_matrix(w_block, "block")
+    idx = mask.indices
+    if mode is Axis.ROW:
+        nonsalient = quantize_lines(fill_avg(wm, mask), cfg)
+        base = nonsalient.weights()
+        salient_lines = (wm[:, idx] - base[:, idx]).T
+    else:
+        nonsalient = quantize_lines(wm[:, ~mask.bits].T, cfg)
+        base = nonsalient.weights()
+        salient_lines = wm[:, idx].T
+    salient = LinePlans.empty(wm.shape[0])
+    if mask.k:
+        salient = quantize_lines(salient_lines, cfg)
+    block = QuantizedBlock(mask, nonsalient, salient)
+    return block, _assemble(mode, mask, base, salient)
+
+
+def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
+    """Dequantize one block of a layer in mode from its plans alone."""
+    weights = block.nonsalient_plans.weights()
+    return _assemble(mode, block.mask, weights, block.salient_plans)
 
 
 def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
@@ -251,9 +240,9 @@ def _trial_ks(k_candidates, width: int, mode: Axis) -> list[int]:
     return ks[:1] if mode is Axis.COL else ks
 
 
-def _select_salient_full(w_block, scores, k_candidates, cfg, mode):
-    """Run one trial per K; return (mask, winning block, per-K errors,
-    winning reconstruction).
+def _select_salient_full(w_block, scores, mode, cfg):
+    """Run one trial per K of cfg.k_candidates; return (winning block,
+    winning reconstruction, per-K errors). The winning mask is block.mask.
 
     Candidates are tried in ascending order with strict improvement
     required, so equal errors resolve to the smaller K. COL mode plans
@@ -264,17 +253,14 @@ def _select_salient_full(w_block, scores, k_candidates, cfg, mode):
     exactly.
     """
     wm = as_matrix(w_block, "block")
-    quantize = row_haarquant if mode is Axis.ROW else col_haarquant
     best = None
     errors: dict[int, float] = {}
-    for k in _trial_ks(k_candidates, wm.shape[1], mode):
-        mask = top_k_mask(scores, k)
-        block, recon = quantize(wm, mask, cfg)
-        err = frobenius_error(wm, recon)
-        errors[k] = err
+    for k in _trial_ks(cfg.k_candidates, wm.shape[1], mode):
+        block, recon = quantize_block(wm, top_k_mask(scores, k), mode, cfg)
+        errors[k] = err = frobenius_error(wm, recon)
         if best is None or err < best[0]:
-            best = (err, mask, block, recon)
-    return best[1], best[2], errors, best[3]
+            best = (err, block, recon)
+    return best[1], best[2], errors
 
 
 def hbllm_quantize(
@@ -312,18 +298,15 @@ def hbllm_quantize(
         else:
             sal = saliency_matrix(w_blk, calib.hinv_diag[b : b + width])
             scores = column_scores(sal, cfg.norm)
-        mask, block, trial_errors, recon = _select_salient_full(
-            w_blk, scores, cfg.k_candidates, cfg, mode
-        )
-        err = trial_errors[mask.k]
+        block, recon, trial_errors = _select_salient_full(w_blk, scores, mode, cfg)
         thresholds = block.nonsalient_plans.thr_val[:, 0].astype(np.float64)
         per_block.append(
             {
                 "block": len(blocks),
                 "col_offset": b,
                 "width": width,
-                "chosen_k": mask.k,
-                "error": err,
+                "chosen_k": block.mask.k,
+                "error": trial_errors[block.mask.k],
                 "trial_errors": trial_errors,
                 "row_threshold_mean": float(np.mean(thresholds)),
             }
@@ -351,5 +334,5 @@ def dequantize_layer(q: QuantizedLayer) -> np.ndarray:
     """Assemble the full n x m reconstruction from per-block plans."""
     out = np.empty((q.n, q.m), dtype=np.float32)
     for (b, width), block in zip(q.spans, q.blocks):
-        out[:, b : b + width] = reconstruct_block(block)
+        out[:, b : b + width] = reconstruct_block(block, q.mode)
     return out

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 import hbq
-from hbq.cli import run
+from hbq.cli import RunConfig, run
+from hbq.config import QuantConfig
 from hbq.formats import decode_layer, read_tensor, write_tensor
-from hbq.pipeline import dequantize_layer
+from hbq.pipeline import dequantize_layer, hbllm_quantize
 
 
 def gen(tmp_path, name, rows, cols, seed):
@@ -101,6 +103,38 @@ def test_quantize_bad_beta_exits_2(tmp_path, capsys):
                 "--out", str(tmp_path / "o.hbq")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "ks", ["0,70000", ",".join(str(2 * i) for i in range(300))],
+    ids=["k-above-u16", "300-ks"],
+)
+def test_quantize_k_candidates_hbq1_cannot_store_exit_2(tmp_path, capsys,
+                                                       monkeypatch, ks):
+    # HBQ1 stores each K as a u16 and the number of Ks as a u8: a K list it
+    # cannot store is refused before either input file is read
+    w = gen(tmp_path, "w.rts", 4, 8, 1)
+    x = gen(tmp_path, "x.rts", 8, 16, 2)
+
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("hbq.cli.read_tensor", no_read)
+    out = tmp_path / "o.hbq"
+    code = run(["quantize", str(w), str(x), "--k-candidates", ks,
+                "--out", str(out)])
+    assert code == 2
+    assert "k_candidates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    params = inspect.signature(hbllm_quantize).parameters
+    rc = RunConfig()
+    assert rc.to_quant_config() == QuantConfig()
+    assert rc.beta == params["beta"].default
+    assert rc.lam == params["damping"].default
+    assert rc.axis is params["mode"].default
 
 
 def test_dequantize_roundtrip_matches_library(tmp_path, capsys):

@@ -12,12 +12,11 @@ from hbq.haar import Axis
 from hbq.pipeline import (
     QuantizedBlock,
     QuantizedLayer,
-    col_haarquant,
     compensate,
     dequantize_layer,
     hbllm_quantize,
+    quantize_block,
     reconstruct_block,
-    row_haarquant,
 )
 from hbq.salient import SalientMask, top_k_mask
 from hbq.tensor import frobenius_error
@@ -59,7 +58,7 @@ def test_row_haarquant_empty_mask_matches_plain_rows():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(6, 16)).astype(np.float32)
     cfg = QuantConfig()
-    block, _ = row_haarquant(w, empty_mask(16), cfg)
+    block, _ = quantize_block(w, empty_mask(16), Axis.ROW, cfg)
     plans = quantize_lines(w, cfg)
     assert block.salient_plans.lines == 0
     assert block.nonsalient_plans.lines == 6
@@ -69,8 +68,8 @@ def test_row_haarquant_empty_mask_matches_plain_rows():
 
 def test_row_haarquant_crafted_block_is_exact():
     w = np.array([[2.0, 4.0, 6.0, 10.0], [1.0, 1.0, 1.0, 1.0]], dtype=np.float32)
-    block, _ = row_haarquant(w, empty_mask(4), QuantConfig())
-    recon = reconstruct_block(block)
+    block, _ = quantize_block(w, empty_mask(4), Axis.ROW, QuantConfig())
+    recon = reconstruct_block(block, Axis.ROW)
     assert frobenius_error(w, recon) == 0.0
 
 
@@ -81,9 +80,11 @@ def test_row_haarquant_residual_pass_beats_none_on_outlier():
     cfg = QuantConfig()
     scores = np.linalg.norm(w, axis=0)
     mask = top_k_mask(scores, 2)
-    err_res = frobenius_error(w, reconstruct_block(row_haarquant(w, mask, cfg)[0]))
-    err_none = frobenius_error(
-        w, reconstruct_block(row_haarquant(w, empty_mask(128), cfg)[0])
+    err_res, err_none = (
+        frobenius_error(
+            w, reconstruct_block(quantize_block(w, m, Axis.ROW, cfg)[0], Axis.ROW)
+        )
+        for m in (mask, empty_mask(128))
     )
     assert err_res < err_none
 
@@ -92,7 +93,7 @@ def test_col_haarquant_empty_mask_matches_plain_columns():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(8, 5)).astype(np.float32)
     cfg = QuantConfig()
-    block, _ = col_haarquant(w, empty_mask(5), cfg)
+    block, _ = quantize_block(w, empty_mask(5), Axis.COL, cfg)
     plans = quantize_lines(w.T, cfg)
     assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
 
@@ -101,7 +102,7 @@ def test_col_haarquant_sign_bits_one_per_weight():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(16, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 4)
-    block, _ = col_haarquant(w, mask, QuantConfig())
+    block, _ = quantize_block(w, mask, Axis.COL, QuantConfig())
     total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
     assert total_signs == 16 * 12
 
@@ -110,55 +111,62 @@ def test_row_haarquant_salient_columns_get_two_passes():
     rng = np.random.default_rng(5)
     w = rng.normal(size=(8, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 2)
-    block, _ = row_haarquant(w, mask, QuantConfig())
+    block, _ = quantize_block(w, mask, Axis.ROW, QuantConfig())
     total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
     # every weight has a row-pass bit; salient columns add a residual bit
     assert total_signs == 8 * 12 + 2 * 8
 
 
-@pytest.mark.parametrize("quantize", [row_haarquant, col_haarquant])
+@pytest.mark.parametrize(
+    "mode", [Axis.ROW, Axis.COL], ids=["row_haarquant", "col_haarquant"]
+)
 @pytest.mark.parametrize("haar", [True, False])
 @pytest.mark.parametrize("k", [0, 2])
-def test_quantizer_recon_equals_reconstruct_block(quantize, haar, k):
+def test_quantizer_recon_equals_reconstruct_block(mode, haar, k):
     # quantize-time error and compensation use the recon the quantizer
     # returns; load uses reconstruct_block; the two must agree bitwise
     rng = np.random.default_rng(21)
     w = rng.normal(size=(8, 12)).astype(np.float32)
     w[:, 7] *= 30.0
     mask = top_k_mask(np.linalg.norm(w, axis=0), k)
-    block, recon = quantize(w, mask, QuantConfig(haar_enabled=haar))
-    assert block.shape == (8, 12)
-    assert np.array_equal(recon, reconstruct_block(block))
+    block, recon = quantize_block(w, mask, mode, QuantConfig(haar_enabled=haar))
+    assert recon.shape == (8, 12)
+    assert np.array_equal(recon, reconstruct_block(block, mode))
 
 
 def test_block_shape_validation():
     rng = np.random.default_rng(6)
     w = rng.normal(size=(4, 6)).astype(np.float32)
-    block, _ = row_haarquant(w, empty_mask(6), QuantConfig())
-    with pytest.raises(ShapeError):
+    block, _ = quantize_block(w, empty_mask(6), Axis.ROW, QuantConfig())
+    three_rows, _ = quantize_block(w[:3], empty_mask(6), Axis.ROW, QuantConfig())
+    malformed = (
         QuantizedBlock(
-            mode=Axis.ROW,
             mask=empty_mask(5),
             nonsalient_plans=block.nonsalient_plans,
             salient_plans=block.salient_plans,
-        )
-    three_rows, _ = row_haarquant(w[:3], empty_mask(6), QuantConfig())
-    with pytest.raises(ShapeError):
+        ),
         QuantizedBlock(
-            mode=Axis.ROW,
             mask=empty_mask(6),
             nonsalient_plans=three_rows.nonsalient_plans,
             salient_plans=block.salient_plans,
-        )
+        ),
+    )
+    for bad in malformed:
+        with pytest.raises(ShapeError):
+            QuantizedLayer(
+                blocks=[bad], n=4, m=bad.mask.bits.size, beta=6, mode=Axis.ROW,
+                damping=0.01, cfg=QuantConfig(),
+            )
 
 
 def test_row_haarquant_odd_width_rejected():
     w = np.zeros((2, 5), dtype=np.float32)
     with pytest.raises(ShapeError):
-        row_haarquant(w, empty_mask(5), QuantConfig())
+        quantize_block(w, empty_mask(5), Axis.ROW, QuantConfig())
     # raw mode has no pairing constraint
-    block, _ = row_haarquant(w, empty_mask(5), QuantConfig(haar_enabled=False))
-    assert reconstruct_block(block).shape == (2, 5)
+    raw = QuantConfig(haar_enabled=False)
+    block, _ = quantize_block(w, empty_mask(5), Axis.ROW, raw)
+    assert reconstruct_block(block, Axis.ROW).shape == (2, 5)
 
 
 # --- compensation ---
@@ -338,17 +346,17 @@ def test_hbllm_col_mode_runs():
     assert frobenius_error(w, recon) < float(np.linalg.norm(w))
 
 
-def _all_k_trials(w_block, scores, k_candidates, cfg, mode):
-    # reference K selection: one col_haarquant trial per candidate, kept
-    # only on strict improvement
+def _all_k_trials(w_block, scores, mode, cfg):
+    # reference K selection: one COL trial per candidate, kept only on
+    # strict improvement
     best, errors = None, {}
-    for k in sorted(k_candidates):
+    for k in sorted(cfg.k_candidates):
         mask = top_k_mask(scores, k)
-        block, recon = col_haarquant(w_block, mask, cfg)
+        block, recon = quantize_block(w_block, mask, Axis.COL, cfg)
         errors[k] = frobenius_error(w_block, recon)
         if best is None or errors[k] < best[0]:
-            best = (errors[k], mask, block, recon)
-    return best[1], best[2], errors, best[3]
+            best = (errors[k], block, recon)
+    return best[1], best[2], errors
 
 
 @pytest.mark.parametrize(
@@ -482,7 +490,7 @@ def test_hbllm_raw_mode_accepts_odd_shapes():
         w = rng.normal(size=(n, m)).astype(np.float32)
         x = rng.normal(size=(m, 2 * m)).astype(np.float32)
         q = hbllm_quantize(w, x, beta=beta, mode=mode, cfg=cfg)
-        widths = [b.shape[1] for b in q.blocks]
+        widths = [b.mask.bits.size for b in q.blocks]
         assert widths == [beta] * (m // beta) + ([m % beta] if m % beta else [])
         blob = encode_layer(q)
         back = decode_layer(blob)
@@ -493,7 +501,7 @@ def test_hbllm_raw_mode_accepts_odd_shapes():
 def test_layer_validation():
     rng = np.random.default_rng(20)
     w = rng.normal(size=(4, 8)).astype(np.float32)
-    block, _ = row_haarquant(w, empty_mask(8), QuantConfig())
+    block, _ = quantize_block(w, empty_mask(8), Axis.ROW, QuantConfig())
     with pytest.raises(ShapeError):
         QuantizedLayer(
             blocks=[block], n=4, m=10, beta=8, mode=Axis.ROW,

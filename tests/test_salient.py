@@ -3,8 +3,9 @@ import pytest
 
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, ShapeError
+from hbq.formats import decode_layer, encode_layer
 from hbq.haar import Axis
-from hbq.pipeline import _select_salient_full
+from hbq.pipeline import _select_salient_full, hbllm_quantize
 from hbq.salient import SalientMask, column_scores, fill_avg, top_k_mask
 
 
@@ -74,7 +75,8 @@ def test_select_salient_k0_forced():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(8, 8)).astype(np.float32)
     scores = np.ones(8)
-    mask = _select_salient_full(w, scores, [0], QuantConfig(), Axis.ROW)[0]
+    cfg = QuantConfig(k_candidates=(0,))
+    mask = _select_salient_full(w, scores, Axis.ROW, cfg)[0].mask
     assert mask.k == 0
 
 
@@ -86,7 +88,8 @@ def test_select_salient_prefers_outlier_column():
     w = rng.normal(size=(64, 128)).astype(np.float32)
     w[:, 37] *= 50.0
     scores = column_scores(np.abs(w), "l2")
-    mask = _select_salient_full(w, scores, [0, 2], QuantConfig(), Axis.ROW)[0]
+    cfg = QuantConfig(k_candidates=(0, 2))
+    mask = _select_salient_full(w, scores, Axis.ROW, cfg)[0].mask
     assert mask.k == 2
     assert 37 in mask.indices
 
@@ -96,10 +99,10 @@ def test_select_salient_superset_never_worse():
     w = rng.normal(size=(16, 16)).astype(np.float32)
     w[:, 5] *= 20.0
     scores = column_scores(np.abs(w), "l2")
-    errs_small = _select_salient_full(w, scores, [0, 2], QuantConfig(), Axis.ROW)[2]
-    errs_big = _select_salient_full(
-        w, scores, [0, 2, 4, 8], QuantConfig(), Axis.ROW
-    )[2]
+    errs_small, errs_big = (
+        _select_salient_full(w, scores, Axis.ROW, QuantConfig(k_candidates=ks))[2]
+        for ks in ((0, 2), (0, 2, 4, 8))
+    )
     assert min(errs_big.values()) <= min(errs_small.values())
 
 
@@ -114,12 +117,28 @@ def test_k_candidates_validation():
         QuantConfig(k_candidates=(-2, 0))
 
 
+def test_k_candidates_fit_hbq1():
+    # HBQ1 stores each K as a u16 and the number of Ks as a u8; the largest
+    # list it can hold still quantizes and round-trips
+    widest = tuple(range(0, 508, 2)) + (65534,)  # 255 entries
+    cfg = QuantConfig(k_candidates=widest)
+    rng = np.random.default_rng(19)
+    w = rng.normal(size=(4, 8)).astype(np.float32)
+    x = rng.normal(size=(8, 16)).astype(np.float32)
+    blob = encode_layer(hbllm_quantize(w, x, beta=8, cfg=cfg))
+    assert decode_layer(blob).cfg.k_candidates == widest
+    for ks in ((0, 65536), tuple(range(0, 512, 2))):  # a K above u16; 256 Ks
+        with pytest.raises(ConfigError, match="k_candidates"):
+            QuantConfig(k_candidates=ks)
+
+
 def test_select_salient_deterministic():
     rng = np.random.default_rng(17)
     w = rng.normal(size=(8, 8)).astype(np.float32)
     scores = column_scores(np.abs(w), "l1")
-    a = _select_salient_full(w, scores, [0, 2, 4], QuantConfig(), Axis.ROW)[0]
-    b = _select_salient_full(w, scores, [0, 2, 4], QuantConfig(), Axis.ROW)[0]
+    cfg = QuantConfig(k_candidates=(0, 2, 4))
+    a = _select_salient_full(w, scores, Axis.ROW, cfg)[0].mask
+    b = _select_salient_full(w, scores, Axis.ROW, cfg)[0].mask
     assert np.array_equal(a.bits, b.bits)
 
 
