@@ -46,21 +46,26 @@ class CalibStats:
 
 
 def build_hessian(x) -> np.ndarray:
-    """H = 2 X X^T from features x samples activations, exactly symmetric."""
+    """H = 2 X X^T from features x samples activations.
+
+    H is exactly symmetric, bit for bit, as ``damped_cholesky_inverse``
+    requires: numpy computes ``a @ a.T`` as a symmetric rank-k update and
+    mirrors one triangle onto the other.
+    """
     xm = as_matrix(x, "activations", check_finite=True)
     x64 = xm.astype(np.float64)
     p = x64 @ x64.T
     del x64  # the float64 copy of X is the largest array here
-    # p + p.T symmetrizes bitwise (addition commutes) and equals 2XX^T; it
-    # is summed in float64 and rounded once, straight into the result
+    # 2·p is exact in float64 and equals p + p.T for a symmetric p; it is
+    # rounded once, straight into the result
     h = np.empty(p.shape, np.float32)
-    return np.add(p, p.T, out=h)
+    return np.multiply(p, 2.0, out=h)
 
 
 def resolve_damping(h: np.ndarray, damping) -> float:
     """Resolve 'auto' to 0.01 * mean(diag(H)); validate explicit values."""
     if damping is None or damping == "auto":
-        return float(0.01 * np.mean(np.diag(h.astype(np.float64))))
+        return float(0.01 * np.mean(np.diag(h).astype(np.float64)))
     lam = float(damping)
     if not np.isfinite(lam) or lam < 0:
         raise ConfigError(f"damping must be >= 0, got {damping!r}")
@@ -78,6 +83,9 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
     upper Cholesky factor of A^-1. diag(A^-1) = diag(U^T U) is the column
     sums of U*U.
 
+    H must be exactly symmetric, as ``build_hessian`` makes it: LAPACK is
+    handed the transpose of J H J, which is J H J itself only then.
+
     Raises a numeric error naming the failing pivot, counted in the reversed
     elimination order, and the column of H it falls on, when H + lam I is not
     positive definite.
@@ -92,8 +100,10 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
     # (dequantize, inspect, gen) start without loading scipy.linalg
     from scipy.linalg import lapack
 
-    # J A J, in Fortran order so LAPACK factors and inverts it in place
-    a = np.array(hm[::-1, ::-1], dtype=np.float64, order="F")
+    # J A J, copied in C order (a sequential read of H); its transpose,
+    # equal to it by symmetry, is Fortran-ordered, so LAPACK factors and
+    # inverts it in place
+    a = np.array(hm[::-1, ::-1], dtype=np.float64).T
     a[np.diag_indices(m)] += lam
     c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)  # L
     if info > 0:

@@ -17,7 +17,8 @@ stores, and decode reproduces quantize-time reconstructions bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class LinePlans:
                    np.zeros((0, 1), np.float64), np.zeros((0, width), bool),
                    np.zeros((0, width), np.int8))
 
+    def select(self, rows) -> LinePlans:
+        """The plans of some of the lines: rows (a slice, index array or
+        boolean mask) indexes the first axis of every field."""
+        return LinePlans(*(getattr(self, f.name)[rows] for f in fields(self)))
+
     @property
     def lines(self) -> int:
         return self.signs.shape[0]
@@ -125,6 +131,15 @@ class LinePlans:
         return coeffs if self.thr_idx.shape[1] == 1 else haar_inv_rows(coeffs)
 
 
+@lru_cache(maxsize=64)
+def _ranks(levels, split: int) -> np.ndarray:
+    """The nearest ranks of levels in a band of split values, read-only:
+    every call with the same levels and width shares one array."""
+    ranks = np.array([nearest_rank(lv, split) for lv in levels], np.int64)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def quantize_lines(lines, cfg: QuantConfig) -> LinePlans:
     """Plan every row of lines as one line.
 
@@ -138,7 +153,8 @@ def quantize_lines(lines, cfg: QuantConfig) -> LinePlans:
     n, width = mat.shape
     split = band_split(width, cfg)
     coeffs = mat if split == width else haar_fwd_rows(mat)
-    ranks = np.array([nearest_rank(lv, split) for lv in cfg.levels()], np.int64)
+    # tuples all the way down: a custom grid may arrive as lists
+    ranks = _ranks(tuple(map(tuple, cfg.levels())), split)
     out = plan_lines(coeffs.reshape(-1, split), ranks, cfg.share_mean)
     plans = LinePlans(*(a.reshape(n, -1) for a in out))
     if not np.all(np.isfinite(plans.sse)):

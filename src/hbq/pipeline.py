@@ -136,24 +136,50 @@ def quantize_block(
     """Quantize one block; return it and its weight-domain reconstruction.
 
     ROW plans the hole-filled rows, then the residual the rows leave in the
-    salient columns. COL plans the non-salient columns, then the salient
-    columns themselves.
+    salient columns. COL plans every column and splits the plans into the
+    non-salient and the salient columns.
     """
-    wm = as_matrix(w_block, "block")
-    idx = mask.indices
-    if mode is Axis.ROW:
-        nonsalient = quantize_lines(fill_avg(wm, mask), cfg)
-        base = nonsalient.weights()
-        salient_lines = (wm[:, idx] - base[:, idx]).T
+    return _quantize_trials(as_matrix(w_block, "block"), [mask], mode, cfg)[0]
+
+
+def _quantize_trials(
+    wm: np.ndarray, masks: list[SalientMask], mode: Axis, cfg: QuantConfig
+) -> list[tuple[QuantizedBlock, np.ndarray]]:
+    """``quantize_block`` of wm under each mask, in order, with one
+    ``quantize_lines`` call per stage for all of them.
+
+    A line's plan does not depend on the lines planned with it, so each
+    trial's plans, taken out of the stack, are those it gets on its own.
+    They are copies, so a kept block holds only its own lines.
+    """
+    if mode is Axis.COL:
+        # non-salient and salient lines alike are columns of n
+        plans = quantize_lines(wm.T, cfg)
+        weights = plans.weights()
+        nonsalient = [plans.select(~m.bits) for m in masks]
+        bases = [weights[~m.bits] for m in masks]
+        salient = [plans.select(m.bits) for m in masks]
     else:
-        nonsalient = quantize_lines(wm[:, ~mask.bits].T, cfg)
-        base = nonsalient.weights()
-        salient_lines = wm[:, idx].T
-    salient = LinePlans.empty(wm.shape[0])
-    if mask.k:
-        salient = quantize_lines(salient_lines, cfg)
-    block = QuantizedBlock(mask, nonsalient, salient)
-    return block, _assemble(mode, mask, base, salient)
+        n = wm.shape[0]
+        stack = quantize_lines(np.concatenate([fill_avg(wm, m) for m in masks]), cfg)
+        bases = stack.weights().reshape(len(masks), n, -1)
+        rows = np.arange(len(masks) * n).reshape(len(masks), n)
+        nonsalient = [stack.select(r) for r in rows]
+        residuals = np.concatenate(
+            [(wm[:, m.indices] - b[:, m.indices]).T for m, b in zip(masks, bases)]
+        )
+        residual_plans = quantize_lines(residuals, cfg) if len(residuals) else None
+        ends = np.cumsum([m.k for m in masks])
+        salient = [
+            residual_plans.select(np.arange(end - m.k, end))
+            if m.k
+            else LinePlans.empty(n)
+            for m, end in zip(masks, ends)
+        ]
+    return [
+        (QuantizedBlock(mask, ns, sal), _assemble(mode, mask, base, sal))
+        for mask, ns, base, sal in zip(masks, nonsalient, bases, salient)
+    ]
 
 
 def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
@@ -200,7 +226,7 @@ def _validate_layer_inputs(w, x, beta, mode, cfg):
             f"mode must be an Axis, 'row' or 'col', got {mode!r}"
         ) from None
     wm = as_matrix(w, "weights", check_finite=True)
-    xm = as_matrix(x, "activations", check_finite=True)
+    xm = as_matrix(x, "activations")  # build_hessian rejects non-finite X
     n, m = wm.shape
     if xm.shape[0] != m:
         raise ShapeError(
@@ -244,19 +270,21 @@ def _select_salient_full(w_block, scores, mode, cfg):
     """Run one trial per K of cfg.k_candidates; return (winning block,
     winning reconstruction, per-K errors). The winning mask is block.mask.
 
-    Candidates are tried in ascending order with strict improvement
-    required, so equal errors resolve to the smaller K. COL mode plans
-    every column on its own, so every K reconstructs the block identically
-    and only the smallest K is tried. The winning trial block and its
-    reconstruction are returned for reuse: trials run without compensation,
-    so the final quantization of the same values would reproduce them
-    exactly.
+    Every trial's lines go through the planner together, one call per
+    stage (``_quantize_trials``). Candidates are compared in ascending
+    order with strict improvement required, so equal errors resolve to the
+    smaller K. COL mode plans every column on its own, so every K
+    reconstructs the block identically and only the smallest K is tried.
+    The winning trial block and its reconstruction are returned for reuse:
+    trials run without compensation, so the final quantization of the same
+    values would reproduce them exactly.
     """
     wm = as_matrix(w_block, "block")
+    ks = _trial_ks(cfg.k_candidates, wm.shape[1], mode)
+    trials = _quantize_trials(wm, [top_k_mask(scores, k) for k in ks], mode, cfg)
     best = None
     errors: dict[int, float] = {}
-    for k in _trial_ks(cfg.k_candidates, wm.shape[1], mode):
-        block, recon = quantize_block(wm, top_k_mask(scores, k), mode, cfg)
+    for k, (block, recon) in zip(ks, trials):
         errors[k] = err = frobenius_error(wm, recon)
         if best is None or err < best[0]:
             best = (err, block, recon)
@@ -277,7 +305,8 @@ def hbllm_quantize(
     mode may be an Axis or its value, "row" or "col" (so mode="row" is
     Axis.ROW); anything else raises ConfigError before any work is done.
     calib, when given, must match w's column count and skips the Hessian
-    build (the CLI reuses one CalibStats across A/B runs).
+    build (the CLI reuses one CalibStats across A/B runs); x is then read
+    for its shape alone.
     """
     wm, xm, beta, mode = _validate_layer_inputs(w, x, beta, mode, cfg)
     n, m = wm.shape

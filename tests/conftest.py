@@ -7,10 +7,13 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from dataclasses import fields  # noqa: E402
+
 import numpy as np  # noqa: E402
 
 from hbq.config import nearest_rank, percentile_levels
 from hbq.errors import ShapeError
+from hbq.grouping import LinePlans
 
 
 def structured_rows(rng, n: int, d: int) -> np.ndarray:
@@ -36,6 +39,15 @@ def reference_product(a, b) -> np.ndarray:
     """Matrix product with float64 accumulation, narrowed to float32."""
     out = np.asarray(a, np.float64) @ np.asarray(b, np.float64)
     return out.astype(np.float32)
+
+
+def same_plans(a, b) -> bool:
+    """Two LinePlans hold the same lines, field by field and bit for bit."""
+    for f in fields(LinePlans):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,9 @@ def test_hessian_exactly_symmetric():
 def test_hessian_bits_match_float64_sum_rounded_once():
     # H is the float64 p + p.T, p = X X^T, rounded to float32 once
     rng = np.random.default_rng(12)
-    for m, n in ((1, 1), (3, 7), (16, 64), (65, 33)):
+    # 300x700 is large enough for BLAS to block the product: if numpy ever
+    # stops mirroring a @ a.T into an exactly symmetric p, 2p != p + p.T
+    for m, n in ((1, 1), (3, 7), (16, 64), (65, 33), (300, 700)):
         x = (rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3, (m, 1)))
         x = x.astype(np.float32)
         x64 = x.astype(np.float64)
@@ -154,6 +156,34 @@ def test_cholesky_inverse_matches_two_factorization_reference(m, seed):
     ulp = np.spacing(np.maximum(np.abs(u), np.abs(u_ref)))
     assert np.all(np.abs(u - u_ref) <= ulp)
     np.testing.assert_allclose(hinv, hinv_ref, rtol=1e-12, atol=0)
+
+
+def fortran_order_reference(h, lam):
+    """damped_cholesky_inverse as it factored before: J (H + lam I) J
+    copied straight into Fortran order, which reads H transposed."""
+    m = h.shape[0]
+    a = np.array(h[::-1, ::-1], dtype=np.float64, order="F")
+    a[np.diag_indices(m)] += lam
+    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    assert info == 0
+    c, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
+    assert info == 0
+    u = c[::-1, ::-1]
+    return u.astype(np.float32), np.einsum("ij,ij->j", u, u)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 257])
+def test_cholesky_inverse_matches_fortran_order_copy_bitwise(m):
+    # H is exactly symmetric, so the transpose of a C-order copy of J H J
+    # hands LAPACK the same bytes as a Fortran-order copy
+    rng = np.random.default_rng([3, m])
+    scale = rng.lognormal(0.0, 1.0, (m, 1))
+    h = build_hessian((rng.standard_normal((m, m + 8)) * scale).astype(np.float32))
+    lam = resolve_damping(h, "auto")
+    u, hinv = damped_cholesky_inverse(h, lam)
+    u_ref, hinv_ref = fortran_order_reference(h, lam)
+    assert u.tobytes() == u_ref.tobytes()
+    assert hinv.tobytes() == hinv_ref.tobytes()
 
 
 def test_cholesky_inverse_rejects_non_square():

@@ -277,6 +277,17 @@ def test_line_plans_validates_shapes():
             LinePlans(**{**fields, name: bad})
 
 
+def test_ranks_computed_once_per_grid_and_width():
+    from hbq.grouping import _ranks
+
+    levels = percentile_levels(40)
+    ranks = _ranks(levels, 64)
+    assert ranks.tolist() == [nearest_rank(lv, 64) for lv in levels]
+    assert _ranks(levels, 64) is ranks  # shared by every call ...
+    with pytest.raises(ValueError):
+        ranks[0] = 1  # ... so no caller may write to it
+
+
 # ---------------------------------------------------------------------------
 # quantize_lines
 # ---------------------------------------------------------------------------

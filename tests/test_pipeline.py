@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import same_plans
 
 from hbq.calib import build_calib_stats
 from hbq.config import QuantConfig
@@ -96,6 +97,29 @@ def test_col_haarquant_empty_mask_matches_plain_columns():
     block, _ = quantize_block(w, empty_mask(5), Axis.COL, cfg)
     plans = quantize_lines(w.T, cfg)
     assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("share", [True, False])
+def test_col_haarquant_one_call_matches_two(k, share):
+    # COL plans every column in one call and splits the plans by the mask;
+    # planning non-salient and salient columns apart gives the same bits
+    rng = np.random.default_rng([22, k])
+    w = rng.normal(size=(8, 12)).astype(np.float32)
+    w[:, 3] *= 30.0
+    cfg = QuantConfig(share_mean=share)
+    mask = top_k_mask(np.linalg.norm(w, axis=0), k)
+    block, recon = quantize_block(w, mask, Axis.COL, cfg)
+    nonsalient = quantize_lines(w[:, ~mask.bits].T, cfg)
+    assert same_plans(block.nonsalient_plans, nonsalient)
+    want = np.empty((12, 8), np.float32)  # one row per column
+    want[~mask.bits] = nonsalient.weights()
+    assert block.salient_plans.lines == k
+    if k:
+        salient = quantize_lines(w[:, mask.bits].T, cfg)
+        assert same_plans(block.salient_plans, salient)
+        want[mask.bits] = salient.weights()
+    assert recon.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def test_col_haarquant_sign_bits_one_per_weight():
@@ -427,6 +451,10 @@ def test_hbllm_validation():
         hbllm_quantize(w.copy(), x, beta=0)
     with pytest.raises(ShapeError):
         hbllm_quantize(w.copy(), rng.normal(size=(6, 4)).astype(np.float32))
+    x_nan = x.copy()
+    x_nan[3, 1] = np.nan
+    with pytest.raises(ShapeError, match="activations contains non-finite"):
+        hbllm_quantize(w.copy(), x_nan, beta=4)
     w5 = rng.normal(size=(5, 8)).astype(np.float32)
     with pytest.raises(ConfigError):
         hbllm_quantize(w5.copy(), x, beta=8, mode=Axis.COL)  # odd rows

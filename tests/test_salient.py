@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from conftest import same_plans
 
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, ShapeError
 from hbq.formats import decode_layer, encode_layer
+from hbq.grouping import LinePlans, quantize_lines
 from hbq.haar import Axis
-from hbq.pipeline import _select_salient_full, hbllm_quantize
+from hbq.pipeline import QuantizedBlock, _select_salient_full, hbllm_quantize
 from hbq.salient import SalientMask, column_scores, fill_avg, top_k_mask
+from hbq.tensor import frobenius_error
 
 
 def mask_of(bits):
@@ -104,6 +107,50 @@ def test_select_salient_superset_never_worse():
         for ks in ((0, 2), (0, 2, 4, 8))
     )
     assert min(errs_big.values()) <= min(errs_small.values())
+
+
+def _per_k_trials(w, scores, cfg):
+    # the ROW trial loop planned one K at a time: two quantize_lines calls
+    # per K, strict improvement in ascending K
+    best, errors = None, {}
+    for k in sorted({k for k in cfg.k_candidates if k < w.shape[1]}) or [0]:
+        mask = top_k_mask(scores, k)
+        nonsalient = quantize_lines(fill_avg(w, mask), cfg)
+        recon = nonsalient.weights()
+        salient = LinePlans.empty(w.shape[0])
+        if k:
+            idx = mask.indices
+            salient = quantize_lines((w[:, idx] - recon[:, idx]).T, cfg)
+            recon[:, idx] += salient.weights().T
+        errors[k] = frobenius_error(w, recon)
+        if best is None or errors[k] < best[0]:
+            best = (errors[k], QuantizedBlock(mask, nonsalient, salient), recon)
+    return best[1], best[2], errors
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [(0, 2, 4, 8), (8, 2, 4, 2, 0, 8), (2, 6), (0, 4, 16, 40), (16, 40), (0,)],
+    ids=["default", "duplicates", "no-k0", "k-at-width", "all-above-width", "k0"],
+)
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "own-means"])
+def test_select_salient_stacked_matches_per_k_loop(ks, share):
+    # all K trials of a block are planned in one call per stage; every
+    # trial's error, the winner's plans and its reconstruction are those
+    # of planning each K on its own
+    cfg = QuantConfig(k_candidates=ks, share_mean=share)
+    for seed in range(4):
+        rng = np.random.default_rng([23, seed])
+        w = rng.normal(size=(12, 16)).astype(np.float32)
+        w[:, rng.choice(16, size=3, replace=False)] *= rng.uniform(1, 40, 3)
+        scores = column_scores(np.abs(w), "l2")
+        block, recon, errors = _select_salient_full(w, scores, Axis.ROW, cfg)
+        want_block, want_recon, want_errors = _per_k_trials(w, scores, cfg)
+        assert list(errors.items()) == list(want_errors.items())
+        assert recon.tobytes() == want_recon.tobytes()
+        assert np.array_equal(block.mask.bits, want_block.mask.bits)
+        assert same_plans(block.nonsalient_plans, want_block.nonsalient_plans)
+        assert same_plans(block.salient_plans, want_block.salient_plans)
 
 
 def test_k_candidates_validation():
