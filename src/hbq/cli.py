@@ -1,7 +1,9 @@
 """Command-line surface: quantize, dequantize, inspect, ab, gen.
 
 Runs are described entirely by (input files, config file, flags): flags
-override config-file keys, which override defaults. Reports are CSV or
+override config-file keys, which override the library's defaults. Each
+setting is one row of SETTINGS, which parses its text from either source
+into an argument of hbllm_quantize or QuantConfig. Reports are CSV or
 JSONL with a schema tag on every row, so they stay append-safe. Exit
 codes: 0 ok, 2 validation, 3 container integrity, 4 numeric failure.
 """
@@ -10,17 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .calib import build_calib_stats
-from .config import QuantConfig, nested_levels
+from .config import MAX_CANDIDATES, QuantConfig
 from .errors import ConfigError, IntegrityError, NumericError, ShapeError
 from .formats import (
     bit_report,
@@ -30,111 +32,90 @@ from .formats import (
     write_tensor,
 )
 from .grouping import compute_ciq
-from .haar import Axis
 from .pipeline import dequantize_layer, hbllm_quantize
 
 SCHEMA = "hbq-report-v1"
-AB_CANDIDATE_COUNTS = (10, 20, 40, 80)
+DEFAULT_REPORT = "csv"
+# plain default grids that nest: 13 | 39 | 78 | 156, so each grid's
+# percentiles are a subset of the next one's, and cand_40 is the default
+AB_CANDIDATE_COUNTS = (14, 40, 79, 157)
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-_LAYER_DEFAULTS = inspect.signature(hbllm_quantize).parameters
-
-
-@dataclass
-class RunConfig:
-    """Operator-facing knobs; validated before any file is touched. The
-    defaults are the library's: hbllm_quantize's and QuantConfig's."""
-
-    mode: str = _LAYER_DEFAULTS["mode"].default.value
-    beta: int = _LAYER_DEFAULTS["beta"].default
-    candidates: int = QuantConfig.n_candidates
-    share_mean: bool = QuantConfig.share_mean
-    norm: str = QuantConfig.norm
-    k_candidates: tuple[int, ...] = QuantConfig.k_candidates
-    lam: str | float = _LAYER_DEFAULTS["damping"].default  # "lambda" is reserved
-    report: str = "csv"
-
-    def validate(self) -> None:
-        if self.mode not in ("row", "col"):
-            raise ConfigError(f"mode must be 'row' or 'col', got {self.mode!r}")
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise ConfigError(f"beta must be a positive integer, got {self.beta!r}")
-        if self.report not in ("csv", "jsonl"):
-            raise ConfigError(
-                f"report must be 'csv' or 'jsonl', got {self.report!r}"
-            )
-        if isinstance(self.lam, str) and self.lam != "auto":
-            raise ConfigError(f"lambda must be 'auto' or a number, got {self.lam!r}")
-        if isinstance(self.lam, float) and not self.lam >= 0:
-            raise ConfigError(f"lambda must be non-negative, got {self.lam}")
-        # candidates / norm / k_candidates share QuantConfig's rules
-        self.to_quant_config()
-
-    def to_quant_config(self) -> QuantConfig:
-        return QuantConfig(
-            n_candidates=self.candidates,
-            share_mean=self.share_mean,
-            norm=self.norm,
-            k_candidates=tuple(self.k_candidates),
-        )
-
-    @property
-    def axis(self) -> Axis:
-        return Axis.ROW if self.mode == "row" else Axis.COL
+__all__ = ["run", "main"]
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("on", "true", "1", "yes"):
-        return True
-    if v in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be on or off, got {value!r}")
+def _word(values):
+    """A parser for one of a fixed set of words, in any case: values maps
+    each word to its value, or is a tuple of words that stand for
+    themselves."""
+    if not isinstance(values, dict):
+        values = {word: word for word in values}
+    return lambda text: values[text.strip().lower()]
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(value)
+    return value
 
 
-def _parse_k_list(value: str) -> tuple[int, ...]:
-    value = value.strip()
-    if not value:
-        raise ConfigError("k_candidates must not be empty")
-    return tuple(_parse_int("k_candidates", part) for part in value.split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
 
 
-def _parse_lambda(value: str) -> str | float:
-    v = value.strip().lower()
-    if v == "auto":
+def _damping(text: str) -> str | float:
+    if text.strip().lower() == "auto":
         return "auto"
-    try:
-        return float(v)
-    except ValueError:
-        raise ConfigError(f"lambda must be 'auto' or a number, got {value!r}") from None
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(value)
+    return value
 
 
-_CONFIG_PARSERS = {
-    "mode": lambda v: v.strip().lower(),
-    "beta": lambda v: _parse_int("beta", v),
-    "candidates": lambda v: _parse_int("candidates", v),
-    "share_mean": lambda v: _parse_bool("share_mean", v),
-    "norm": lambda v: v.strip().lower(),
-    "k_candidates": _parse_k_list,
-    "lambda": _parse_lambda,
-    "report": lambda v: v.strip().lower(),
+_ON = ("on", "true", "yes", "1")
+_OFF = ("off", "false", "no", "0")
+
+
+# Every run setting once: key -> (target, param, parser, accepted values).
+# The parser turns the key's text, from a flag or the config file alike,
+# into a value, and the value is passed as param to its target:
+# hbllm_quantize ("layer"), QuantConfig ("cfg") or the CLI's own report
+# ("cli"). A key not given is not passed, so its default is the library's.
+SETTINGS = {
+    "mode": ("layer", "mode", _word(("row", "col")), "row or col"),
+    "beta": ("layer", "beta", _positive_int, "a positive integer"),
+    "candidates": ("cfg", "n_candidates", int,
+                   f"an integer in [1, {MAX_CANDIDATES}]"),
+    "share_mean": (
+        "cfg", "share_mean",
+        _word({**dict.fromkeys(_ON, True), **dict.fromkeys(_OFF, False)}),
+        "/".join(_ON) + " or " + "/".join(_OFF),
+    ),
+    "norm": ("cfg", "norm", _word(("l1", "l2")), "l1 or l2"),
+    "k_candidates": ("cfg", "k_candidates", _int_list,
+                     "comma-separated even integers, e.g. 0,2,4,8"),
+    "lambda": ("layer", "damping", _damping,
+               "auto or a non-negative number (the Hessian damping)"),
+    "report": ("cli", "report", _word(("csv", "jsonl")),
+               "csv or jsonl"),
 }
-_FIELD_FOR_KEY = {"lambda": "lam"}
+
+
+def _parse_setting(key: str, text: str):
+    *_, parse, accepts = SETTINGS[key]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} must be {accepts}, got {text!r}") from None
 
 
 def load_config_file(path) -> dict:
     """Parse key=value lines; # starts a comment, blank lines are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out = {}
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,28 +123,26 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[_FIELD_FOR_KEY.get(key, key)] = _CONFIG_PARSERS[key](value)
+        out[key] = _parse_setting(key, value)
     return out
 
 
-def _resolve_config(args) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        values.update(load_config_file(args.config))
-    for key, parser in _CONFIG_PARSERS.items():
-        flag = key if key != "lambda" else "lam"
-        given = getattr(args, flag, None)
-        if given is not None:
-            values[_FIELD_FOR_KEY.get(key, key)] = (
-                parser(given) if isinstance(given, str) else given
-            )
-    rc = RunConfig(**values)
-    rc.validate()
-    return rc
+def _resolve_settings(args) -> tuple[dict, QuantConfig, str]:
+    """The config file's keys, then the flags given, checked: the
+    hbllm_quantize keywords, the QuantConfig and the report format."""
+    values = load_config_file(args.config) if args.config else {}
+    for key in SETTINGS:
+        text = getattr(args, key)
+        if text is not None:
+            values[key] = _parse_setting(key, text)
+    given = {"layer": {}, "cfg": {}, "cli": {}}
+    for key, value in values.items():
+        target, param, *_ = SETTINGS[key]
+        given[target][param] = value
+    cfg = QuantConfig(**given["cfg"])
+    return given["layer"], cfg, given["cli"].get("report", DEFAULT_REPORT)
 
 
 def _require_file(path, what: str) -> Path:
@@ -214,33 +193,35 @@ def _frobenius_norm(w) -> float:
     return float(np.linalg.norm(np.asarray(w, dtype=np.float64)))
 
 
-def cmd_quantize(args) -> int:
-    rc = _resolve_config(args)
+def _settings_and_inputs(args):
+    """Check every setting, then read the weights and calibration files:
+    (hbllm_quantize keywords, QuantConfig, report format, w, x)."""
+    layer, cfg, report = _resolve_settings(args)
     w_path = _require_file(args.weights, "weights file")
     x_path = _require_file(args.calib, "calibration file")
-    w = read_tensor(w_path)
-    x = read_tensor(x_path)
+    return layer, cfg, report, read_tensor(w_path), read_tensor(x_path)
+
+
+def cmd_quantize(args) -> int:
+    layer, cfg, report, w, x = _settings_and_inputs(args)
     w_norm = _frobenius_norm(w)
     # quantize needs scipy.linalg; importing it first keeps its one-time
     # load out of time_s, which times quantize and encode only
     import scipy.linalg  # noqa: F401
 
     t0 = time.perf_counter()
-    q = hbllm_quantize(
-        w, x, beta=rc.beta, damping=rc.lam, mode=rc.axis, cfg=rc.to_quant_config()
-    )
+    q = hbllm_quantize(w, x, cfg=cfg, **layer)
     blob = encode_layer(q)
     Path(args.out).write_bytes(blob)
     elapsed = time.perf_counter() - t0
-    report = bit_report(q)
+    bits = bit_report(q)
     rel = q.diagnostics["total_error"] / w_norm if w_norm else 0.0
     print(
-        f"quantized shape={q.n}x{q.m} mode={rc.mode} beta={q.beta} "
-        f"avg_bits={report.avg_bits_per_weight:.4f} rel_error={rel:.6f} "
+        f"quantized shape={q.n}x{q.m} mode={q.mode.value} beta={q.beta} "
+        f"avg_bits={bits.avg_bits_per_weight:.4f} rel_error={rel:.6f} "
         f"time_s={elapsed:.2f}"
     )
-    sidecar = f"{args.out}.diag.{rc.report}"
-    _write_report(_diag_rows(q, rc.report), rc.report, sidecar)
+    _write_report(_diag_rows(q, report), report, f"{args.out}.diag.{report}")
     return 0
 
 
@@ -258,21 +239,22 @@ def _sidecar_errors(container_path) -> dict[int, float]:
         if not p.is_file():
             continue
         out = {}
-        with open(p, newline="") as fh:
-            if fmt == "csv":
-                for row in csv.DictReader(fh):
+        try:
+            with open(p, newline="") as fh:
+                rows = csv.DictReader(fh) if fmt == "csv" else map(json.loads, fh)
+                for row in rows:
                     out[int(row["block"])] = float(row["error"])
-            else:
-                for line in fh:
-                    row = json.loads(line)
-                    out[int(row["block"])] = float(row["error"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed diagnostics sidecar {p}: {exc!r}") from None
         return out
     return {}
 
 
 def cmd_inspect(args) -> int:
     path = _require_file(args.container, "container file")
+    fmt = _parse_setting("report", args.report or DEFAULT_REPORT)
     q = decode_layer(path.read_bytes())
+    errors = _sidecar_errors(path)
     r = bit_report(q)
     recon = dequantize_layer(q)
     ciqs = compute_ciq(recon)
@@ -287,8 +269,6 @@ def cmd_inspect(args) -> int:
         f"ciq min={int(ciqs.min())} median={int(np.median(ciqs))} "
         f"max={int(ciqs.max())}"
     )
-    errors = _sidecar_errors(path)
-    fmt = args.report or "csv"
     rows = []
     for i, ((b, width), block) in enumerate(zip(q.spans, q.blocks)):
         rows.append(
@@ -306,46 +286,33 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _ab_variants(rc: RunConfig) -> list[tuple[str, QuantConfig]]:
-    base = rc.to_quant_config()
-    nested = nested_levels(AB_CANDIDATE_COUNTS)
-    variants = [
+def _ab_variants(base: QuantConfig) -> list[tuple[str, QuantConfig]]:
+    return [
         ("base", base),
         ("haar_off", replace(base, haar_enabled=False)),
         ("share_off", replace(base, share_mean=False)),
         ("norm_l1", replace(base, norm="l1")),
+        *((f"cand_{count}", replace(base, n_candidates=count))
+          for count in AB_CANDIDATE_COUNTS),
     ]
-    for count in AB_CANDIDATE_COUNTS:
-        variants.append(
-            (
-                f"cand_{count}",
-                replace(base, n_candidates=count, candidate_levels=nested[count]),
-            )
-        )
-    return variants
 
 
 def cmd_ab(args) -> int:
-    rc = _resolve_config(args)
-    w_path = _require_file(args.weights, "weights file")
-    x_path = _require_file(args.calib, "calibration file")
-    w = read_tensor(w_path)
-    x = read_tensor(x_path)
+    layer, base, report, w, x = _settings_and_inputs(args)
     w_norm = _frobenius_norm(w)
-    calib = build_calib_stats(x, rc.lam)
+    damping = {"damping": layer.pop("damping")} if "damping" in layer else {}
+    calib = build_calib_stats(x, **damping)
     rows = []
-    for name, cfg in _ab_variants(rc):
+    for name, cfg in _ab_variants(base):
         t0 = time.perf_counter()
-        q = hbllm_quantize(
-            w.copy(), x, beta=rc.beta, mode=rc.axis, cfg=cfg, calib=calib
-        )
+        q = hbllm_quantize(w.copy(), x, cfg=cfg, calib=calib, **layer)
         elapsed = time.perf_counter() - t0
         rel = q.diagnostics["total_error"] / w_norm if w_norm else 0.0
         rows.append(
             {
                 "schema": SCHEMA,
                 "variant": name,
-                "mode": rc.mode,
+                "mode": q.mode.value,
                 "beta": q.beta,
                 "haar": int(cfg.haar_enabled),
                 "share_mean": int(cfg.share_mean),
@@ -356,7 +323,7 @@ def cmd_ab(args) -> int:
                 "time_s": round(elapsed, 4),
             }
         )
-    _write_report(rows, rc.report, getattr(args, "out", None))
+    _write_report(rows, report, getattr(args, "out", None))
     return 0
 
 
@@ -371,15 +338,9 @@ def cmd_gen(args) -> int:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--mode", choices=("row", "col"))
-    p.add_argument("--beta", type=int)
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--share-mean", dest="share_mean", choices=("on", "off"))
-    p.add_argument("--norm", choices=("l1", "l2"))
-    p.add_argument("--k-candidates", dest="k_candidates")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--report", choices=("csv", "jsonl"))
+    p.add_argument("--config", help="key=value config file; flags win over it")
+    for key, (*_, accepts) in SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=accepts)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="report storage and CIQ statistics")
     p.add_argument("container")
-    p.add_argument("--report", choices=("csv", "jsonl"))
+    p.add_argument("--report", help=SETTINGS["report"][-1])
     p.add_argument("--out")
     p.set_defaults(func=cmd_inspect)
 

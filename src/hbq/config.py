@@ -1,15 +1,17 @@
-"""Quantizer configuration and the percentile-level bookkeeping.
+"""Quantizer configuration and the candidate threshold grid.
 
-Candidate thresholds are absolute-value percentiles of a band, evenly spaced
-over [10%, 90%] inclusive. Percentile levels are carried as exact integer
-rationals (num, den) so that nearest-rank positions are computed with integer
-arithmetic only: float evaluation of e.g. 0.1 * 100 rounds to
-10.000000000000002 and would shift a rank.
+A band's candidate thresholds are absolute-value percentiles of the band,
+n_candidates of them evenly spaced over [10%, 90%] inclusive. The grid is a
+function of its size alone, which is all HBQ1 stores of it. Percentile
+levels are carried as exact integer rationals (num, den) so that
+nearest-rank positions are computed with integer arithmetic only: float
+evaluation of e.g. 0.1 * 100 rounds to 10.000000000000002 and would shift a
+rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -36,23 +38,6 @@ def percentile_levels(n_candidates: int) -> tuple[Level, ...]:
     return tuple((10 * den + 80 * k, den) for k in range(n_candidates))
 
 
-def nested_levels(counts: tuple[int, ...]) -> dict[int, tuple[Level, ...]]:
-    """Level sets for each count, nested as sets: smaller is a stride-subsample
-    of the largest. Requires every count to divide the largest evenly."""
-    if not counts:
-        raise ConfigError("counts must be non-empty")
-    top = max(counts)
-    base = percentile_levels(top)
-    out: dict[int, tuple[Level, ...]] = {}
-    for c in counts:
-        if c < 1 or top % c != 0:
-            raise ConfigError(
-                f"nested candidate counts must divide the largest ({top}), got {c}"
-            )
-        out[c] = base[:: top // c]
-    return out
-
-
 def nearest_rank(level: Level, nvals: int) -> int:
     """1-based nearest-rank index of percentile num/den on nvals sorted values."""
     num, den = level
@@ -66,8 +51,10 @@ def nearest_rank(level: Level, nvals: int) -> int:
 class QuantConfig:
     """Knobs shared by the grouping planner and the block pipeline.
 
-    candidate_levels overrides the formula-derived percentile set; it exists
-    for nested-candidate sweeps where monotonicity of the search must be exact.
+    n_candidates sizes the threshold grid: each band's candidates are the
+    percentiles ``percentile_levels(n_candidates)``. For n, m > 1 the grid
+    of n is a subset of the grid of m when n - 1 divides m - 1. HBQ1
+    stores every field, so every QuantConfig can be encoded.
     """
 
     n_candidates: int = DEFAULT_CANDIDATES
@@ -76,7 +63,6 @@ class QuantConfig:
     norm: str = "l2"
     k_candidates: tuple[int, ...] = DEFAULT_K_CANDIDATES
     score_raw_weights: bool = False
-    candidate_levels: tuple[Level, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_candidates < 1 or self.n_candidates > MAX_CANDIDATES:
@@ -99,17 +85,3 @@ class QuantConfig:
                 )
             if k % 2 != 0:
                 raise ConfigError(f"k_candidates entries must be even, got {k}")
-        if self.candidate_levels is not None:
-            if len(self.candidate_levels) != self.n_candidates:
-                raise ConfigError(
-                    "candidate_levels length must equal n_candidates "
-                    f"({len(self.candidate_levels)} != {self.n_candidates})"
-                )
-            for num, den in self.candidate_levels:
-                if den <= 0 or num < 0 or num > 100 * den:
-                    raise ConfigError(f"bad percentile level {num}/{den}")
-
-    def levels(self) -> tuple[Level, ...]:
-        if self.candidate_levels is not None:
-            return self.candidate_levels
-        return percentile_levels(self.n_candidates)

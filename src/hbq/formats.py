@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_CANDIDATES, QuantConfig, percentile_levels
+from .config import MAX_CANDIDATES, QuantConfig
 from .errors import ConfigError, IntegrityError, ShapeError
 from .grouping import LinePlans, band_split
 from .haar import Axis
@@ -171,12 +171,6 @@ def _encode_plans(plans: LinePlans, share: bool) -> bytes:
 
 def encode_layer(q: QuantizedLayer) -> bytes:
     cfg = q.cfg
-    # the header names the threshold grid by its size alone
-    if cfg.levels() != percentile_levels(cfg.n_candidates):
-        raise ConfigError(
-            f"HBQ1 stores only the default {cfg.n_candidates}-candidate "
-            "threshold grid, not custom candidate_levels"
-        )
     flags = (
         (_FLAG_SHARE if cfg.share_mean else 0)
         | (_FLAG_HAAR if cfg.haar_enabled else 0)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import plan_lines
-from .config import QuantConfig, nearest_rank
+from .config import QuantConfig, nearest_rank, percentile_levels
 from .errors import NumericError, ShapeError
 from .haar import haar_fwd_rows, haar_inv_rows
 from .tensor import as_matrix
@@ -132,9 +132,10 @@ class LinePlans:
 
 
 @lru_cache(maxsize=64)
-def _ranks(levels, split: int) -> np.ndarray:
-    """The nearest ranks of levels in a band of split values, read-only:
-    every call with the same levels and width shares one array."""
+def _ranks(n_candidates: int, split: int) -> np.ndarray:
+    """The nearest ranks of the n_candidates grid in a band of split values,
+    read-only: every call with the same grid and width shares one array."""
+    levels = percentile_levels(n_candidates)
     ranks = np.array([nearest_rank(lv, split) for lv in levels], np.int64)
     ranks.flags.writeable = False
     return ranks
@@ -153,8 +154,7 @@ def quantize_lines(lines, cfg: QuantConfig) -> LinePlans:
     n, width = mat.shape
     split = band_split(width, cfg)
     coeffs = mat if split == width else haar_fwd_rows(mat)
-    # tuples all the way down: a custom grid may arrive as lists
-    ranks = _ranks(tuple(map(tuple, cfg.levels())), split)
+    ranks = _ranks(cfg.n_candidates, split)
     out = plan_lines(coeffs.reshape(-1, split), ranks, cfg.share_mean)
     plans = LinePlans(*(a.reshape(n, -1) for a in out))
     if not np.all(np.isfinite(plans.sse)):

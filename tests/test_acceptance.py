@@ -21,8 +21,7 @@ from hbq import (
     encode_layer,
     hbllm_quantize,
 )
-from hbq.cli import run
-from hbq.config import nested_levels
+from hbq.cli import AB_CANDIDATE_COUNTS, run
 from hbq.errors import IntegrityError
 from hbq.grouping import compute_ciq, quantize_lines
 from hbq.haar import Axis, haar_fwd_rows, haar_inv_rows
@@ -92,16 +91,14 @@ def test_criterion_03_candidate_search_dominance():
     rng = np.random.default_rng(103)
     rows = structured_rows(rng, 200, 128)
 
-    levels = nested_levels((10, 20, 40, 80))
     sse = {}
-    for count in (10, 20, 40, 80):
-        cfg = QuantConfig(n_candidates=count, candidate_levels=levels[count])
-        plans = quantize_lines(rows, cfg)
+    for count in AB_CANDIDATE_COUNTS:  # nested grids: 14, 40, 79, 157
+        plans = quantize_lines(rows, QuantConfig(n_candidates=count))
         sse[count] = plans.sse[:, 0] + plans.sse[:, 1]
     mono = (
-        np.all(sse[20] <= sse[10])
-        and np.all(sse[40] <= sse[20])
-        and np.all(sse[80] <= sse[40])
+        np.all(sse[40] <= sse[14])
+        and np.all(sse[79] <= sse[40])
+        and np.all(sse[157] <= sse[79])
     )
 
     w_t = quantize_lines(rows, QuantConfig()).weights()

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -14,9 +13,8 @@ import numpy as np
 import pytest
 
 import hbq
-from hbq.cli import RunConfig, run
-from hbq.config import QuantConfig
-from hbq.formats import decode_layer, read_tensor, write_tensor
+from hbq.cli import AB_CANDIDATE_COUNTS, SETTINGS, run
+from hbq.formats import decode_layer, encode_layer, read_tensor, write_tensor
 from hbq.pipeline import dequantize_layer, hbllm_quantize
 
 
@@ -105,21 +103,25 @@ def test_quantize_bad_beta_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.fixture
+def no_read(monkeypatch):
+    """Fail the test if the CLI reads an input tensor."""
+    def read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("hbq.cli.read_tensor", read)
+
+
 @pytest.mark.parametrize(
     "ks", ["0,70000", ",".join(str(2 * i) for i in range(300))],
     ids=["k-above-u16", "300-ks"],
 )
 def test_quantize_k_candidates_hbq1_cannot_store_exit_2(tmp_path, capsys,
-                                                       monkeypatch, ks):
+                                                       no_read, ks):
     # HBQ1 stores each K as a u16 and the number of Ks as a u8: a K list it
     # cannot store is refused before either input file is read
     w = gen(tmp_path, "w.rts", 4, 8, 1)
     x = gen(tmp_path, "x.rts", 8, 16, 2)
-
-    def no_read(path):
-        raise AssertionError(f"read {path}")
-
-    monkeypatch.setattr("hbq.cli.read_tensor", no_read)
     out = tmp_path / "o.hbq"
     code = run(["quantize", str(w), str(x), "--k-candidates", ks,
                 "--out", str(out)])
@@ -128,13 +130,103 @@ def test_quantize_k_candidates_hbq1_cannot_store_exit_2(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_run_config_defaults_are_the_library_defaults():
-    params = inspect.signature(hbllm_quantize).parameters
-    rc = RunConfig()
-    assert rc.to_quant_config() == QuantConfig()
-    assert rc.beta == params["beta"].default
-    assert rc.lam == params["damping"].default
-    assert rc.axis is params["mode"].default
+BAD_SETTINGS = [
+    ("mode", "diag"), ("beta", "0"), ("beta", "2.5"), ("candidates", "0"),
+    ("candidates", "257"), ("candidates", "many"), ("share_mean", "maybe"),
+    ("norm", "l3"), ("k_candidates", ""), ("k_candidates", "0,3"),
+    ("k_candidates", "0,x"), ("lambda", "-1"), ("lambda", "nan"),
+    ("lambda", "fast"), ("report", "xml"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", ["quantize", "ab"])
+@pytest.mark.parametrize("key,text", BAD_SETTINGS)
+def test_bad_setting_exits_2_naming_it_before_any_input_is_read(
+        tmp_path, capsys, no_read, key, text, command, source):
+    w = gen(tmp_path, "w.rts", 4, 8, 1)
+    x = gen(tmp_path, "x.rts", 8, 16, 2)
+    out = tmp_path / "o.hbq"
+    argv = [command, str(w), str(x), "--out", str(out)]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), text]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"error: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_settings_cover_every_key():
+    assert {key for key, _ in BAD_SETTINGS} == set(SETTINGS)
+
+
+def test_quantize_without_settings_writes_the_library_defaults(tmp_path, capsys):
+    w = gen(tmp_path, "w.rts", 8, 256, 21)
+    x = gen(tmp_path, "x.rts", 256, 128, 22)
+    out = tmp_path / "o.hbq"
+    assert run(["quantize", str(w), str(x), "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = encode_layer(hbllm_quantize(read_tensor(w), read_tensor(x)))
+    assert out.read_bytes() == want
+    assert (tmp_path / "o.hbq.diag.csv").is_file()
+
+
+# one text per settings key that changes what a small run writes
+SETTING_TEXT = {
+    "mode": "col", "beta": "16", "candidates": "20", "share_mean": "off",
+    "norm": "l1", "k_candidates": "0,2", "lambda": "0.5", "report": "jsonl",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SETTING_TEXT))
+def test_setting_as_flag_or_config_key_writes_the_same(tmp_path, capsys, key):
+    assert set(SETTING_TEXT) == set(SETTINGS)
+    w = gen(tmp_path, "w.rts", 8, 32, 23)
+    x = gen(tmp_path, "x.rts", 32, 64, 24)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {SETTING_TEXT[key]}\n")
+    flag = ["--" + key.replace("_", "-"), SETTING_TEXT[key]]
+    runs = {"default": [], "flag": flag, "file": ["--config", str(cfg)]}
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.hbq"
+        assert run(["quantize", str(w), str(x), "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    blob = {name: (tmp_path / f"{name}.hbq").read_bytes() for name in runs}
+    assert blob["flag"] == blob["file"]
+    if key == "report":
+        assert (tmp_path / "flag.hbq.diag.jsonl").read_bytes() == (
+            tmp_path / "file.hbq.diag.jsonl").read_bytes()
+    else:
+        assert blob["flag"] != blob["default"]  # the setting reached the library
+
+
+def test_flags_take_the_config_file_spellings(tmp_path, capsys):
+    w = gen(tmp_path, "w.rts", 8, 32, 25)
+    x = gen(tmp_path, "x.rts", 32, 64, 26)
+    blobs = set()
+    for text in ("off", "OFF", "false", "No", "0"):
+        out = tmp_path / "o.hbq"
+        assert run(["quantize", str(w), str(x), "--out", str(out),
+                    "--share-mean", text, "--lambda", "AUTO"]) == 0
+        blobs.add(out.read_bytes())
+    capsys.readouterr()
+    assert len(blobs) == 1
+    q = decode_layer(blobs.pop())
+    assert q.cfg.share_mean is False
+
+
+def test_help_shows_each_flags_accepted_values(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["quantize", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, (*_, accepts) in SETTINGS.items():
+        assert "--" + key.replace("_", "-") in text
+        assert " ".join(accepts.split()) in text
 
 
 def test_dequantize_roundtrip_matches_library(tmp_path, capsys):
@@ -270,6 +362,21 @@ def test_inspect_jsonl(tmp_path, capsys):
     assert rows[0]["schema"] == "hbq-report-v1"
 
 
+@pytest.mark.parametrize("fmt,bad", [
+    ("csv", "block,col_offset,width\n0,0,32\n"),  # no error column
+    ("jsonl", '{"block": 0, "error": 1.5}\nnot json\n'),
+])
+def test_inspect_malformed_sidecar_exits_2_naming_it(tmp_path, capsys, fmt, bad):
+    _, _, out, _ = quantized(tmp_path, capsys, extra=["--report", fmt])
+    sidecar = tmp_path / f"layer.hbq.diag.{fmt}"
+    sidecar.write_text(bad)
+    code = run(["inspect", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(sidecar) in captured.err
+    assert captured.out == ""  # nothing printed before the failure
+
+
 def test_ab_table_variants_and_nesting(tmp_path, capsys):
     # single block (beta == cols): nested candidate sets then guarantee
     # monotone errors outright. Across blocks, compensation feeds one
@@ -281,10 +388,15 @@ def test_ab_table_variants_and_nesting(tmp_path, capsys):
     assert run(["ab", str(w), str(x), "--beta", "64"]) == 0
     rows = parse_table(capsys.readouterr().out)
     by_name = {r["variant"]: r for r in rows}
-    assert {"base", "haar_off", "share_off", "norm_l1",
-            "cand_10", "cand_20", "cand_40", "cand_80"} <= set(by_name)
-    errs = {n: float(by_name[f"cand_{n}"]["rel_error"]) for n in (10, 20, 40, 80)}
-    assert errs[80] <= errs[40] <= errs[20] <= errs[10]
+    assert [r["variant"] for r in rows] == [
+        "base", "haar_off", "share_off", "norm_l1",
+        "cand_14", "cand_40", "cand_79", "cand_157",
+    ]
+    errs = {n: float(by_name[f"cand_{n}"]["rel_error"]) for n in AB_CANDIDATE_COUNTS}
+    assert errs[157] <= errs[79] <= errs[40] <= errs[14]
+    # the default grid is one of the nested ones: cand_40 is base
+    for column in ("rel_error", "avg_bits"):
+        assert by_name["cand_40"][column] == by_name["base"][column]
 
 
 def test_ab_share_mean_quarter_bit(tmp_path, capsys):
@@ -336,6 +448,24 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert "betta" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"beta = 16\n# caf\xe9\n")
+    w = gen(tmp_path, "w.rts", 4, 32, 17)
+    x = gen(tmp_path, "x.rts", 32, 64, 18)
+    capsys.readouterr()
+    code = run(["quantize", str(w), str(x), "--config", str(cfg),
+                "--out", str(tmp_path / "o.hbq")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config file {cfg}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_seed_key_is_unknown(tmp_path, capsys):
     # the quantizer is deterministic; "seed" was parsed and never read
     cfg = tmp_path / "run.cfg"
@@ -348,6 +478,17 @@ def test_config_file_seed_key_is_unknown(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def child_env():
+    """This process's environment, with the imported hbq's source
+    directory first on PYTHONPATH, so a child process imports it too."""
+    env = dict(os.environ)
+    src = str(Path(hbq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "w.rts"
     proc = subprocess.run(
@@ -355,6 +496,7 @@ def test_module_entry_point(tmp_path):
          "--seed", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.is_file()
@@ -397,14 +539,9 @@ print(json.dumps({"rc": rc, "scipy": loaded}))
 
 
 def run_child(argv):
-    env = dict(os.environ)
-    src = str(Path(hbq.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])

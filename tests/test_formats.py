@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from hbq.config import QuantConfig, nested_levels, percentile_levels
-from hbq.errors import ConfigError, IntegrityError
+from hbq.cli import AB_CANDIDATE_COUNTS
+from hbq.config import QuantConfig
+from hbq.errors import IntegrityError
 from hbq.formats import (
     _pack_bits,
     _unpack_bits,
@@ -208,6 +209,7 @@ def test_decode_reproduces_reconstruction():
         (QuantConfig(norm="l1", n_candidates=20), Axis.COL),
         (QuantConfig(k_candidates=(0, 2)), Axis.COL),
         (QuantConfig(score_raw_weights=True), Axis.ROW),
+        *((QuantConfig(n_candidates=c), Axis.ROW) for c in AB_CANDIDATE_COUNTS),
     ],
 )
 def test_reencode_idempotent(cfg, mode):
@@ -217,17 +219,6 @@ def test_reencode_idempotent(cfg, mode):
     assert encode_layer(q2) == blob
     assert q2.cfg == cfg
     assert np.array_equal(dequantize_layer(q2), dequantize_layer(q))
-
-
-def test_encode_rejects_custom_threshold_grid():
-    # the header stores only n_candidates, which decode expands to the
-    # default grid; a nested 10-of-20 grid would name other percentiles
-    custom = QuantConfig(n_candidates=10, candidate_levels=nested_levels((10, 20))[10])
-    with pytest.raises(ConfigError, match="candidate_levels"):
-        encode_layer(random_layer(3, cfg=custom))
-    spelled_out = QuantConfig(n_candidates=10, candidate_levels=percentile_levels(10))
-    q = random_layer(3, cfg=spelled_out)
-    assert decode_layer(encode_layer(q)).cfg.levels() == spelled_out.levels()
 
 
 def test_flip_any_byte_raises_integrity_error():

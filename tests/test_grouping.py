@@ -1,21 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import reference_kernels as R
-from hbq.config import QuantConfig, nearest_rank, nested_levels, percentile_levels
+from hbq.cli import AB_CANDIDATE_COUNTS
+from hbq.config import QuantConfig, nearest_rank, percentile_levels
 from hbq.errors import NumericError, ShapeError
 from conftest import binarize_group, candidate_thresholds, shared_mean
 from hbq.grouping import CIQ_TOLERANCE, LinePlans, compute_ciq, quantize_lines
 from hbq.haar import haar_fwd_rows, haar_inv_rows
 
 
-def plan_band(band, n_candidates=40, share_mean=True, levels=None) -> LinePlans:
-    """Plan one band as a raw one-line layer; levels overrides the grid."""
+def plan_band(band, n_candidates=40, share_mean=True) -> LinePlans:
+    """Plan one band as a raw one-line layer."""
     cfg = QuantConfig(
-        n_candidates=n_candidates if levels is None else len(levels),
-        share_mean=share_mean,
-        haar_enabled=False,
-        candidate_levels=levels,
+        n_candidates=n_candidates, share_mean=share_mean, haar_enabled=False
     )
     row = np.asarray(band, np.float32).reshape(1, -1)
     return quantize_lines(row, cfg)
@@ -211,13 +211,15 @@ def test_plan_band_matches_oracle_random():
 
 
 def test_plan_band_nested_candidates_monotonic():
+    grids = [
+        {Fraction(num, den) for num, den in percentile_levels(c)}
+        for c in AB_CANDIDATE_COUNTS
+    ]
+    assert all(small < big for small, big in zip(grids, grids[1:]))
     rng = np.random.default_rng(43)
-    tiers = nested_levels((10, 20, 40, 80))
     for _ in range(25):
         band = rng.normal(scale=2.0, size=int(rng.integers(4, 129))).astype(np.float32)
-        sses = [
-            plan_band(band, levels=tiers[c]).sse[0, 0] for c in (10, 20, 40, 80)
-        ]
+        sses = [plan_band(band, c).sse[0, 0] for c in AB_CANDIDATE_COUNTS]
         # candidate sets are nested, so refinement never hurts
         assert sses[1] <= sses[0] and sses[2] <= sses[1] and sses[3] <= sses[2]
 
@@ -280,10 +282,9 @@ def test_line_plans_validates_shapes():
 def test_ranks_computed_once_per_grid_and_width():
     from hbq.grouping import _ranks
 
-    levels = percentile_levels(40)
-    ranks = _ranks(levels, 64)
-    assert ranks.tolist() == [nearest_rank(lv, 64) for lv in levels]
-    assert _ranks(levels, 64) is ranks  # shared by every call ...
+    ranks = _ranks(40, 64)
+    assert ranks.tolist() == [nearest_rank(lv, 64) for lv in percentile_levels(40)]
+    assert _ranks(40, 64) is ranks  # shared by every call ...
     with pytest.raises(ValueError):
         ranks[0] = 1  # ... so no caller may write to it
 
@@ -370,7 +371,8 @@ def test_plans_recon_matches_planner_recon():
         lines = np.ascontiguousarray(lines)
         split = lines.shape[1] // 2 if cfg.haar_enabled else lines.shape[1]
         coeffs = haar_fwd_rows(lines) if cfg.haar_enabled else lines
-        ranks = np.array([nearest_rank(lv, split) for lv in cfg.levels()])
+        levels = percentile_levels(cfg.n_candidates)
+        ranks = np.array([nearest_rank(lv, split) for lv in levels])
         r1 = ranks if cfg.haar_enabled else np.zeros(0, np.int64)
         recon = R.plan_lines(coeffs, split, ranks, r1, cfg.share_mean)[-1]
         assert plans.recon().tobytes() == recon.tobytes()
