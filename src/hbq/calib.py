@@ -9,10 +9,18 @@ index-reversing permutation, J (H + lambda I) J = L L^T, and
 U = J L^-1 J (see damped_cholesky_inverse). The column sums of U*U are
 diag((H + lambda I)^-1), the [H^-1]_ii of the saliency metric. The damped
 diagonal stands in for the undamped one, which need not exist.
+
+The three LAPACK routines hbq uses (dpotrf and dtrtri here, dtrtrs in
+``pipeline.compensate``) come from scipy's LAPACK extension module, loaded
+by ``_lapack`` without importing scipy.linalg: that package import loads
+hundreds of modules that quantize never uses.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,28 @@ class CalibStats:
     damping: float
     chol_inv: np.ndarray
     hinv_diag: np.ndarray
+
+
+def _lapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``.
+
+    It is loaded on first use without running scipy/linalg/__init__.py:
+    finding the package's spec imports only the top-level scipy package.
+    The module is registered under its real name, so a later
+    ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dpotrf``
+    is this module's ``dpotrf``.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy.linalg")
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, package.submodule_search_locations
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
 
 
 def build_hessian(x) -> np.ndarray:
@@ -96,9 +126,8 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"hessian must be square, got {hm.shape}")
     if lam < 0:
         raise ConfigError(f"damping must be >= 0, got {lam}")
-    # imported here, not at module top, so commands that never factor
-    # (dequantize, inspect, gen) start without loading scipy.linalg
-    from scipy.linalg import lapack
+    # loaded here, not at import, so dequantize, inspect and gen never load it
+    lapack = _lapack()
 
     # J A J, copied in C order (a sequential read of H); its transpose,
     # equal to it by symmetry, is Fortran-ordered, so LAPACK factors and

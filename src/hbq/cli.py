@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calib import build_calib_stats
+from .calib import _lapack, build_calib_stats
 from .config import MAX_CANDIDATES, QuantConfig
 from .errors import ConfigError, IntegrityError, NumericError, ShapeError
 from .formats import (
@@ -205,9 +205,10 @@ def _settings_and_inputs(args):
 def cmd_quantize(args) -> int:
     layer, cfg, report, w, x = _settings_and_inputs(args)
     w_norm = _frobenius_norm(w)
-    # quantize needs scipy.linalg; importing it first keeps its one-time
-    # load out of time_s, which times quantize and encode only
-    import scipy.linalg  # noqa: F401
+    # quantize needs scipy's LAPACK extension (never scipy.linalg); loading
+    # it first keeps its one-time load out of time_s, which times quantize
+    # and encode only
+    _lapack()
 
     t0 = time.perf_counter()
     q = hbllm_quantize(w, x, cfg=cfg, **layer)

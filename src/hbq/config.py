@@ -65,6 +65,9 @@ class QuantConfig:
     score_raw_weights: bool = False
 
     def __post_init__(self) -> None:
+        # a list would leave the config unhashable and unequal to the
+        # tuple that decoding rebuilds
+        object.__setattr__(self, "k_candidates", tuple(self.k_candidates))
         if self.n_candidates < 1 or self.n_candidates > MAX_CANDIDATES:
             raise ConfigError(
                 f"candidates must be in [1, {MAX_CANDIDATES}], got {self.n_candidates}"

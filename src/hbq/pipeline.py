@@ -27,7 +27,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .calib import CalibStats, build_calib_stats, saliency_matrix
+from .calib import CalibStats, _lapack, build_calib_stats, saliency_matrix
 from .config import QuantConfig
 from .errors import ConfigError, NumericError, ShapeError
 from .grouping import LinePlans, quantize_lines
@@ -192,7 +192,8 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     """Push the block's residual into trailing columns of w, in place.
 
     E = (W_blk - B_blk) U_bb^-1 by triangular back-substitution on the
-    diagonal sub-block of the factor, then W_tail -= E U_{blk->tail}.
+    diagonal sub-block of the factor (LAPACK dtrtrs, from scipy's LAPACK
+    extension as ``calib`` loads it), then W_tail -= E U_{blk->tail}.
     """
     n, m = w.shape
     if not (0 <= b and b + beta <= m):
@@ -211,9 +212,15 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     )
     if b + beta == m:
         return  # nothing to the right: E would be discarded
-    from scipy.linalg import solve_triangular  # local: see calib's lapack
-
-    e = solve_triangular(u_bb, resid.T, lower=False, trans="T").T
+    block = f"block [{b}, {b + beta})"
+    if not (np.isfinite(u_bb).all() and np.isfinite(resid).all()):
+        raise NumericError(f"{block}: residual or factor is not finite")
+    # U_bb^T E^T = R^T: U_bb^T, the Fortran-ordered view of U_bb, is the
+    # lower triangle LAPACK solves with
+    e, info = _lapack().dtrtrs(u_bb.T, resid.T, lower=1, trans=0)
+    if info != 0:
+        raise NumericError(f"{block}: triangular solve failed (info {info})")
+    e = e.T
     tail = w[:, b + beta :].astype(np.float64)
     w[:, b + beta :] = (tail - e @ u[:, b + beta :]).astype(np.float32)
 

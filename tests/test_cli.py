@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hbq
+from hbq.calib import build_calib_stats
 from hbq.cli import AB_CANDIDATE_COUNTS, SETTINGS, run
 from hbq.formats import decode_layer, encode_layer, read_tensor, write_tensor
 from hbq.pipeline import dequantize_layer, hbllm_quantize
@@ -523,6 +525,22 @@ def test_overflowing_weights_exit_4_without_warning(tmp_path, capsys, command):
     assert "Warning" not in captured.err
 
 
+def test_non_finite_factor_exits_4_naming_the_block(tmp_path, capsys,
+                                                    monkeypatch):
+    import hbq.pipeline
+
+    w, x = gen(tmp_path, "w.rts", 8, 64, 1), gen(tmp_path, "x.rts", 64, 128, 2)
+    stats = build_calib_stats(read_tensor(x))
+    u = stats.chol_inv.copy()
+    u[32, 40] = np.inf  # inside the second block's diagonal sub-block
+    bad = replace(stats, chol_inv=u)
+    monkeypatch.setattr(hbq.pipeline, "build_calib_stats", lambda *a: bad)
+    code = run(["quantize", str(w), str(x), "--out", str(tmp_path / "o.hbq"),
+                "--beta", "16"])
+    assert code == 4
+    assert "block [32, 48)" in capsys.readouterr().err
+
+
 # Runs one CLI command (or none) in a fresh interpreter, then prints the
 # scipy modules loaded. The suite itself imports scipy, so only a child
 # process can show what a command loads.
@@ -571,4 +589,32 @@ def test_quantize_in_a_fresh_process_loads_scipy(tmp_path, capsys):
     loaded = run_child(["quantize", str(w), str(x), "--out", str(out),
                         "--beta", "32"])
     assert out.read_bytes() == want.read_bytes()
-    assert "scipy.linalg" in loaded  # the probe sees scipy when it is loaded
+    # the probe sees scipy when it is loaded: LAPACK's extension, and not
+    # the scipy.linalg package around it
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded
+
+
+LOADER_THEN_SCIPY_LINALG = """
+import sys
+from hbq.calib import _lapack
+lapack = _lapack()
+assert "scipy.linalg" not in sys.modules
+assert _lapack() is lapack
+import scipy.linalg
+from scipy.linalg import get_lapack_funcs
+assert sys.modules["scipy.linalg._flapack"] is lapack
+assert scipy.linalg.lapack.dpotrf is lapack.dpotrf
+assert scipy.linalg.lapack.dtrtri is lapack.dtrtri
+assert get_lapack_funcs(("trtrs",))[0] is lapack.dtrtrs
+print("ok")
+"""
+
+
+def test_lapack_loader_is_what_scipy_linalg_imports_later():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADER_THEN_SCIPY_LINALG],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

@@ -463,6 +463,14 @@ def test_salient_residual_adds_row_sign_bits():
     assert r_k.total_weights == r_0.total_weights
 
 
+def test_list_k_candidates_hash_and_round_trip_as_a_tuple():
+    cfg = QuantConfig(k_candidates=[0, 2])
+    assert cfg.k_candidates == (0, 2)
+    assert hash(cfg) == hash(QuantConfig(k_candidates=(0, 2)))
+    q = random_layer(12, cfg=cfg)
+    assert decode_layer(encode_layer(q)).cfg == cfg
+
+
 def test_report_components_nonnegative_and_additive():
     q = random_layer(11, cfg=QuantConfig(k_candidates=(0, 2)))
     r = bit_report(q)

@@ -232,6 +232,23 @@ def test_compensate_zero_diagonal_rejected():
         compensate(w, np.zeros((1, 1), dtype=np.float32), u, 0, 1)
 
 
+@pytest.mark.parametrize("bad", ["factor", "residual"])
+def test_compensate_non_finite_input_names_block(bad):
+    # the scan solve_triangular's check_finite made, raised as a numeric
+    # error naming the block
+    w = np.ones((2, 6), dtype=np.float32)
+    u = np.triu(np.full((6, 6), 0.5, dtype=np.float32))
+    recon = np.zeros((2, 2), dtype=np.float32)
+    if bad == "factor":
+        u[2, 3] = np.inf  # off the diagonal of the block's sub-block
+    else:
+        recon[1, 0] = np.nan
+    before = w.copy()
+    with pytest.raises(NumericError, match=r"block \[2, 4\)"):
+        compensate(w, recon, u, 2, 2)
+    assert w.tobytes() == before.tobytes()
+
+
 def test_compensate_bounds_checked():
     w = np.ones((1, 2), dtype=np.float32)
     u = np.eye(2, dtype=np.float32)
@@ -258,7 +275,9 @@ def _compensate_full_widening(w, recon_block, chol_inv, b, beta):
     w[:, b + beta :] = (tail - e @ u[b : b + beta, b + beta :]).astype(np.float32)
 
 
-@pytest.mark.parametrize("n,m,beta", [(3, 10, 4), (8, 64, 16), (5, 96, 32)])
+@pytest.mark.parametrize(
+    "n,m,beta", [(3, 10, 4), (8, 64, 16), (5, 96, 32), (4, 6, 1), (1, 40, 8)]
+)
 def test_compensate_bitwise_equals_full_widening(n, m, beta):
     rng = np.random.default_rng(m)
     x = rng.normal(size=(m, 2 * m)).astype(np.float32)
