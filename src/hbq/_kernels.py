@@ -12,8 +12,8 @@ group's own. Below, a "line" is one such row.
 - **Sums over the |v| order.** Each candidate's sparse set is a suffix of
   the line's |v| order, starting at the first index of its threshold's tie
   run. With c the line's binary16 mean (the shared mean), prefix sums over
-  that order of dev = |v - c|, dev·[v >= c] and [v >= c] give every
-  candidate's group counts and sums with one gather.
+  that order of dev = |v - c| (and, for own means, of dev·[v >= c]) give
+  every candidate's group counts and sums with one gather.
 - **Own means** (``share_mean=False``). A group's sum of x = v - c is
   2·Σdev·[v >= c] - Σdev, which gives its binary16 mean by the interval
   test below. Sorted by value, a line's dense group is the run of values
@@ -26,19 +26,22 @@ group's own. Below, a "line" is one such row.
   that interval round to the same binary16 value, sign of zero included,
   the value is exact. The rare (line, candidate) whose interval straddles
   a rounding midpoint or the overflow edge has its sum redone in position
-  order.
-- **Errors.** The error of a candidate is Σx² - 2·Σ o·D + Σ n·o² over its
-  four (group, sign) cells, where o is the cell's float32 level minus c
-  (sign-adjusted) and D and n the cell's sum and count. Its bound covers
-  both this estimate's rounding and that of the position-order sum. Every
-  candidate whose lower bound reaches the line's smallest upper bound has
-  its error computed exactly, in position order; the winner is the
-  first-index argmin of those exact errors. Any candidate left out is
-  strictly worse than one that was kept, so winner, error and stored bits
-  are those of evaluating every candidate on every position.
-- **Ties.** Equal ranks are scored once. Of the ranks on one tie run (one
-  sparse set) only the first is evaluated exactly and the others share
-  its error, so the first index still wins.
+  order. Own means are rounded for every candidate; scales only for the
+  candidates that are scored.
+- **Errors.** With a group's mean and signs fixed, the error of any scale
+  is at least Σdev² - (Σdev)²/n (dev about the group's mean), so the
+  group sums give a lower bound on every candidate's error with nothing
+  rounded to binary16; a derived slack (``_lower_bounds``) covers the
+  float32 narrowing of the four levels and float64 rounding. Each line's
+  candidate with the best bound is scored: its scales are rounded and its
+  error computed exactly, in position order. So is every other candidate
+  whose bound reaches that error, and the winner is the first-index
+  argmin of the scored errors. Any candidate left out is strictly worse
+  than one that was scored, so winner, error and stored bits are those of
+  evaluating every candidate on every position.
+- **Ties.** Equal ranks are screened once. Of the ranks on one tie run
+  (one sparse set) only the first can be scored and the others share its
+  error, so the first index still wins.
 
 A line whose every candidate overflows binary16 gets a zeroed plan on its
 own, without touching its neighbours. With shared means that includes a
@@ -88,19 +91,28 @@ def f16_round(x):
 
 # Element budget of one screen call: its temporaries are (lines x (band
 # width + candidates)), and a chunk holds at most this many such values
-# (256 lines of a 64-wide band at 40 candidates, a traced peak of ~2.4 MB
-# with shared means).
+# (256 lines of a 64-wide band at 40 candidates, a tracemalloc peak of
+# ~1.6 MB with shared means and ~4.2 MB with own means).
 _SCREEN_VALUES = 256 * (64 + 40)
 
-# The screen's error bounds, in float64 roundings (2**-53) of the line's
-# magnitudes, per position of the band plus a constant. Accounting for the
-# prefix sums, the cell arithmetic and the position-order sum needs about
-# 21·nv + 40 of them with shared means, and about twice that for own
-# means, whose cell sums combine up to six prefix sums; _SLACK · (nv + 8)
-# keeps a margin, and still ranks the candidates to ~1e-12 of a line's
-# error.
+# The screen's float64 slack: _SLACK·(nv + 8) roundings (2**-53) of a
+# line's magnitudes, per position of the band plus a constant.
+# - A group sum taken from prefix sums is known to within that many of the
+#   line's Σdev (plus nv·|y| with own means). Accounting for the prefix
+#   sums, their arithmetic and the position-order sum needs about
+#   21·nv + 40 with shared means and twice that with own means, whose sums
+#   combine up to six prefix sums.
+# - The lower bound is off by at most that many of the magnitudes it sums
+#   (the line's Σdev², the groups' (Σdev)²/n and, with own means,
+#   2·|y|·(|Σx| + Σdev) + n·y²): nv + 3 for Σdev², nv + 2 for the
+#   position-order error it is held against and a few for its own
+#   arithmetic, and with own means about 21·nv + 50 of 2·|y|·Σdev for a
+#   group's Σx.
+# The margin still ranks candidates to ~1e-12 of a line's error.
 _SLACK = 64.0
 _ULP = 2.0**-53
+# float32 narrowing of a level: |fl32(l) - l| <= 2**-24·|l|
+_ULP32 = 2.0**-24
 
 
 def _sum_positions(a):
@@ -127,9 +139,10 @@ def _group_sums(v, li, thr, sparse, mu=None):
     return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, term, 0.0))
 
 
-def _scales(v, means, thr, dsums, counts, width):
-    """binary16 of dsums / counts, for the dense ([0]) and sparse ([1])
-    groups of every (line, candidate), each sum known to within ``width``.
+def _scales(v, li, thr, means, dsums, counts, width):
+    """binary16 of dsums / counts for the dense ([0]) and sparse ([1])
+    group of each (line ``li``, threshold ``thr``) pair, each sum known to
+    within ``width``: (2, pairs) arrays.
 
     Where the two ends of the interval round alike that is the value; the
     other pairs redo their sum in position order. The low end is clamped
@@ -138,20 +151,20 @@ def _scales(v, means, thr, dsums, counts, width):
     den = np.maximum(counts, 1)
     lo = f16_round(np.maximum(dsums - width, 0.0) / den)
     hi = f16_round((dsums + width) / den)
-    g, li, ki = np.nonzero(lo != hi)
-    if li.size:
-        exact = _group_sums(v, li, thr[li, ki], g == 1, means[g, li, ki])
-        lo[g, li, ki] = f16_round(exact / den[g, li, ki])
+    g, p = np.nonzero(lo != hi)
+    if p.size:
+        exact = _group_sums(v, li[p], thr[p], g == 1, means[g, p])
+        lo[g, p] = f16_round(exact / den[g, p])
     return np.where(counts > 0, lo, 0.0)
 
 
-def _sorted_sums(v64, c, ranks):
+def _sorted_sums(v64, c, ranks, share):
     """Sort each line by |v| and sum over that order.
 
     Returns per (line, candidate) the threshold and the dense count (the
-    first index of the threshold's tie run); the sums of dev, dev·[v >= c]
-    and [v >= c] over the dense and the sparse group (2, 3, lines,
-    candidates); and the line's Σdev and Σdev² (lines, 1).
+    first index of the threshold's tie run); the sums of dev and, for own
+    means, of dev·[v >= c] over the dense and the sparse group (2, 1 or 2,
+    lines, candidates); and the line's Σdev and Σdev² (lines, 1).
     """
     n, nv = v64.shape
     rc = np.arange(n)[:, None]
@@ -162,15 +175,14 @@ def _sorted_sums(v64, c, ranks):
     run[:, 1:] = np.where(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), 0)
     n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
     dev = np.abs(vs - c)
-    pos = vs >= c
-    pre = np.zeros((3, n, nv + 1))
+    pre = np.zeros((1 if share else 2, n, nv + 1))
     pre[0, :, 1:] = dev
-    np.multiply(dev, pos, out=pre[1, :, 1:])
-    pre[2, :, 1:] = pos
+    if not share:
+        np.multiply(dev, vs >= c, out=pre[1, :, 1:])
     np.cumsum(pre, axis=2, out=pre)
-    sums = np.empty((2, 3, n, ranks.size))
+    sums = np.empty((2, len(pre), n, ranks.size))
     at = n_de + (nv + 1) * rc  # every index is in range; "clip" writes unbuffered
-    np.take(pre.reshape(3, -1), at, axis=1, out=sums[0], mode="clip")
+    np.take(pre.reshape(len(pre), -1), at, axis=1, out=sums[0], mode="clip")
     np.subtract(pre[:, :, nv:], sums[0], out=sums[1])
     q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
     return srt[:, ranks - 1], n_de, sums, pre[0, :, nv:].copy(), q_all
@@ -244,26 +256,38 @@ def _split_at_means(v64, c, thr, n_de, counts, means):
     return np.stack([total - 2.0 * below, total - below, counts - n_below], axis=1)
 
 
-def _error_bounds(levels, c, nv, counts, sums, d_all, q_all, bound):
-    """Lower and upper bounds on each candidate's position-order error.
 
-    With o a cell's level minus c (sign-adjusted) and D its signed sum of
-    x = v - c, the cell's error is Σx² + o·(n·o - 2·D). The estimate sums
-    that over the four (group, sign) cells. Its bound is ``bound`` times
-    the line's magnitudes and covers the rounding of this estimate and of
-    the position-order sum.
+
+def _lower_bounds(v64, q_all, counts, dsums, width, bound, shift=None):
+    """A lower bound on each candidate's position-order error (lines,
+    candidates), from its group sums alone: nothing is rounded to binary16.
+
+    Fix a group's n values, its stored mean m and the signs against m. Any
+    scale a reconstructs them with error Σ(dev - a)², dev = |v - m|, at
+    least Σdev² - (Σdev)²/n, so the scale's binary16 rounding costs the
+    bound nothing. Over both groups Σdev² is the line's Σdev² about c,
+    ``q_all``, less 2·y·Σx - n·y² per group with own means (``shift`` =
+    (y, Σx, the line's Σdev), y the group's mean minus c and x = v - c).
+    Each Σdev is taken at the top of its interval ``width``. That is B.
+    The float32 levels move each reconstruction r by at most 2**-24·|r|,
+    so by at most 2**-24·(‖v‖ + √E0) over the line, E0 >= B the error
+    before narrowing. The error E is then at least
+    (√E0·(1 - 2**-24) - 2**-24·‖v‖)², so at least
+    B·(1 - 2**-23) - 2**-23·‖v‖·√B. float64 rounding costs ``bound``
+    times the magnitudes summed (see _SLACK); ‖v‖ is taken that much too
+    large to cover its own.
     """
-    o = levels - c
-    o[0::2] *= -1.0
-    est = np.repeat(q_all, counts.shape[2], axis=1)
-    for g in (0, 1):
-        d, dp, npos = sums[g]
-        cells = ((d - dp, counts[g] - npos), (dp, npos))
-        for oc, (dc, nc) in zip(o[2 * g : 2 * g + 2], cells):
-            est += oc * (nc * oc - 2.0 * dc)
-    o_max = np.abs(o).max(axis=0)
-    err = bound * (q_all + 2.0 * o_max * d_all + nv * (o_max * o_max))
-    return est - err, est + err
+    d_hi = dsums + width
+    sq = d_hi * d_hi / np.maximum(counts, 1)
+    sq = sq[0] + sq[1]
+    low, mag = q_all - sq, q_all + sq
+    if shift is not None:
+        y, s, d_all = shift
+        low -= (2.0 * y * s - counts * y * y).sum(axis=0)
+        mag += (2.0 * np.abs(y) * (np.abs(s) + d_all) + counts * y * y).sum(axis=0)
+    b = np.maximum(low, 0.0)
+    norm = np.sqrt(np.einsum("ij,ij->i", v64, v64))[:, None] * (1.0 + bound)
+    return low - 2.0 * _ULP32 * (b + norm * np.sqrt(b)) - bound * mag
 
 
 def _screen_band(v, ranks_in, share):
@@ -287,7 +311,7 @@ def _screen_band(v, ranks_in, share):
     ncand = ranks.size
     v64 = v.astype(np.float64)
     c = mu[:, None]
-    t, n_de, sums, d_all, q_all = _sorted_sums(v64, c, ranks)
+    t, n_de, sums, d_all, q_all = _sorted_sums(v64, c, ranks, share)
     counts = np.stack([n_de, nv - n_de])
     bound = _SLACK * (nv + 8) * _ULP
     if share:
@@ -296,6 +320,7 @@ def _screen_band(v, ranks_in, share):
         means = np.broadcast_to(c, counts.shape)
         finite = fin[:, None]
         dsums, width = sums[:, 0], bound * d_all
+        shift = None
     else:
         width = bound * (d_all + nv * np.abs(c))
         means = _own_means(v, c, line_sums, t, counts, sums, width)
@@ -305,47 +330,64 @@ def _screen_band(v, ranks_in, share):
         y = means - c
         dsums = sums[:, 0] - y * (2.0 * sums[:, 2] - counts)
         width = bound * (d_all + nv * np.abs(y))
-    al = _scales(v, means, t, dsums, counts, width)
-    # a candidate with an overflowed scale or mean has infinite error and
-    # never wins
-    finite = finite & np.isfinite(al).all(axis=0)
-    al[:, ~finite] = 0.0
+        shift = (y, 2.0 * sums[:, 1] - sums[:, 0], d_all)
+    lower = _lower_bounds(v64, q_all, counts, dsums, width, bound, shift)
+    width = np.broadcast_to(width, counts.shape)
 
-    # the four f32 levels of each candidate, indexed by 2 * sparse + (v >= mu)
-    levels = np.empty((4, n, ncand), np.float32)
-    levels[0::2] = means - al
-    levels[1::2] = means + al
-    lower, upper = _error_bounds(levels, c, nv, counts, sums, d_all, q_all, bound)
-    upper[~finite] = np.inf
-    keep = finite & (lower <= upper.min(axis=1, keepdims=True))
-    # candidates on one tie run are one candidate: evaluate the first
-    # and give the others its error
+    # candidates on one tie run are one candidate: score the first and
+    # give the others its error
     new_run = np.ones(t.shape, bool)
     new_run[:, 1:] = n_de[:, 1:] != n_de[:, :-1]
-    keep &= new_run
     first = np.maximum.accumulate(np.where(new_run, np.arange(ncand), 0), axis=1)
+    cand = finite & new_run
+    lower = np.where(cand, lower, np.inf)
 
-    # exact, position-order errors of the candidates that could win
-    li, ki = np.nonzero(keep)
-    vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
-    sp = np.abs(vp) >= t[li, ki]
-    m_de, m_sp = means[:, li, ki]
-    cell = 2 * sp + (vp >= np.where(sp, m_sp, m_de))
-    diff = vp - levels[:, li, ki][cell, np.arange(li.size)]
     errs = np.full(t.shape, np.inf)
-    errs[li, ki] = _sum_positions(np.square(diff, out=diff))
-    errs = errs[rc, first]
+    al = np.zeros(counts.shape)
+
+    def score(li, ki):
+        # round the pairs' scales and compute their errors exactly, in
+        # position order
+        if not li.size:
+            return
+        at = (slice(None), li, ki)
+        m, thr = means[at], t[li, ki]
+        a = _scales(v, li, thr, m, dsums[at], counts[at], width[at])
+        # an overflowed scale has infinite error and never wins
+        ok = np.isfinite(a).all(axis=0)
+        a[:, ~ok] = 0.0
+        # the four f32 levels, indexed by 2 * sparse + (v >= mu)
+        levels = np.empty((4, li.size), np.float32)
+        levels[0::2] = m - a
+        levels[1::2] = m + a
+        vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
+        sp = np.abs(vp) >= thr
+        cell = 2 * sp + (vp >= np.where(sp, m[1], m[0]))
+        diff = vp - levels[cell, np.arange(li.size)]
+        al[at] = a
+        err = _sum_positions(np.square(diff, out=diff))
+        errs[li, ki] = np.where(ok, err, np.inf)
+
+    # Score the best bound of each line, then every other candidate whose
+    # bound reaches its error; any candidate left out is strictly worse.
+    kb = np.argmin(lower, axis=1)
+    li = np.flatnonzero(cand.any(axis=1))
+    score(li, kb[li])
+    more = cand & (lower <= errs[rows, kb][:, None])
+    more[rows, kb] = False
+    score(*np.nonzero(more))
 
     # back to the caller's candidates; first minimum: smaller index wins
     # ties. A line with no finite candidate keeps mu = alpha = 0 and signs
     # against 0.
+    errs = errs[rc, first]
     best = np.argmin(errs[:, inv], axis=1)
     k = inv[best]
     ok = np.isfinite(errs[rows, k])
     best[~ok] = 0
     k[~ok] = inv[0]
     mu_de, mu_sp = np.where(ok, means[:, rows, k], 0.0)
-    al_de, al_sp = np.where(ok, al[:, rows, k], 0.0)
+    al_de, al_sp = np.where(ok, al[:, rows, first[rows, k]], 0.0)
     sparse = np.abs(v64) >= t[rows, k][:, None]
     pos = v64 >= np.where(sparse, mu_sp[:, None], mu_de[:, None])
     return (

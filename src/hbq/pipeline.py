@@ -201,17 +201,19 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     u = np.asarray(chol_inv)
     if u.shape != (m, m):
         raise ShapeError(f"factor shape {u.shape} != ({m}, {m})")
-    # only the block's rows are read; widening f32 to f64 is exact
-    u = u[b : b + beta].astype(np.float64)
+    u = u[b : b + beta]  # only the block's rows are read
+    zero = np.flatnonzero(np.diag(u[:, b : b + beta]) == 0.0)
+    if zero.size:
+        bad = b + int(zero[0])
+        raise NumericError(f"triangular factor has zero diagonal at {bad}")
+    if b + beta == m:
+        return  # nothing to the right: E would be discarded
+    # widening f32 to f64 is exact
+    u = u.astype(np.float64)
     u_bb = u[:, b : b + beta]
-    if np.any(np.diag(u_bb) == 0.0):
-        bad = int(np.flatnonzero(np.diag(u_bb) == 0.0)[0])
-        raise NumericError(f"triangular factor has zero diagonal at {b + bad}")
     resid = w[:, b : b + beta].astype(np.float64) - np.asarray(
         recon_block, dtype=np.float64
     )
-    if b + beta == m:
-        return  # nothing to the right: E would be discarded
     block = f"block [{b}, {b + beta})"
     if not (np.isfinite(u_bb).all() and np.isfinite(resid).all()):
         raise NumericError(f"{block}: residual or factor is not finite")

@@ -85,15 +85,14 @@ def fill_avg(w_block, mask: SalientMask) -> np.ndarray:
     if mask.k == 0:
         return wm
     keep = np.flatnonzero(~mask.bits)  # non-empty: mask validation ensures it
-    for j in mask.indices:
-        pos = np.searchsorted(keep, j)
-        left = keep[pos - 1] if pos > 0 else None
-        right = keep[pos] if pos < keep.size else None
-        if left is None:
-            wm[:, j] = wm[:, right]
-        elif right is None:
-            wm[:, j] = wm[:, left]
-        else:
-            half = np.float32(0.5)
-            wm[:, j] = (wm[:, left] + wm[:, right]) * half
+    holes = mask.indices
+    pos = np.searchsorted(keep, holes)
+    # a hole's nearest non-salient neighbours; at a block edge both are the
+    # one neighbour it has
+    left = keep[np.maximum(pos - 1, 0)]
+    right = keep[np.minimum(pos, keep.size - 1)]
+    fill = wm[:, left]
+    two = left != right
+    fill[:, two] = (fill[:, two] + wm[:, right[two]]) * np.float32(0.5)
+    wm[:, holes] = fill
     return wm

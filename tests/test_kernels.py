@@ -6,6 +6,8 @@ defines the bits a container stores, and the batched planner must store
 the same ones however its lines are chunked."""
 
 import numpy as np
+import pytest
+from conftest import structured_rows
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from hbq import _kernels as K
 from hbq.config import nearest_rank, percentile_levels
 from hbq.grouping import LinePlans
 from hbq.haar import haar_fwd_rows, haar_inv_rows
+from hbq.salient import column_scores, fill_avg, top_k_mask
 
 
 def _ranks(nvals, n_candidates=40):
@@ -292,8 +295,9 @@ def test_screen_exact_ties_between_candidates():
     # The same with noise: mean 1, and every deviation within 2**-25 of 1,
     # so every candidate stores both scales as 1.0 and levels {0, 2}, and
     # all tie exactly. The deviations of the tiny values are not exact in
-    # float64, so the prefix-sum estimates of the tied errors differ in
-    # their last bits; only the bound keeps candidate 0 in the running.
+    # float64, so the lower bounds of the tied candidates differ in their
+    # last bits and the best one falls on a later candidate; candidate 0
+    # is scored only because its bound reaches that candidate's error.
     tiny = [-5.329719345438348e-14, 2.945602789461432e-11, -4.2149633392926655e-14,
             1.4345733531217347e-13, 1.76237868743101e-08, 2.825554373808714e-11,
             6.146613843989804e-14]
@@ -449,3 +453,127 @@ def test_screen_matches_reference_on_random_lines(case):
     lines, split, ranks = case
     for share in (True, False):
         _assert_matches_reference(lines, split, share, ranks=ranks)
+
+
+# ---------------------------------------------------------------------------
+# The lower bound. The screen rounds and scores a line's best-bound
+# candidate, then only the candidates whose bound reaches its error, so no
+# bound may exceed its candidate's exact error.
+# ---------------------------------------------------------------------------
+
+
+def _record(name, rows, ranks, share):
+    """Plan ``rows`` once; what K.<name> returned, call after call."""
+    seen = []
+    real = getattr(K, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, name, lambda *a: seen.append(real(*a)) or seen[-1])
+        K.plan_lines(rows, ranks, share)
+    return seen
+
+
+def _bounds(rows, ranks, share):
+    """The screen's lower bound of every (band row, candidate)."""
+    return np.vstack(_record("_lower_bounds", rows, ranks, share))
+
+
+def _assert_bounds_sound(lines, split, share, ranks=None):
+    # The screen bounds each distinct rank once, in ascending order. The
+    # reference planner given one rank alone returns its exact error.
+    rows = lines.reshape(-1, split)
+    ranks = np.unique(_ranks(split) if ranks is None else ranks)
+    lower = _bounds(rows, ranks, share)
+    none = np.zeros(0, np.int64)
+    exact = np.stack(
+        [R.plan_lines(rows, split, ranks[k : k + 1], none, share)[6][:, 0]
+         for k in range(ranks.size)],
+        axis=1,
+    )
+    fin = np.isfinite(exact)
+    assert np.all(lower[fin] <= exact[fin]), (share, lower[fin] - exact[fin])
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_planner_inputs())
+def test_lower_bound_never_exceeds_exact_error_on_random_lines(case):
+    lines, split, ranks = case
+    for share in (True, False):
+        _assert_bounds_sound(lines, split, share, ranks)
+
+
+def test_lower_bound_never_exceeds_exact_error_on_adversarial_lines():
+    rng = np.random.default_rng(12)
+    a = 10245 / 4096
+    e = 1.0 - 2.0**-20
+    wide = rng.normal(size=(2, 64)) * 10.0 ** rng.uniform(-3, 3, (2, 64))
+    families = {
+        "plateau": _trial_lines(rng, "plateau", 4, 16),
+        "small integers": rng.integers(-3, 4, size=(4, 16)),
+        "large mean, tiny spread": np.vstack(
+            [mean + rng.normal(size=(2, 16)) * 1e-3
+             for mean in (1000.0, 1000.25, -3e4, 6.5e4)]
+        ),
+        # Beside 2048 float32 levels are 2**-13 or 2**-12 apart, as far
+        # apart as the values. Rounding m - a and m + a unevenly can then
+        # fit the line better than the best symmetric levels: the float32
+        # narrowing is what the bound's slack must cover here.
+        "float32 grid spread": [
+            2048.0 + np.array([-10, 30, -10, -20, 20, -20, -10, 10]) * 2.0**-13
+        ],
+        "binary16 midpoint scale": [[a, -a, 2.0**-52, 2.0**-52, 2.0**-52,
+                                     2.0**-60, -(2.0**-60), 0.0]],
+        "binary16 midpoint mean": [[1024.0, 2.0**-20 + 2.0**-25 + 2.0**-43,
+                                    -1024.0]],
+        "mean on the threshold": [[1, -1, 1, -1, e, e, e, e],
+                                  [1, -1, 1, -1, -e, -e, -e, -e]],
+        "overflow": [[4e5, -5e5, 3e5, -2e5, 4e5, -5e5, 3e5, -2e5],
+                     [99000.0, -99000.0, 50.0, -50.0, 25.0, -25.0, 10.0, -10.0],
+                     [7e4] * 8],
+        "-0.0": [[-0.0] * 8, [-0.0, -0.0, -0.0, -0.0, 0.0, -0.0, 3.0, -1.5],
+                 [3, -3, 2.5, -2.5, -1e-30, 1e-31, -2e-30, 0]],
+        "wide dynamic range": wide,
+    }
+    for name, lines in families.items():
+        lines = np.asarray(lines, np.float32)
+        for share in (True, False):
+            for n_candidates in (40, 256):
+                _assert_bounds_sound(lines, lines.shape[1], share,
+                                     _ranks(lines.shape[1], n_candidates))
+
+
+def test_screen_scores_candidates_past_the_best_bound():
+    # Two different sparse sets with nearly the same bound: the binary16
+    # scales of the one with the best bound lose more to rounding, so the
+    # winner is another candidate, which only the second scoring round,
+    # over the bounds that reach the first's error, finds.
+    line = np.array([[6, 2, 0, -6, 4, -3]], np.float32) * np.float32(0.37)
+    ranks = np.unique(_ranks(6))
+    for share in (True, False):
+        thr_idx = _assert_matches_reference(line, 6, share, ranks=ranks)[0]
+        lower = _bounds(line, ranks, share)[0]
+        assert np.argmin(lower) != thr_idx[0, 0]
+        _assert_bounds_sound(line, 6, share, ranks)
+
+
+def test_screen_at_benchmark_band_widths():
+    # The bound's slack grows with the band width, and the random lines
+    # above are at most 16 wide. These are Haar bands 64 and 128 wide of
+    # weight-like rows, as a block 128 or 256 wide is planned, with and
+    # without its most salient columns filled in, at 40 candidates.
+    rng = np.random.default_rng(13)
+    for nv in (64, 128):
+        rows = structured_rows(rng, 6, 2 * nv)
+        filled = fill_avg(rows, top_k_mask(column_scores(rows), 8))
+        for w in (rows, filled):
+            lines = haar_fwd_rows(w)
+            for share in (True, False):
+                _assert_matches_reference(lines, nv, share)
+                _assert_bounds_sound(lines, nv, share)
+                # the bound is tight enough to leave one candidate a row
+                scales = _record("_scales", lines.reshape(-1, nv), _ranks(nv), share)
+                assert sum(a.shape[1] for a in scales) == 2 * lines.shape[0]

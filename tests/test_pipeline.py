@@ -225,6 +225,24 @@ def test_compensate_last_block_is_noop():
     assert np.array_equal(w, before)
 
 
+def test_compensate_last_block_returns_before_reading_residual():
+    # The last block has nothing to its right: w stays bit-identical even
+    # when its residual is not finite, and a zero on the block's float32
+    # diagonal is still refused.
+    rng = np.random.default_rng(8)
+    w = rng.normal(size=(3, 6)).astype(np.float32)
+    before = w.copy()
+    u = np.triu(rng.normal(size=(6, 6)).astype(np.float32))
+    np.fill_diagonal(u, 1.0)
+    recon = np.full((3, 2), np.nan, dtype=np.float32)
+    compensate(w, recon, u, 4, 2)
+    assert w.tobytes() == before.tobytes()
+    u[5, 5] = 0.0
+    with pytest.raises(NumericError, match="diagonal at 5"):
+        compensate(w, recon, u, 4, 2)
+    assert w.tobytes() == before.tobytes()
+
+
 def test_compensate_zero_diagonal_rejected():
     w = np.ones((1, 2), dtype=np.float32)
     u = np.array([[0.0, 0.1], [0.0, 0.4]], dtype=np.float32)

@@ -231,6 +231,27 @@ def test_fill_avg_matches_scan_oracle():
         assert np.array_equal(got[:, keep], w[:, keep])
 
 
+def test_fill_avg_adjacent_holes_at_both_edges_match_the_loop():
+    # runs of holes at both block edges and inside, against the
+    # column-by-column loop fill_avg replaced
+    rng = np.random.default_rng(20)
+    bits = np.array([1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1], bool)
+    w = rng.normal(size=(5, bits.size)).astype(np.float32)
+    want = w.copy()
+    keep = np.flatnonzero(~bits)
+    for j in np.flatnonzero(bits):
+        pos = np.searchsorted(keep, j)
+        left = keep[pos - 1] if pos > 0 else None
+        right = keep[pos] if pos < keep.size else None
+        if left is None:
+            want[:, j] = w[:, right]
+        elif right is None:
+            want[:, j] = w[:, left]
+        else:
+            want[:, j] = (w[:, left] + w[:, right]) * np.float32(0.5)
+    assert fill_avg(w, mask_of(bits)).tobytes() == want.tobytes()
+
+
 def test_fill_avg_k0_is_plain_copy():
     w = np.array([[1.0, 2.0]], dtype=np.float32)
     filled = fill_avg(w, mask_of([False, False]))
