@@ -22,12 +22,17 @@ group's own. Below, a "line" is one such row.
   the same (dev, dev·pos, pos) sums, relative to c. The scales' deviation
   sums follow as Σdev - y·(2·npos - n), with y the group mean minus c.
 - **Binary16 scalars.** Means and scales are binary16 roundings of sums
-  over counts. Each sum carries a float64 error bound; where both ends of
-  that interval round to the same binary16 value, sign of zero included,
-  the value is exact. The rare (line, candidate) whose interval straddles
-  a rounding midpoint or the overflow edge has its sum redone in position
-  order. Own means are rounded for every candidate; scales only for the
-  candidates that are scored.
+  over counts, and one routine, ``_f16_quotients``, rounds them all. Each
+  sum carries a float64 error bound; where both ends of that interval
+  round to the same binary16 value, sign of zero included, the value is
+  exact. The rare group whose interval straddles a rounding midpoint,
+  zero or the overflow edge has its sum redone in position order by a
+  callback: a scale's Σ|v - mu|, an own mean's sparse Σv, and its dense
+  Σv as the line's sum minus that. Own means are rounded for every
+  candidate; scales only for the candidates that are scored.
+- **Levels.** A band stores four float32 levels mu -/+ alpha, indexed by
+  2·sparse + (v >= mu). ``band_levels`` builds them; the screen scores
+  them and ``grouping.LinePlans.recon`` gathers each position's from them.
 - **Errors.** With a group's mean and signs fixed, the error of any scale
   is at least Σdev² - (Σdev)²/n (dev about the group's mean), so the
   group sums give a lower bound on every candidate's error with nothing
@@ -51,10 +56,9 @@ The planner narrows group scalars to IEEE-754 binary16 (round to nearest,
 ties to even) *during* the threshold search, so the selected split minimizes
 the error that will actually be stored.
 
-``tests/reference_kernels.py`` holds a scalar, one-line-at-a-time version of
+``tests/reference_kernels.py`` holds a scalar, one-band-at-a-time version of
 every kernel here and of the Haar row pair; ``tests/test_kernels.py`` checks
-these against it bit for bit. Its planner takes whole lines and a band
-split, so the tests hand this one the same lines reshaped to band rows.
+these against it bit for bit.
 """
 
 from __future__ import annotations
@@ -139,23 +143,33 @@ def _group_sums(v, li, thr, sparse, mu=None):
     return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, term, 0.0))
 
 
-def _scales(v, li, thr, means, dsums, counts, width):
-    """binary16 of dsums / counts for the dense ([0]) and sparse ([1])
-    group of each (line ``li``, threshold ``thr``) pair, each sum known to
-    within ``width``: (2, pairs) arrays.
+def _f16_quotients(s, counts, width, exact):
+    """binary16 of each group sum ``s`` over its count, 0 for an empty
+    group; every sum is known to within ``width``.
 
-    Where the two ends of the interval round alike that is the value; the
-    other pairs redo their sum in position order. The low end is clamped
-    at 0, so a zero sum gives +0.0.
+    Where the two ends of the interval round alike, sign of zero included
+    (a -0.0 mean is stored as 0x8000), that is the value. The groups whose
+    ends round apart have their sum redone in position order by
+    ``exact(*index)``, given the groups' index into ``s``.
     """
     den = np.maximum(counts, 1)
-    lo = f16_round(np.maximum(dsums - width, 0.0) / den)
-    hi = f16_round((dsums + width) / den)
-    g, p = np.nonzero(lo != hi)
-    if p.size:
-        exact = _group_sums(v, li[p], thr[p], g == 1, means[g, p])
-        lo[g, p] = f16_round(exact / den[g, p])
+    lo = f16_round((s - width) / den)
+    hi = f16_round((s + width) / den)
+    redo = (lo != hi) | (np.signbit(lo) != np.signbit(hi))
+    idx = np.nonzero(redo & (counts > 0))
+    if idx[0].size:
+        lo[idx] = f16_round(exact(*idx) / den[idx])
     return np.where(counts > 0, lo, 0.0)
+
+
+def band_levels(means, scales):
+    """The four float32 levels mu -/+ alpha of each band, indexed by
+    2·sparse + (v >= mu): (4, ...) from the float64 means and scales of the
+    dense ([0]) and the sparse ([1]) group, (2, ...)."""
+    out = np.empty((4,) + means.shape[1:], np.float32)
+    out[0::2] = means - scales
+    out[1::2] = means + scales
+    return out
 
 
 def _sorted_sums(v64, c, ranks, share):
@@ -186,29 +200,6 @@ def _sorted_sums(v64, c, ranks, share):
     np.subtract(pre[:, :, nv:], sums[0], out=sums[1])
     q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
     return srt[:, ranks - 1], n_de, sums, pre[0, :, nv:].copy(), q_all
-
-
-def _own_means(v, c, line_sums, thr, counts, sums, width):
-    """Each group's own binary16 mean (2, lines, candidates), 0 for an
-    empty group.
-
-    Σv of a group is 2·Σdev·[v >= c] - Σdev + n·c, known to within
-    ``width``. An interval whose ends round apart, or to zeros of opposite
-    sign (a -0.0 mean is stored as 0x8000), has its sum redone in position
-    order: the sparse group's directly, the dense group's as the line's
-    sum minus it.
-    """
-    den = np.maximum(counts, 1)
-    s = 2.0 * sums[:, 1] - sums[:, 0] + counts * c
-    lo = f16_round((s - width) / den)
-    hi = f16_round((s + width) / den)
-    redo = (lo != hi) | (np.signbit(lo) != np.signbit(hi))
-    g, li, ki = np.nonzero(redo & (counts > 0))
-    if li.size:
-        sp = _group_sums(v, li, thr[li, ki], True)
-        exact = np.where(g == 1, sp, line_sums[li] - sp)
-        lo[g, li, ki] = f16_round(exact / den[g, li, ki])
-    return np.where(counts > 0, lo, 0.0)
 
 
 def _keys(rows, vals):
@@ -322,8 +313,13 @@ def _screen_band(v, ranks_in, share):
         dsums, width = sums[:, 0], bound * d_all
         shift = None
     else:
+        def own_sum(g, li, ki):
+            sp = _group_sums(v, li, t[li, ki], True)
+            return np.where(g == 1, sp, line_sums[li] - sp)
+
+        s = 2.0 * sums[:, 1] - sums[:, 0] + counts * c
         width = bound * (d_all + nv * np.abs(c))
-        means = _own_means(v, c, line_sums, t, counts, sums, width)
+        means = _f16_quotients(s, counts, width, own_sum)
         finite = np.isfinite(means).all(axis=0)
         means = np.where(finite, means, 0.0)
         sums = _split_at_means(v64, c, t, n_de, counts, means)
@@ -352,18 +348,15 @@ def _screen_band(v, ranks_in, share):
             return
         at = (slice(None), li, ki)
         m, thr = means[at], t[li, ki]
-        a = _scales(v, li, thr, m, dsums[at], counts[at], width[at])
+        a = _f16_quotients(dsums[at], counts[at], width[at],
+                           lambda g, p: _group_sums(v, li[p], thr[p], g == 1, m[g, p]))
         # an overflowed scale has infinite error and never wins
         ok = np.isfinite(a).all(axis=0)
         a[:, ~ok] = 0.0
-        # the four f32 levels, indexed by 2 * sparse + (v >= mu)
-        levels = np.empty((4, li.size), np.float32)
-        levels[0::2] = m - a
-        levels[1::2] = m + a
         vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
         sp = np.abs(vp) >= thr
         cell = 2 * sp + (vp >= np.where(sp, m[1], m[0]))
-        diff = vp - levels[cell, np.arange(li.size)]
+        diff = vp - band_levels(m, a)[cell, np.arange(li.size)]
         al[at] = a
         err = _sum_positions(np.square(diff, out=diff))
         errs[li, ki] = np.where(ok, err, np.inf)

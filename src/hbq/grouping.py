@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import plan_lines
+from ._kernels import band_levels, plan_lines
 from .config import QuantConfig, nearest_rank, percentile_levels
 from .errors import NumericError, ShapeError
 from .haar import haar_fwd_rows, haar_inv_rows
@@ -108,22 +108,24 @@ class LinePlans:
         return self.signs.shape[1]
 
     def recon(self) -> np.ndarray:
-        """Dequantize every line from its plan and sign bits alone.
-
-        Each band is a row of mu + alpha * sign, evaluated in f64 and
-        narrowed to f32: the reconstruction the planner scores.
+        """Dequantize every line from its plan and sign bits alone: each
+        position takes the level of its group and sign from its band's
+        four float32 levels, the ones the planner scores
+        (``_kernels.band_levels``).
         """
         bands = self.thr_idx.shape[1]
-        rows = (self.lines * bands, self.width // bands)
-        sparse = self.sparse.reshape(rows)
-
-        def per_position(sp, de):
-            return np.where(sparse, sp.reshape(-1, 1), de.reshape(-1, 1))
-
-        mu = per_position(self.mu_sparse, self.mu_dense).astype(np.float64)
-        al = per_position(self.alpha_sparse, self.alpha_dense).astype(np.float64)
-        rec = (mu + al * self.signs.reshape(rows)).astype(np.float32)
-        return rec.reshape(self.lines, self.width)
+        n = self.lines * bands
+        rows = (n, self.width // bands)
+        mu, al = np.array([self.mu_dense, self.mu_sparse, self.alpha_dense,
+                           self.alpha_sparse], np.float64).reshape(2, 2, n)
+        # cell = 2·sparse + (sign > 0) in uint8 (on small blocks a Python-int
+        # factor costs more than the gather); the (4, band rows) table is
+        # read at cell·n + row, an intp product that cannot wrap
+        sparse = self.sparse.reshape(rows).view(np.uint8)
+        cell = sparse + sparse
+        cell += self.signs.reshape(rows) > 0
+        at = cell * np.intp(n) + np.arange(n)[:, None]
+        return band_levels(mu, al).ravel()[at].reshape(self.lines, self.width)
 
     def weights(self) -> np.ndarray:
         """recon() synthesized back to the line domain, one row per line."""

@@ -171,44 +171,30 @@ def _plan_band(v, ranks, share, sparse_out, signs_out, recon_out):
     return best_idx, best_t, best_mu_s, best_mu_d, best_al_s, best_al_d, best_err
 
 
-def plan_lines(lines, band_split, ranks0, ranks1, share):
-    """Same contract and outputs as ``hbq._kernels.plan_lines``."""
-    n_lines, d = lines.shape
-    nbands = 1 if band_split >= d else 2
-    thr_idx = np.zeros((n_lines, nbands), np.uint8)
-    thr_val = np.zeros((n_lines, nbands), np.float32)
-    mu_sp = np.zeros((n_lines, nbands), np.float32)
-    mu_de = np.zeros((n_lines, nbands), np.float32)
-    al_sp = np.zeros((n_lines, nbands), np.float32)
-    al_de = np.zeros((n_lines, nbands), np.float32)
-    sse = np.zeros((n_lines, nbands), np.float64)
-    sparse = np.zeros((n_lines, d), np.uint8)
-    signs = np.zeros((n_lines, d), np.int8)
-    recon = np.zeros((n_lines, d), np.float32)
+def plan_lines(rows, ranks, share):
+    """Same contract and outputs as ``hbq._kernels.plan_lines``, each row
+    one band, then the reconstruction of every row."""
+    n, nv = rows.shape
+    thr_idx = np.zeros(n, np.uint8)
+    thr_val = np.zeros(n, np.float32)
+    mu_sp = np.zeros(n, np.float32)
+    mu_de = np.zeros(n, np.float32)
+    al_sp = np.zeros(n, np.float32)
+    al_de = np.zeros(n, np.float32)
+    sse = np.zeros(n, np.float64)
+    sparse = np.zeros((n, nv), bool)
+    signs = np.zeros((n, nv), np.int8)
+    recon = np.zeros((n, nv), np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_lines):
-            for b in range(nbands):
-                if b == 0:
-                    lo = 0
-                    hi = band_split if nbands == 2 else d
-                    ranks = ranks0
-                else:
-                    lo = band_split
-                    hi = d
-                    ranks = ranks1
-                idx, t, m_s, m_d, a_s, a_d, err = _plan_band(
-                    lines[i, lo:hi],
-                    ranks,
-                    share,
-                    sparse[i, lo:hi],
-                    signs[i, lo:hi],
-                    recon[i, lo:hi],
-                )
-                thr_idx[i, b] = idx
-                thr_val[i, b] = t
-                mu_sp[i, b] = np.float32(m_s)
-                mu_de[i, b] = np.float32(m_d)
-                al_sp[i, b] = np.float32(a_s)
-                al_de[i, b] = np.float32(a_d)
-                sse[i, b] = err
+        for i in range(n):
+            idx, t, m_s, m_d, a_s, a_d, err = _plan_band(
+                rows[i], ranks, share, sparse[i], signs[i], recon[i]
+            )
+            thr_idx[i] = idx
+            thr_val[i] = t
+            mu_sp[i] = np.float32(m_s)
+            mu_de[i] = np.float32(m_d)
+            al_sp[i] = np.float32(a_s)
+            al_de[i] = np.float32(a_d)
+            sse[i] = err
     return thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de, sse, sparse, signs, recon

@@ -82,6 +82,11 @@ def test_cholesky_inverse_diagonal_case():
     assert np.allclose(hinv, [0.2, 0.2], atol=1e-12)
 
 
+def test_cholesky_inverse_negative_damping_is_a_config_error():
+    with pytest.raises(ConfigError, match="damping"):
+        damped_cholesky_inverse(np.eye(2, dtype=np.float32), -1.0)
+
+
 def test_cholesky_inverse_pure_damping():
     u, hinv = damped_cholesky_inverse(np.zeros((3, 3), dtype=np.float32), 1.0)
     assert np.allclose(u, np.eye(3), atol=1e-7)

@@ -15,7 +15,7 @@ import pytest
 
 import hbq
 from hbq.calib import build_calib_stats
-from hbq.cli import AB_CANDIDATE_COUNTS, SETTINGS, run
+from hbq.cli import AB_CANDIDATE_COUNTS, SETTINGS, _sidecar_errors, run
 from hbq.formats import decode_layer, encode_layer, read_tensor, write_tensor
 from hbq.pipeline import dequantize_layer, hbllm_quantize
 
@@ -43,6 +43,15 @@ def parse_table(text, fmt="csv"):
     if fmt == "jsonl":
         return [json.loads(ln) for ln in lines]
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
+
+
+def test_gen_non_positive_shape_exits_2(tmp_path, capsys):
+    out = tmp_path / "w.rts"
+    code = run(["gen", "--rows", "0", "--cols", "4", "--seed", "1",
+                "--out", str(out)])
+    assert code == 2
+    assert "shape must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_is_reproducible(tmp_path):
@@ -355,6 +364,16 @@ def test_inspect_finds_sidecar_errors(tmp_path, capsys):
     assert all(float(r["error"]) > 0 for r in rows)
 
 
+def test_inspect_without_sidecar_leaves_error_blank(tmp_path, capsys):
+    _, _, out, _ = quantized(tmp_path, capsys)
+    (tmp_path / "layer.hbq.diag.csv").unlink()
+    assert _sidecar_errors(out) == {}
+    assert run(["inspect", str(out)]) == 0
+    rows = parse_table("\n".join(capsys.readouterr().out.splitlines()[2:]))
+    assert len(rows) == 2
+    assert all(r["error"] == "" for r in rows)
+
+
 def test_inspect_jsonl(tmp_path, capsys):
     _, _, out, _ = quantized(tmp_path, capsys)
     assert run(["inspect", str(out), "--report", "jsonl"]) == 0
@@ -448,6 +467,19 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "betta" in captured.err
+
+
+def test_config_file_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\nbeta 16\n")
+    w = gen(tmp_path, "w.rts", 4, 32, 17)
+    x = gen(tmp_path, "x.rts", 32, 64, 18)
+    code = run(["quantize", str(w), str(x), "--config", str(cfg),
+                "--out", str(tmp_path / "o.hbq")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{cfg}:2: expected key=value" in captured.err
+    assert not (tmp_path / "o.hbq").exists()
 
 
 @pytest.mark.parametrize("kind", ["non-utf8", "directory"])

@@ -121,6 +121,13 @@ def test_tensor_truncated():
         decode_tensor(b"RTS1\x00")
 
 
+def test_tensor_truncated_inside_dims():
+    # a rank-2 header needs 6 + 8 bytes; this one ends after the first dim
+    blob = encode_tensor(np.zeros((3, 5), dtype=np.float32))
+    with pytest.raises(IntegrityError, match="truncated"):
+        decode_tensor(blob[:10])
+
+
 # --- quantized layer container ---
 
 

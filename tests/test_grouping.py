@@ -373,8 +373,8 @@ def test_plans_recon_matches_planner_recon():
         coeffs = haar_fwd_rows(lines) if cfg.haar_enabled else lines
         levels = percentile_levels(cfg.n_candidates)
         ranks = np.array([nearest_rank(lv, split) for lv in levels])
-        r1 = ranks if cfg.haar_enabled else np.zeros(0, np.int64)
-        recon = R.plan_lines(coeffs, split, ranks, r1, cfg.share_mean)[-1]
+        recon = R.plan_lines(coeffs.reshape(-1, split), ranks, cfg.share_mean)[-1]
+        recon = recon.reshape(coeffs.shape)
         assert plans.recon().tobytes() == recon.tobytes()
         synth = haar_inv_rows(recon) if cfg.haar_enabled else recon
         assert plans.weights().tobytes() == synth.tobytes()

@@ -112,13 +112,11 @@ def _plan(lines, split, ranks, share):
 
 
 def _assert_matches_reference(lines, split, share, n_candidates=40, ranks=None):
-    d = lines.shape[1]
+    n, d = lines.shape
     if ranks is None:
         ranks = _ranks(split, n_candidates)
-    # the two bands of a split line are equally wide, so share their ranks
-    r1 = ranks if split < d else np.zeros(0, np.int64)
-    want = list(R.plan_lines(lines, split, ranks, r1, share))
-    want[7] = want[7].view(bool)  # the reference stores sparse as 0/1 bytes
+    want = R.plan_lines(lines.reshape(-1, split), ranks, share)
+    want = [a.reshape(n, -1) for a in want]
     out = _plan(lines, split, ranks, share)
     for got, ref in zip(out, want, strict=True):
         _assert_same_bits(got, ref, (d, split, share))
@@ -483,10 +481,8 @@ def _assert_bounds_sound(lines, split, share, ranks=None):
     rows = lines.reshape(-1, split)
     ranks = np.unique(_ranks(split) if ranks is None else ranks)
     lower = _bounds(rows, ranks, share)
-    none = np.zeros(0, np.int64)
     exact = np.stack(
-        [R.plan_lines(rows, split, ranks[k : k + 1], none, share)[6][:, 0]
-         for k in range(ranks.size)],
+        [R.plan_lines(rows, ranks[k : k + 1], share)[6] for k in range(ranks.size)],
         axis=1,
     )
     fin = np.isfinite(exact)
@@ -575,5 +571,7 @@ def test_screen_at_benchmark_band_widths():
                 _assert_matches_reference(lines, nv, share)
                 _assert_bounds_sound(lines, nv, share)
                 # the bound is tight enough to leave one candidate a row
-                scales = _record("_scales", lines.reshape(-1, nv), _ranks(nv), share)
+                # the scales; own means come back (2, lines, candidates)
+                calls = _record("_f16_quotients", lines.reshape(-1, nv), _ranks(nv), share)
+                scales = [a for a in calls if a.ndim == 2]
                 assert sum(a.shape[1] for a in scales) == 2 * lines.shape[0]
