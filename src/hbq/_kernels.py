@@ -31,8 +31,10 @@ group's own. Below, a "line" is one such row.
   Σv as the line's sum minus that. Own means are rounded for every
   candidate; scales only for the candidates that are scored.
 - **Levels.** A band stores four float32 levels mu -/+ alpha, indexed by
-  2·sparse + (v >= mu). ``band_levels`` builds them; the screen scores
-  them and ``grouping.LinePlans.recon`` gathers each position's from them.
+  cell = 2·sparse + (v >= mu). ``band_levels`` builds them levels-last,
+  one row of four per band, so the screen's scoring and
+  ``grouping.LinePlans.recon`` both read a position's level at
+  4·row + cell of the flat table.
 - **Errors.** With a group's mean and signs fixed, the error of any scale
   is at least Σdev² - (Σdev)²/n (dev about the group's mean), so the
   group sums give a lower bound on every candidate's error with nothing
@@ -163,12 +165,12 @@ def _f16_quotients(s, counts, width, exact):
 
 
 def band_levels(means, scales):
-    """The four float32 levels mu -/+ alpha of each band, indexed by
-    2·sparse + (v >= mu): (4, ...) from the float64 means and scales of the
-    dense ([0]) and the sparse ([1]) group, (2, ...)."""
-    out = np.empty((4,) + means.shape[1:], np.float32)
-    out[0::2] = means - scales
-    out[1::2] = means + scales
+    """The four float32 levels mu -/+ alpha of each band, levels last and
+    indexed by 2·sparse + (v >= mu): (bands, 4) from the float64 means and
+    scales of the dense ([0]) and the sparse ([1]) group, (2, bands)."""
+    out = np.empty((means.shape[1], 4), np.float32)
+    out[:, 0::2] = (means - scales).T
+    out[:, 1::2] = (means + scales).T
     return out
 
 
@@ -186,7 +188,7 @@ def _sorted_sums(v64, c, ranks, share):
     vs = v64[rc, order]
     srt = np.abs(vs)
     run = np.zeros((n, nv), np.intp)
-    run[:, 1:] = np.where(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), 0)
+    np.multiply(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), out=run[:, 1:])
     n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
     dev = np.abs(vs - c)
     pre = np.zeros((1 if share else 2, n, nv + 1))
@@ -281,8 +283,23 @@ def _lower_bounds(v64, q_all, counts, dsums, width, bound, shift=None):
     return low - 2.0 * _ULP32 * (b + norm * np.sqrt(b)) - bound * mag
 
 
-def _screen_band(v, ranks_in, share):
-    """Plan every row of ``v`` (rows x band width) as one band.
+def _distinct(ranks_in):
+    """The distinct ranks, ascending, and each given rank's index among
+    them: ``np.unique(ranks_in, return_inverse=True)``, from one stable
+    sort and one comparison (``np.unique`` imports ``numpy.ma``)."""
+    order = np.argsort(ranks_in, kind="stable")
+    srt = ranks_in[order]
+    new = np.ones(srt.size, bool)
+    new[1:] = srt[1:] != srt[:-1]
+    inv = np.empty(srt.size, np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return srt[new], inv
+
+
+def _screen_band(v, ranks, inv, share):
+    """Plan every row of ``v`` (rows x band width) as one band, screening
+    the distinct ``ranks`` once; ``inv`` maps the caller's candidates to
+    them (``_distinct``).
 
     Returns per row (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
     and per position (sparse, signs) of the winning candidates.
@@ -296,9 +313,6 @@ def _screen_band(v, ranks_in, share):
     mu = f16_round(line_sums / nv)
     fin = np.isfinite(mu)
     mu[~fin] = 0.0
-    # equal ranks are the same candidate: screen each rank once
-    ranks = np.unique(ranks_in)
-    inv = np.searchsorted(ranks, ranks_in)
     ncand = ranks.size
     v64 = v.astype(np.float64)
     c = mu[:, None]
@@ -356,7 +370,8 @@ def _screen_band(v, ranks_in, share):
         vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
         sp = np.abs(vp) >= thr
         cell = 2 * sp + (vp >= np.where(sp, m[1], m[0]))
-        diff = vp - band_levels(m, a)[cell, np.arange(li.size)]
+        cell += 4 * np.arange(li.size)
+        diff = vp - band_levels(m, a).ravel()[cell]
         al[at] = a
         err = _sum_positions(np.square(diff, out=diff))
         errs[li, ki] = np.where(ok, err, np.inf)
@@ -392,7 +407,7 @@ def _screen_band(v, ranks_in, share):
         al_de,
         np.where(ok, errs[rows, k], np.inf),
         sparse,
-        np.where(pos, 1, -1),
+        pos.view(np.int8) * 2 - 1,
     )
 
 
@@ -408,8 +423,11 @@ def plan_lines(lines, ranks, share):
     n, nv = lines.shape
     out = [np.zeros(n, dt) for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)]
     out += [np.zeros((n, nv), dt) for dt in (bool, np.int8)]
+    # equal ranks are the same candidate: screen each rank once
+    distinct, inv = _distinct(np.asarray(ranks))
     step = max(1, _SCREEN_VALUES // (nv + len(ranks)))
     for i in range(0, n, step):
-        for dst, src in zip(out, _screen_band(lines[i : i + step], ranks, share)):
+        chunk = _screen_band(lines[i : i + step], distinct, inv, share)
+        for dst, src in zip(out, chunk):
             dst[i : i + step] = src
     return tuple(out)

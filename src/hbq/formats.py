@@ -195,58 +195,98 @@ def encode_layer(q: QuantizedLayer) -> bytes:
     return bytes(out)
 
 
-def _reject_first(bad: np.ndarray, rec: np.ndarray, pos: int, field: str, what: str):
-    """Raise at the byte offset of the first True of bad, indexed (line,
-    band) or (line, band, scalar); C order over those is byte order."""
-    if bad.any():
-        row, b, *j = np.argwhere(bad)[0]
-        band = rec.dtype["bands"].base
-        at = pos + row * rec.itemsize + b * band.itemsize + band.fields[field][1]
-        raise IntegrityError(f"{what} at byte {at + 2 * sum(j)}")
-
-
-def _decode_plans(
-    data: bytes, pos: int, end: int, count: int, width: int, cfg: QuantConfig
-) -> tuple[LinePlans, int]:
-    """Decode count line records of length width at pos; return the plans
-    and the position after them."""
-    if count == 0:
-        return LinePlans.empty(width), pos
+def _records_size(count: int, length: int, cfg: QuantConfig, pos: int) -> int:
+    """The bytes of count line records of length at pos (none for no
+    lines); a length the transform cannot split is corruption."""
+    if not count:
+        return 0
     try:
-        split = band_split(width, cfg)
+        split = band_split(length, cfg)
     except ShapeError as exc:
         raise IntegrityError(f"{exc} at byte {pos}") from None
-    bands = width // split
-    dt = _line_dtype(width, bands, cfg.share_mean)
-    if count * dt.itemsize > end - pos:
-        raise IntegrityError(f"container truncated at byte {pos}")
-    rec = np.frombuffer(data, dt, count=count, offset=pos)
-    per_band = rec["bands"]
-    thr_idx = per_band["idx"]
-    scalars = per_band["scalars"].astype(np.float32)  # (line, band, scalar)
-    _reject_first(thr_idx >= cfg.n_candidates, rec, pos, "idx",
-                  f"threshold index beyond {cfg.n_candidates} candidates")
-    bad = ~np.isfinite(scalars)
-    bad[..., -2:] |= scalars[..., -2:] < 0  # the scales
-    _reject_first(bad, rec, pos, "scalars", "non-finite or negative plan scalar")
-    # set padding bits would be dropped by re-encoding
-    raw = np.frombuffer(data, np.uint8, count * dt.itemsize, pos)
-    padded = raw.reshape(count, -1) & _record_padding(width, bands, cfg.share_mean)
-    if padded.any():
-        at = pos + int(np.flatnonzero(padded)[0])
-        raise IntegrityError(f"nonzero padding bits at byte {at}")
-    named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
-    named.setdefault("mu_dense", named["mu_sparse"])
-    nan = np.full(thr_idx.shape, np.nan)
-    plans = LinePlans(
-        thr_idx=thr_idx,
-        sparse=_unpack_bits(per_band["sparse"], split).reshape(count, width),
-        signs=np.where(_unpack_bits(rec["signs"], width), 1, -1).astype(np.int8),
-        thr_val=nan.astype(np.float32),
-        sse=nan,
-        **named,
-    )
-    return plans, pos + count * dt.itemsize
+    return count * _line_dtype(length, length // split, cfg.share_mean).itemsize
+
+
+def _reject_first(faults, dt: np.dtype, pos: int, cfg: QuantConfig):
+    """Raise at the first fault of one record set at pos, by check in the
+    order threshold index, scalars, padding, and by byte within a check.
+    faults are (line, band), (line, band, scalar) and (line, byte) masks;
+    C order over each is byte order."""
+    idx, scalars, padded = faults
+    band = dt["bands"].base
+    for bad, field, what in (
+        (idx, "idx", f"threshold index beyond {cfg.n_candidates} candidates"),
+        (scalars, "scalars", "non-finite or negative plan scalar"),
+    ):
+        if bad.any():
+            row, b, *j = np.argwhere(bad)[0]
+            at = pos + row * dt.itemsize + b * band.itemsize + band.fields[field][1]
+            raise IntegrityError(f"{what} at byte {at + 2 * sum(j)}")
+    at = pos + int(np.flatnonzero(padded)[0])
+    raise IntegrityError(f"nonzero padding bits at byte {at}")
+
+
+def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans]:
+    """The plans of each record set (position, lines, length), decoded in
+    one pass per line length across the layer.
+
+    The records of one length are gathered into one array, checked once
+    and unpacked once; each set's plans are row slices of the result. A
+    failed check raises at the first fault of the first faulty set in file
+    order (``_reject_first``), as reading set by set would.
+    """
+    plans = [None if count else LinePlans.empty(length) for _, count, length in sets]
+    by_length: dict[int, list[int]] = {}
+    for i, (_, count, length) in enumerate(sets):
+        if count:
+            by_length.setdefault(length, []).append(i)
+    first_fault = None  # (set index, its faults, record dtype)
+    for length, members in by_length.items():
+        split = band_split(length, cfg)
+        bands = length // split
+        dt = _line_dtype(length, bands, cfg.share_mean)
+        counts = np.array([sets[i][1] for i in members])
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        raw = np.concatenate([np.frombuffer(data, np.uint8, sets[i][1] * dt.itemsize,
+                                            sets[i][0]) for i in members])
+        rec = raw.view(dt)
+        per_band = rec["bands"]
+        thr_idx = per_band["idx"]
+        scalars = per_band["scalars"].astype(np.float32)  # (line, band, scalar)
+        bad_scalars = ~np.isfinite(scalars)
+        bad_scalars[..., -2:] |= scalars[..., -2:] < 0  # the scales
+        # set padding bits would be dropped by re-encoding
+        faults = (
+            thr_idx >= cfg.n_candidates,
+            bad_scalars,
+            raw.reshape(rec.size, -1) & _record_padding(length, bands, cfg.share_mean),
+        )
+        if any(f.any() for f in faults):
+            bad = np.logical_or.reduce([f.reshape(rec.size, -1).any(axis=1) for f in faults])
+            k = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            if first_fault is None or members[k] < first_fault[0]:
+                first_fault = (members[k], [f[starts[k] : ends[k]] for f in faults], dt)
+        named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
+        named.setdefault("mu_dense", named["mu_sparse"])
+        nan = np.full(thr_idx.shape, np.nan)
+        signs = _unpack_bits(rec["signs"], length).view(np.int8)
+        signs += signs  # bit 1 is +1, bit 0 is -1
+        signs -= 1
+        whole = LinePlans(
+            thr_idx=thr_idx,
+            sparse=_unpack_bits(per_band["sparse"], split).reshape(rec.size, length),
+            signs=signs,
+            thr_val=nan.astype(np.float32),
+            sse=nan,
+            **named,
+        )
+        for i, start, stop in zip(members, starts, ends):
+            plans[i] = whole.select(slice(start, stop))
+    if first_fault is not None:
+        i, faults, dt = first_fault
+        _reject_first(faults, dt, sets[i][0], cfg)
+    return plans
 
 
 def decode_layer(data: bytes) -> QuantizedLayer:
@@ -295,32 +335,45 @@ def decode_layer(data: bytes) -> QuantizedLayer:
     except ConfigError as exc:
         raise IntegrityError(f"{exc} at byte {pos}") from None
     pos += 2 * k_count
-    blocks = []
-    for span in block_spans(m, beta):
-        width = span[1]
-        mask_at = pos + _BLOCK.size
-        mask_end = mask_at + _bitset_bytes(width)
-        if mask_end > end:
-            raise IntegrityError(f"container truncated at byte {pos}")
-        if _BLOCK.unpack_from(data, pos) != span:
-            raise IntegrityError(f"block record disagrees with header at byte {pos}")
-        packed = np.frombuffer(data, np.uint8, mask_end - mask_at, mask_at)
-        if packed[-1] & _padding_bits(width):
-            raise IntegrityError(f"nonzero padding bits at byte {mask_end - 1}")
-        bits = _unpack_bits(packed, width)
-        if bits.all():
-            raise IntegrityError(f"no non-salient column in mask at byte {mask_at}")
-        mask = SalientMask(bits)
-        pos = mask_end
-        plans = []
-        for count, length in line_shapes(mode, n, mask):
-            decoded, pos = _decode_plans(data, pos, end, count, length, cfg)
-            plans.append(decoded)
-        blocks.append(QuantizedBlock(mask, *plans))
-    if pos != end:
-        raise IntegrityError(f"unexpected trailing bytes at byte {pos}")
+    masks: list[SalientMask] = []
+    sets: list[tuple[int, int, int]] = []  # (position, lines, length)
+    try:
+        # block records and masks, in file order; line records are only
+        # measured against the end here, before any array of them is made
+        for span in block_spans(m, beta):
+            width = span[1]
+            mask_at = pos + _BLOCK.size
+            mask_end = mask_at + _bitset_bytes(width)
+            if mask_end > end:
+                raise IntegrityError(f"container truncated at byte {pos}")
+            if _BLOCK.unpack_from(data, pos) != span:
+                raise IntegrityError(f"block record disagrees with header at byte {pos}")
+            packed = np.frombuffer(data, np.uint8, mask_end - mask_at, mask_at)
+            if packed[-1] & _padding_bits(width):
+                raise IntegrityError(f"nonzero padding bits at byte {mask_end - 1}")
+            bits = _unpack_bits(packed, width)
+            if bits.all():
+                raise IntegrityError(f"no non-salient column in mask at byte {mask_at}")
+            masks.append(SalientMask(bits))
+            pos = mask_end
+            for count, length in line_shapes(mode, n, masks[-1]):
+                size = _records_size(count, length, cfg, pos)
+                if size > end - pos:
+                    raise IntegrityError(f"container truncated at byte {pos}")
+                sets.append((pos, count, length))
+                pos += size
+        if pos != end:
+            raise IntegrityError(f"unexpected trailing bytes at byte {pos}")
+    except IntegrityError:
+        # a faulty record before the malformed part is reported first, as a
+        # block-by-block read would
+        _decode_records(data, sets, cfg)
+        raise
+    plans = _decode_records(data, sets, cfg)
     return QuantizedLayer(
-        blocks=blocks, n=n, m=m, beta=beta, mode=mode, damping=damping, cfg=cfg
+        blocks=[QuantizedBlock(mask, *plans[2 * i : 2 * i + 2])
+                for i, mask in enumerate(masks)],
+        n=n, m=m, beta=beta, mode=mode, damping=damping, cfg=cfg,
     )
 
 

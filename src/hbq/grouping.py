@@ -94,10 +94,19 @@ class LinePlans:
                    np.zeros((0, 1), np.float64), np.zeros((0, width), bool),
                    np.zeros((0, width), np.int8))
 
+    @classmethod
+    def concat(cls, parts: list[LinePlans]) -> LinePlans:
+        """The lines of every part, in order (parts of one width and band
+        count)."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in _FIELDS))
+
     def select(self, rows) -> LinePlans:
         """The plans of some of the lines: rows (a slice, index array or
         boolean mask) indexes the first axis of every field."""
-        return LinePlans(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return LinePlans(*(getattr(self, name)[rows] for name in _FIELDS))
 
     @property
     def lines(self) -> int:
@@ -119,18 +128,21 @@ class LinePlans:
         mu, al = np.array([self.mu_dense, self.mu_sparse, self.alpha_dense,
                            self.alpha_sparse], np.float64).reshape(2, 2, n)
         # cell = 2·sparse + (sign > 0) in uint8 (on small blocks a Python-int
-        # factor costs more than the gather); the (4, band rows) table is
-        # read at cell·n + row, an intp product that cannot wrap
+        # factor costs more than the gather); the levels-last (band rows, 4)
+        # table is read at 4·row + cell
         sparse = self.sparse.reshape(rows).view(np.uint8)
         cell = sparse + sparse
         cell += self.signs.reshape(rows) > 0
-        at = cell * np.intp(n) + np.arange(n)[:, None]
+        at = cell + np.arange(0, 4 * n, 4)[:, None]
         return band_levels(mu, al).ravel()[at].reshape(self.lines, self.width)
 
     def weights(self) -> np.ndarray:
         """recon() synthesized back to the line domain, one row per line."""
         coeffs = self.recon()
         return coeffs if self.thr_idx.shape[1] == 1 else haar_inv_rows(coeffs)
+
+
+_FIELDS = tuple(f.name for f in fields(LinePlans))
 
 
 @lru_cache(maxsize=64)

@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 
+# Positions reconstructed per ``LinePlans.weights()`` call on load. One
+# call covers every line of one shape in the 256x1024 reference layer
+# (262,144 non-salient positions); a larger layer goes in batches, so its
+# load holds one batch of temporaries at a time (~7 MB at this size).
+_LOAD_VALUES = 1 << 19
+
+
 def block_spans(m: int, beta: int) -> Iterator[tuple[int, int]]:
     """Each block's (first column, width): beta-wide blocks from the left,
     the last holding the remainder. Lazy, because a decoder takes m and
@@ -114,19 +121,17 @@ class QuantizedLayer:
         return block_spans(self.m, self.beta)
 
 
-def _assemble(
-    mode: Axis, mask: SalientMask, nonsalient, salient: LinePlans
-) -> np.ndarray:
-    """A block's weights from the weights of its non-salient lines (one row
-    per line, laid out by ``line_shapes``; consumed) and its salient plans."""
+def _assemble(mode: Axis, mask: SalientMask, nonsalient, salient) -> np.ndarray:
+    """A block's weights from the weights of its non-salient and its
+    salient lines (one row per line, laid out by ``line_shapes``; the
+    non-salient rows are consumed)."""
     if mode is Axis.ROW:
         if mask.k:
-            nonsalient[:, mask.indices] += salient.weights().T
+            nonsalient[:, mask.indices] += salient.T
         return nonsalient
     recon = np.empty((mask.bits.size, nonsalient.shape[1]), np.float32)
     recon[~mask.bits] = nonsalient  # one row per column
-    if mask.k:
-        recon[mask.bits] = salient.weights()
+    recon[mask.bits] = salient
     return np.ascontiguousarray(recon.T)
 
 
@@ -159,6 +164,7 @@ def _quantize_trials(
         nonsalient = [plans.select(~m.bits) for m in masks]
         bases = [weights[~m.bits] for m in masks]
         salient = [plans.select(m.bits) for m in masks]
+        salient_w = [weights[m.bits] for m in masks]
     else:
         n = wm.shape[0]
         stack = quantize_lines(np.concatenate([fill_avg(wm, m) for m in masks]), cfg)
@@ -169,6 +175,7 @@ def _quantize_trials(
             [(wm[:, m.indices] - b[:, m.indices]).T for m, b in zip(masks, bases)]
         )
         residual_plans = quantize_lines(residuals, cfg) if len(residuals) else None
+        residual_w = residual_plans.weights() if len(residuals) else None
         ends = np.cumsum([m.k for m in masks])
         salient = [
             residual_plans.select(np.arange(end - m.k, end))
@@ -176,16 +183,19 @@ def _quantize_trials(
             else LinePlans.empty(n)
             for m, end in zip(masks, ends)
         ]
+        salient_w = [residual_w[end - m.k : end] if m.k else None
+                     for m, end in zip(masks, ends)]
     return [
-        (QuantizedBlock(mask, ns, sal), _assemble(mode, mask, base, sal))
-        for mask, ns, base, sal in zip(masks, nonsalient, bases, salient)
+        (QuantizedBlock(mask, ns, sal), _assemble(mode, mask, base, sal_w))
+        for mask, ns, base, sal, sal_w in zip(masks, nonsalient, bases, salient, salient_w)
     ]
 
 
 def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
-    """Dequantize one block of a layer in mode from its plans alone."""
-    weights = block.nonsalient_plans.weights()
-    return _assemble(mode, block.mask, weights, block.salient_plans)
+    """Dequantize one block of a layer in mode from its plans alone: the
+    reference that ``dequantize_layer`` matches bit for bit."""
+    return _assemble(mode, block.mask, block.nonsalient_plans.weights(),
+                     block.salient_plans.weights())
 
 
 def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
@@ -368,9 +378,42 @@ def hbllm_quantize(
     return layer
 
 
+def _weights_by_shape(sets: list[LinePlans]) -> list[np.ndarray]:
+    """Each set's ``weights()``, from one call per line shape across the
+    sets, or per batch of sets of at most ``_LOAD_VALUES`` positions: a
+    line's weights do not depend on the lines reconstructed with it, so
+    the row slices of the stacked result are bit for bit each set's own."""
+    out = [np.empty((0, p.width), np.float32) for p in sets]
+
+    def reconstruct(batch: list[int]) -> None:
+        stacked = LinePlans.concat([sets[i] for i in batch]).weights()
+        ends = np.cumsum([sets[i].lines for i in batch])
+        for i, stop in zip(batch, ends):
+            out[i] = stacked[stop - sets[i].lines : stop]
+
+    batches: dict[tuple[int, int], tuple[list[int], int]] = {}  # (sets, positions)
+    for i, p in enumerate(sets):
+        if not p.lines:
+            continue
+        shape = (p.thr_idx.shape[1], p.width)
+        batch, size = batches.get(shape, ([], 0))
+        if batch and size + p.signs.size > _LOAD_VALUES:
+            reconstruct(batch)
+            batch, size = [], 0
+        batch.append(i)
+        batches[shape] = (batch, size + p.signs.size)
+    for batch, _ in batches.values():
+        reconstruct(batch)
+    return out
+
+
 def dequantize_layer(q: QuantizedLayer) -> np.ndarray:
-    """Assemble the full n x m reconstruction from per-block plans."""
+    """Assemble the full n x m reconstruction from per-block plans, with
+    one ``weights()`` call per line shape for the whole layer; each block
+    equals ``reconstruct_block`` of it bit for bit."""
+    sets = [p for block in q.blocks for p in (block.nonsalient_plans, block.salient_plans)]
+    weights = _weights_by_shape(sets)
     out = np.empty((q.n, q.m), dtype=np.float32)
-    for (b, width), block in zip(q.spans, q.blocks):
-        out[:, b : b + width] = reconstruct_block(block, q.mode)
+    for i, ((b, width), block) in enumerate(zip(q.spans, q.blocks)):
+        out[:, b : b + width] = _assemble(q.mode, block.mask, *weights[2 * i : 2 * i + 2])
     return out

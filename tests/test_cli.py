@@ -574,8 +574,8 @@ def test_non_finite_factor_exits_4_naming_the_block(tmp_path, capsys,
 
 
 # Runs one CLI command (or none) in a fresh interpreter, then prints the
-# scipy modules loaded. The suite itself imports scipy, so only a child
-# process can show what a command loads.
+# scipy modules loaded and whether numpy.ma is. The suite itself imports
+# scipy, so only a child process can show what a command loads.
 CHILD = """
 import json, sys
 import hbq
@@ -584,11 +584,13 @@ if len(sys.argv) > 1:
     import hbq.cli
     rc = hbq.cli.run(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"rc": rc, "scipy": loaded}))
+print(json.dumps({"rc": rc, "scipy": loaded, "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
 def run_child(argv):
+    """The scipy modules that argv loads in a fresh process. No command
+    loads numpy.ma (~15 ms to import; ``np.unique`` would)."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         capture_output=True, text=True, env=child_env(),
@@ -596,6 +598,7 @@ def run_child(argv):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["rc"] == 0, proc.stderr
+    assert not report["numpy_ma"], argv
     return report["scipy"]
 
 

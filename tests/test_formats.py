@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from hbq.formats import (
     read_tensor,
     write_tensor,
 )
+from hbq.grouping import LinePlans
+from hbq import pipeline
 from hbq.haar import Axis
-from hbq.pipeline import dequantize_layer, hbllm_quantize
+from hbq.pipeline import dequantize_layer, hbllm_quantize, reconstruct_block
 
 _HEADER_BYTES = 32  # fixed part, before the k-candidate list
 
@@ -198,10 +201,36 @@ def test_golden_container_hashes(name):
     assert encode_layer(decode_layer(blob)) == blob
 
 
+def assert_decoded_plans(got, want):
+    """Decoded plans hold the quantize-time plans field by field and bit
+    for bit; thr_val and sse are never stored and read NaN. A set of no
+    lines needs only the same width."""
+    if want.lines == 0:
+        assert (got.lines, got.width) == (0, want.width)
+        return
+    for f in fields(LinePlans):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        if f.name in ("thr_val", "sse"):
+            assert np.isnan(a).all(), f.name
+        else:
+            assert a.tobytes() == b.tobytes(), f.name
+
+
+def assert_same_layer(got, want):
+    """Every block's mask and plans, and the reconstruction, bit for bit."""
+    assert len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        assert a.mask.bits.tobytes() == b.mask.bits.tobytes()
+        assert_decoded_plans(a.nonsalient_plans, b.nonsalient_plans)
+        assert_decoded_plans(a.salient_plans, b.salient_plans)
+    assert dequantize_layer(got).tobytes() == dequantize_layer(want).tobytes()
+
+
 def test_decode_reproduces_reconstruction():
     q = random_layer(2)
     q2 = decode_layer(encode_layer(q))
-    assert np.array_equal(dequantize_layer(q2), dequantize_layer(q))
+    assert_same_layer(q2, q)
     assert (q2.n, q2.m, q2.beta, q2.mode) == (q.n, q.m, q.beta, q.mode)
     assert q2.damping == q.damping
     assert q2.cfg == QuantConfig()
@@ -225,7 +254,7 @@ def test_reencode_idempotent(cfg, mode):
     q2 = decode_layer(blob)
     assert encode_layer(q2) == blob
     assert q2.cfg == cfg
-    assert np.array_equal(dequantize_layer(q2), dequantize_layer(q))
+    assert_same_layer(q2, q)
 
 
 def test_flip_any_byte_raises_integrity_error():
@@ -393,6 +422,154 @@ def test_decode_huge_block_count_fails_fast():
     with pytest.raises(IntegrityError, match="truncated"):
         decode_layer(_with_crc(bytes(payload)))
     assert time.perf_counter() - t0 < 1.0
+
+
+# A ROW layer of three blocks (16, 16 and a 12-wide remainder), each with
+# salient residual records, and a COL layer of three blocks; 12-wide and
+# 12-long lines end their sign bits and band bitmaps with padding bits.
+_MULTI_BLOCK = {
+    "row": (7, Axis.ROW, QuantConfig(), 8, 44, (8, 4, 8)),
+    "col": (7, Axis.COL, QuantConfig(k_candidates=(2, 4)), 12, 40, (2, 2, 2)),
+}
+
+
+def _multi_block(kind):
+    seed, mode, cfg, n, m, ks = _MULTI_BLOCK[kind]
+    q = exact_layer(seed, mode, cfg, (3, 20, 21, 36), n=n, m=m, beta=16)
+    assert tuple(b.mask.k for b in q.blocks) == ks
+    return q
+
+
+def _record_offsets(q):
+    """Per block, the byte offset of each plan set's first line record in
+    encode_layer(q) and the set's field layout, worked out from the HBQ1
+    layout: ``at[block][s](line, field, band=0, j=0)``, s 0 for the
+    non-salient and 1 for the salient set; field is "idx", "scalar" (the
+    j-th stored scalar), "sparse" (the band's bitmap) or "signs"."""
+    cfg = q.cfg
+    bands = 2 if cfg.haar_enabled else 1
+    scalars = 3 if cfg.share_mean else 4
+    pos = _HEADER_BYTES + 2 * len(cfg.k_candidates)
+    at = []
+    for (_, width), block in zip(q.spans, q.blocks):
+        pos += 8 + (width + 7) // 8
+        sets = []
+        for plans in (block.nonsalient_plans, block.salient_plans):
+            lines, length = plans.signs.shape
+            band = 1 + 2 * scalars + (length // bands + 7) // 8
+            rec = bands * band + (length + 7) // 8
+
+            def offset(line, field, b=0, j=0, start=pos, band=band, rec=rec):
+                base = start + line * rec
+                return base + {
+                    "idx": b * band,
+                    "scalar": b * band + 1 + 2 * j,
+                    "sparse": b * band + 1 + 2 * scalars,
+                    "signs": bands * band,
+                }[field]
+
+            sets.append(offset)
+            pos += lines * rec
+        at.append(sets)
+    return at
+
+
+def _corrupted(q, edits) -> bytes:
+    """encode_layer(q) with each (offset, fmt, value) packed in, or with
+    value OR-ed into the byte when fmt is "|", and the CRC fixed up."""
+    import struct
+
+    payload = bytearray(encode_layer(q)[:-4])
+    for offset, fmt, value in edits:
+        if fmt == "|":
+            payload[offset] |= value
+        else:
+            struct.pack_into(fmt, payload, offset, value)
+    return _with_crc(bytes(payload))
+
+
+_BAD_INDEX = "threshold index beyond 40 candidates"
+_BAD_SCALAR = "non-finite or negative plan scalar"
+_PADDING = "nonzero padding bits"
+
+
+def _multi_block_cases(kind):
+    """(edits, message, offset) of corrupted multi-block layers: one bad
+    field, then two in different blocks, where a block-by-block read
+    reports the earlier block's fault whatever the kinds."""
+    at = _record_offsets(_multi_block(kind))
+    idx2 = at[2][0](3, "idx", b=1)
+    scalar1 = at[1][1](1, "scalar", j=1)  # alpha_sparse of a salient line
+    signs2 = at[2][0](1, "signs") + 1  # the last sign byte of a 12-wide line
+    pad1 = at[1][1](0, "sparse", b=1)  # a salient band bitmap of 4 or 6 bits
+    idx0_sal = at[0][1](0, "idx")
+    return [
+        ([(idx2, "<B", 40)], _BAD_INDEX, idx2),
+        ([(scalar1, "<e", float("nan"))], _BAD_SCALAR, scalar1),
+        ([(scalar1, "<e", -1.0)], _BAD_SCALAR, scalar1),
+        ([(signs2, "|", 0x80)], _PADDING, signs2),
+        ([(idx2, "<B", 255), (scalar1, "<e", float("inf"))], _BAD_SCALAR, scalar1),
+        ([(signs2, "|", 0x80), (scalar1, "<e", -2.0)], _BAD_SCALAR, scalar1),
+        ([(pad1, "|", 0x80), (idx2, "<B", 41)], _PADDING, pad1),
+        ([(idx2, "<B", 200), (idx0_sal, "<B", 99)], _BAD_INDEX, idx0_sal),
+        # the salient set of block 0 comes before the non-salient set of
+        # block 1 in the file
+        ([(at[1][0](0, "idx"), "<B", 77), (at[0][1](1, "scalar"), "<e", float("nan"))],
+         _BAD_SCALAR, at[0][1](1, "scalar")),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_BLOCK))
+def test_decode_reports_first_fault_of_a_multi_block_layer(kind):
+    q = _multi_block(kind)
+    for edits, message, offset in _multi_block_cases(kind):
+        with pytest.raises(IntegrityError, match=f"^{message} at byte {offset}$"):
+            decode_layer(_corrupted(q, edits))
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_BLOCK))
+def test_decode_reports_a_bad_record_before_a_later_malformed_block(kind):
+    # a bad field in block 1 is reported before a set padding bit of block
+    # 2's salient mask, and before bytes trailing the last block
+    q = _multi_block(kind)
+    at = _record_offsets(q)
+    scalar1 = at[1][0](0, "scalar")
+    mask2 = at[2][0](0, "idx") - 1  # the 12-wide mask's second byte
+    if q.blocks[2].mask.bits.size == 12:
+        with pytest.raises(IntegrityError, match=f"^{_PADDING} at byte {mask2}$"):
+            decode_layer(_corrupted(q, [(mask2, "|", 0x80)]))
+        bad = _corrupted(q, [(mask2, "|", 0x80), (scalar1, "<e", float("nan"))])
+        with pytest.raises(IntegrityError, match=f"^{_BAD_SCALAR} at byte {scalar1}$"):
+            decode_layer(bad)
+    payload = bytearray(encode_layer(q)[:-4])
+    end = len(payload)
+    trailing = _with_crc(bytes(payload) + b"\0")
+    with pytest.raises(IntegrityError, match=f"^unexpected trailing bytes at byte {end}$"):
+        decode_layer(trailing)
+    payload += b"\0"
+    import struct
+
+    struct.pack_into("<e", payload, scalar1, float("nan"))
+    with pytest.raises(IntegrityError, match=f"^{_BAD_SCALAR} at byte {scalar1}$"):
+        decode_layer(_with_crc(bytes(payload)))
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_BLOCK))
+@pytest.mark.parametrize("batch", [None, 100])
+def test_dequantize_layer_equals_each_reconstructed_block(kind, batch, monkeypatch):
+    # one weights() call per line shape for the whole layer, or per batch
+    # of sets of at most 100 positions, gives each block's
+    # reconstruct_block bit for bit, remainder block included, before and
+    # after a round trip through the container
+    if batch is not None:
+        monkeypatch.setattr(pipeline, "_LOAD_VALUES", batch)
+    q = _multi_block(kind)
+    for layer in (q, decode_layer(encode_layer(q))):
+        want = np.concatenate(
+            [reconstruct_block(block, layer.mode) for block in layer.blocks], axis=1
+        )
+        assert dequantize_layer(layer).tobytes() == want.tobytes()
+    assert_same_layer(decode_layer(encode_layer(q)), q)
 
 
 # --- bit accounting ---
