@@ -46,9 +46,9 @@ group's own. Below, a "line" is one such row.
   argmin of the scored errors. Any candidate left out is strictly worse
   than one that was scored, so winner, error and stored bits are those of
   evaluating every candidate on every position.
-- **Ties.** Equal ranks are screened once. Of the ranks on one tie run
-  (one sparse set) only the first can be scored and the others share its
-  error, so the first index still wins.
+- **Ties.** Equal ranks, which come in runs, are screened once. Of the
+  ranks on one tie run (one sparse set) only the first can be scored and
+  the others share its error, so the first index still wins.
 
 A line whose every candidate overflows binary16 gets a zeroed plan on its
 own, without touching its neighbours. With shared means that includes a
@@ -284,16 +284,13 @@ def _lower_bounds(v64, q_all, counts, dsums, width, bound, shift=None):
 
 
 def _distinct(ranks_in):
-    """The distinct ranks, ascending, and each given rank's index among
-    them: ``np.unique(ranks_in, return_inverse=True)``, from one stable
-    sort and one comparison (``np.unique`` imports ``numpy.ma``)."""
-    order = np.argsort(ranks_in, kind="stable")
-    srt = ranks_in[order]
-    new = np.ones(srt.size, bool)
-    new[1:] = srt[1:] != srt[:-1]
-    inv = np.empty(srt.size, np.intp)
-    inv[order] = np.cumsum(new) - 1
-    return srt[new], inv
+    """The distinct ranks of nondecreasing ``ranks_in``, ascending, and each
+    given rank's index among them: a rank that differs from the one before
+    it starts a new entry. Equal ranks that are not neighbours get entries
+    of their own; screening one twice changes no result."""
+    new = np.ones(ranks_in.size, bool)
+    new[1:] = ranks_in[1:] != ranks_in[:-1]
+    return ranks_in[new], np.cumsum(new) - 1
 
 
 def _screen_band(v, ranks, inv, share):
@@ -393,7 +390,7 @@ def _screen_band(v, ranks, inv, share):
     k = inv[best]
     ok = np.isfinite(errs[rows, k])
     best[~ok] = 0
-    k[~ok] = inv[0]
+    k[~ok] = 0
     mu_de, mu_sp = np.where(ok, means[:, rows, k], 0.0)
     al_de, al_sp = np.where(ok, al[:, rows, first[rows, k]], 0.0)
     sparse = np.abs(v64) >= t[rows, k][:, None]
@@ -415,15 +412,17 @@ def plan_lines(lines, ranks, share):
     """Plan every row of ``lines`` (rows x band width) as one band.
 
     ranks are the 1-based nearest ranks of the candidate thresholds in a
-    row. Returns per row thr_idx, thr_val, mu_sp, mu_de, al_sp, al_de and
-    sse, and per position sparse and signs. Rows are planned in chunks
-    holding at most ``_SCREEN_VALUES`` values of rows x (band width +
-    candidates).
+    row, in nondecreasing order: the nearest ranks of an ascending
+    percentile grid (other orders give the same result, screening some
+    ranks twice). Returns per row thr_idx, thr_val, mu_sp, mu_de, al_sp,
+    al_de and sse, and per position sparse and signs. Rows are planned in
+    chunks holding at most ``_SCREEN_VALUES`` values of rows x (band
+    width + candidates).
     """
     n, nv = lines.shape
     out = [np.zeros(n, dt) for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)]
     out += [np.zeros((n, nv), dt) for dt in (bool, np.int8)]
-    # equal ranks are the same candidate: screen each rank once
+    # equal ranks are the same candidate: screen each run of them once
     distinct, inv = _distinct(np.asarray(ranks))
     step = max(1, _SCREEN_VALUES // (nv + len(ranks)))
     for i in range(0, n, step):

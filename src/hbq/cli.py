@@ -23,7 +23,7 @@ import numpy as np
 
 from .calib import _lapack, build_calib_stats
 from .config import MAX_CANDIDATES, QuantConfig
-from .errors import ConfigError, IntegrityError, NumericError, ShapeError
+from .errors import ConfigError, HbqError
 from .formats import (
     bit_report,
     decode_layer,
@@ -389,16 +389,10 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError) as exc:
+    except HbqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
+        return exc.exit_code
+    except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

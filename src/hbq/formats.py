@@ -79,8 +79,6 @@ def _padding_bits(count: int) -> int:
 
 def encode_tensor(a) -> bytes:
     arr = np.ascontiguousarray(a, dtype="<f4")
-    if arr.ndim > 255:
-        raise ShapeError("tensor rank exceeds container limit")
     out = bytearray(RAW_MAGIC)
     out += struct.pack("<BB", _DTYPE_F32, arr.ndim)
     for dim in arr.shape:

@@ -11,9 +11,11 @@ earlier blocks' error.
 
 This is the only module that knows which way lines run through a block:
 ``line_shapes`` states it, ``_assemble`` builds a block's weights from its
-lines at quantize and at load time, and ``formats`` reads the layout from
-here. ``grouping.quantize_lines`` plans the rows of whatever matrix it is
-given, so column lines are handed to it transposed.
+lines at load, in ROW trials and in the reference ``reconstruct_block``,
+and ``formats`` reads the layout from here. A COL block's quantize-time
+weights are its columns' weights, transposed. ``grouping.quantize_lines``
+plans the rows of whatever matrix it is given, so column lines are handed
+to it transposed.
 
 The input weight matrix is consumed: compensation mutates it in place.
 Callers needing the original must copy first.
@@ -158,37 +160,28 @@ def _quantize_trials(
     They are copies, so a kept block holds only its own lines.
     """
     if mode is Axis.COL:
-        # non-salient and salient lines alike are columns of n
+        # non-salient and salient lines alike are columns of n, so the
+        # block's weights are its columns' weights whatever the mask
         plans = quantize_lines(wm.T, cfg)
-        weights = plans.weights()
-        nonsalient = [plans.select(~m.bits) for m in masks]
-        bases = [weights[~m.bits] for m in masks]
-        salient = [plans.select(m.bits) for m in masks]
-        salient_w = [weights[m.bits] for m in masks]
-    else:
-        n = wm.shape[0]
-        stack = quantize_lines(np.concatenate([fill_avg(wm, m) for m in masks]), cfg)
-        bases = stack.weights().reshape(len(masks), n, -1)
-        rows = np.arange(len(masks) * n).reshape(len(masks), n)
-        nonsalient = [stack.select(r) for r in rows]
-        residuals = np.concatenate(
-            [(wm[:, m.indices] - b[:, m.indices]).T for m, b in zip(masks, bases)]
-        )
-        residual_plans = quantize_lines(residuals, cfg) if len(residuals) else None
-        residual_w = residual_plans.weights() if len(residuals) else None
-        ends = np.cumsum([m.k for m in masks])
-        salient = [
-            residual_plans.select(np.arange(end - m.k, end))
-            if m.k
-            else LinePlans.empty(n)
-            for m, end in zip(masks, ends)
-        ]
-        salient_w = [residual_w[end - m.k : end] if m.k else None
-                     for m, end in zip(masks, ends)]
-    return [
-        (QuantizedBlock(mask, ns, sal), _assemble(mode, mask, base, sal_w))
-        for mask, ns, base, sal, sal_w in zip(masks, nonsalient, bases, salient, salient_w)
-    ]
+        recon = np.ascontiguousarray(plans.weights().T)
+        return [(QuantizedBlock(m, plans.select(~m.bits), plans.select(m.bits)), recon)
+                for m in masks]
+    n = wm.shape[0]
+    stack = quantize_lines(np.concatenate([fill_avg(wm, m) for m in masks]), cfg)
+    bases = stack.weights().reshape(len(masks), n, -1)
+    residuals = np.concatenate(
+        [(wm[:, m.indices] - b[:, m.indices]).T for m, b in zip(masks, bases)]
+    )
+    plans = quantize_lines(residuals, cfg) if len(residuals) else LinePlans.empty(n)
+    weights = plans.weights()
+    trials, end = [], 0
+    for i, (mask, base) in enumerate(zip(masks, bases)):
+        lines = np.arange(end, end + mask.k)
+        end += mask.k
+        block = QuantizedBlock(mask, stack.select(np.arange(i * n, (i + 1) * n)),
+                               plans.select(lines) if mask.k else LinePlans.empty(n))
+        trials.append((block, _assemble(mode, mask, base, weights[lines])))
+    return trials
 
 
 def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
@@ -341,11 +334,11 @@ def hbllm_quantize(
     per_block: list[dict] = []
     for b, width in block_spans(m, beta):
         w_blk = np.ascontiguousarray(wm[:, b : b + width])
-        if cfg.score_raw_weights:
-            scores = column_scores(w_blk, cfg.norm)
-        else:
-            sal = saliency_matrix(w_blk, calib.hinv_diag[b : b + width])
-            scores = column_scores(sal, cfg.norm)
+        scores = column_scores(
+            w_blk if cfg.score_raw_weights
+            else saliency_matrix(w_blk, calib.hinv_diag[b : b + width]),
+            cfg.norm,
+        )
         block, recon, trial_errors = _select_salient_full(w_blk, scores, mode, cfg)
         thresholds = block.nonsalient_plans.thr_val[:, 0].astype(np.float64)
         per_block.append(

@@ -251,6 +251,29 @@ def test_dequantize_roundtrip_matches_library(tmp_path, capsys):
     assert np.array_equal(recon, dequantize_layer(q))
 
 
+@pytest.mark.parametrize("command", ["gen", "quantize", "dequantize", "inspect", "ab"])
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, where):
+    # an --out that cannot be written (an OSError) is a usage error
+    w, x, container, _ = quantized(tmp_path, capsys)
+    out = tmp_path / "missing" / "o"
+    if where == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    argv = {
+        "gen": ["gen", "--rows", "2", "--cols", "2"],
+        "quantize": ["quantize", str(w), str(x), "--beta", "32"],
+        "dequantize": ["dequantize", str(container)],
+        "inspect": ["inspect", str(container)],
+        "ab": ["ab", str(w), str(x), "--beta", "32"],
+    }[command]
+    code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_dequantize_truncated_exits_3(tmp_path, capsys):
     w, _, out, _ = quantized(tmp_path, capsys)
     bad = tmp_path / "bad.hbq"

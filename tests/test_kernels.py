@@ -453,6 +453,25 @@ def test_screen_matches_reference_on_random_lines(case):
         _assert_matches_reference(lines, split, share, ranks=ranks)
 
 
+def test_plan_lines_on_shuffled_grid_ranks_matches_reference():
+    # A grid's nearest ranks come in nondecreasing order, so equal ranks are
+    # neighbours and each run of them is screened once, as np.unique would
+    # find them. Shuffled, some equal ranks are apart and screened twice;
+    # the plans must still be the reference's.
+    grid = _ranks(8, 256)
+    distinct, inv = K._distinct(grid)
+    want, want_inv = np.unique(grid, return_inverse=True)
+    assert np.array_equal(distinct, want) and np.array_equal(inv, want_inv)
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        nv = int(rng.choice([4, 8, 16]))
+        ranks = rng.permutation(_ranks(nv, int(rng.choice([40, 256]))))
+        assert K._distinct(ranks)[0].size > np.unique(ranks).size
+        lines = _trial_lines(rng, str(rng.choice(["gauss", "plateau", "spiky"])), 3, nv)
+        for share in (True, False):
+            _assert_matches_reference(lines, nv, share, ranks=ranks)
+
+
 # ---------------------------------------------------------------------------
 # The lower bound. The screen rounds and scores a line's best-bound
 # candidate, then only the candidates whose bound reaches its error, so no

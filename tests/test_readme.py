@@ -36,3 +36,13 @@ def test_readme_quick_start_figures(capsys):
     saved = bit_report(own).avg_bits_per_weight - r.avg_bits_per_weight
     assert f"{saved:.3f}" == "0.236"
     assert "0.236 on the quick start" in prose
+
+
+def test_readme_lists_every_bench_file():
+    # each performance change leaves its paired timings in a BENCH_*.json
+    text = README.read_text(encoding="utf-8")
+    root = README.parent
+    names = sorted(p.name for p in root.glob("BENCH_*.json"))
+    names.append("perfbench/BENCH_baseline.json")
+    assert (root / names[-1]).is_file()
+    assert [name for name in names if f"`{name}`" not in text] == []

@@ -164,6 +164,11 @@ def test_k_candidates_validation():
         QuantConfig(k_candidates=(-2, 0))
 
 
+def test_norm_validation():
+    with pytest.raises(ConfigError, match="norm"):
+        QuantConfig(norm="l3")
+
+
 def test_k_candidates_fit_hbq1():
     # HBQ1 stores each K as a u16 and the number of Ks as a u8; the largest
     # list it can hold still quantizes and round-trips
