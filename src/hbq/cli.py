@@ -152,6 +152,19 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _check_out(path) -> None:
+    """Refuse an --out that cannot be a file before any work is done: its
+    directory must exist and the path must not be a directory. (Whether it
+    can be written is known only on writing it.)"""
+    if path is None:
+        return
+    p = Path(path)
+    if p.is_dir():
+        raise ConfigError(f"output is a directory: {path}")
+    if not p.parent.is_dir():
+        raise ConfigError(f"output directory not found: {p.parent}")
+
+
 def _emit_rows(rows: list[dict], fmt: str, fh) -> None:
     if fmt == "jsonl":
         for row in rows:
@@ -194,11 +207,13 @@ def _frobenius_norm(w) -> float:
 
 
 def _settings_and_inputs(args):
-    """Check every setting, then read the weights and calibration files:
-    (hbllm_quantize keywords, QuantConfig, report format, w, x)."""
+    """Check every setting, the input files and --out, then read the
+    weights and calibration files: (hbllm_quantize keywords, QuantConfig,
+    report format, w, x)."""
     layer, cfg, report = _resolve_settings(args)
     w_path = _require_file(args.weights, "weights file")
     x_path = _require_file(args.calib, "calibration file")
+    _check_out(args.out)
     return layer, cfg, report, read_tensor(w_path), read_tensor(x_path)
 
 
@@ -228,6 +243,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     path = _require_file(args.container, "container file")
+    _check_out(args.out)
     q = decode_layer(path.read_bytes())
     write_tensor(args.out, dequantize_layer(q))
     print(f"dequantized shape={q.n}x{q.m} -> {args.out}")
@@ -254,6 +270,7 @@ def _sidecar_errors(container_path) -> dict[int, float]:
 def cmd_inspect(args) -> int:
     path = _require_file(args.container, "container file")
     fmt = _parse_setting("report", args.report or DEFAULT_REPORT)
+    _check_out(args.out)
     q = decode_layer(path.read_bytes())
     errors = _sidecar_errors(path)
     r = bit_report(q)
@@ -283,7 +300,7 @@ def cmd_inspect(args) -> int:
                 "error": errors.get(i, ""),
             }
         )
-    _write_report(rows, fmt, getattr(args, "out", None))
+    _write_report(rows, fmt, args.out)
     return 0
 
 
@@ -324,13 +341,14 @@ def cmd_ab(args) -> int:
                 "time_s": round(elapsed, 4),
             }
         )
-    _write_report(rows, report, getattr(args, "out", None))
+    _write_report(rows, report, args.out)
     return 0
 
 
 def cmd_gen(args) -> int:
     if args.rows < 1 or args.cols < 1:
         raise ConfigError(f"shape must be positive, got {args.rows}x{args.cols}")
+    _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     arr = rng.normal(size=(args.rows, args.cols)).astype(np.float32)
     write_tensor(args.out, arr)

@@ -1,7 +1,7 @@
 """End-to-end block pipeline: saliency -> trial selection -> quantize ->
 trailing error compensation.
 
-Blocks of beta columns are processed left to right. ``quantize_block``
+Blocks of beta columns are processed left to right. ``_quantize_trials``
 quantizes a block by Row-HaarQuant (fill salient holes, transform and
 binarize rows, then column-quantize the salient residual) or Col-HaarQuant
 (column-quantize non-salient and salient columns separately). The block's
@@ -42,7 +42,6 @@ __all__ = [
     "QuantizedLayer",
     "block_spans",
     "line_shapes",
-    "quantize_block",
     "reconstruct_block",
     "compensate",
     "hbllm_quantize",
@@ -55,6 +54,11 @@ __all__ = [
 # (262,144 non-salient positions); a larger layer goes in batches, so its
 # load holds one batch of temporaries at a time (~7 MB at this size).
 _LOAD_VALUES = 1 << 19
+
+# float64 values of E U_{blk->tail} per product in ``compensate``: 256
+# columns of a 1024-row layer. The benchmark layers (256 and 8 rows) take
+# each product whole.
+_COMPENSATE_VALUES = 1 << 18
 
 
 def block_spans(m: int, beta: int) -> Iterator[tuple[int, int]]:
@@ -137,27 +141,19 @@ def _assemble(mode: Axis, mask: SalientMask, nonsalient, salient) -> np.ndarray:
     return np.ascontiguousarray(recon.T)
 
 
-def quantize_block(
-    w_block, mask: SalientMask, mode: Axis, cfg: QuantConfig
-) -> tuple[QuantizedBlock, np.ndarray]:
-    """Quantize one block; return it and its weight-domain reconstruction.
-
-    ROW plans the hole-filled rows, then the residual the rows leave in the
-    salient columns. COL plans every column and splits the plans into the
-    non-salient and the salient columns.
-    """
-    return _quantize_trials(as_matrix(w_block, "block"), [mask], mode, cfg)[0]
-
-
 def _quantize_trials(
     wm: np.ndarray, masks: list[SalientMask], mode: Axis, cfg: QuantConfig
 ) -> list[tuple[QuantizedBlock, np.ndarray]]:
-    """``quantize_block`` of wm under each mask, in order, with one
-    ``quantize_lines`` call per stage for all of them.
+    """Quantize block wm under each mask, in order: each trial's block and
+    its weight-domain reconstruction, with one ``quantize_lines`` call per
+    stage for all of them.
 
-    A line's plan does not depend on the lines planned with it, so each
-    trial's plans, taken out of the stack, are those it gets on its own.
-    They are copies, so a kept block holds only its own lines.
+    ROW plans the hole-filled rows, then the residual the rows leave in the
+    salient columns. COL plans every column and splits the plans into the
+    non-salient and the salient columns. A line's plan does not depend on
+    the lines planned with it, so each trial's plans, taken out of the
+    stack, are those it gets on its own. They are copies, so a kept block
+    holds only its own lines.
     """
     if mode is Axis.COL:
         # non-salient and salient lines alike are columns of n, so the
@@ -191,12 +187,41 @@ def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
                      block.salient_plans.weights())
 
 
+def _tail_chunks(start: int, m: int, n: int) -> Iterator[tuple[int, int]]:
+    """The column ranges of [start, m) that ``compensate`` takes its
+    product over: ``_COMPENSATE_VALUES`` / n columns, rounded down to a
+    multiple of 64 (at least 64), the last range taking what is left
+    (less than twice that).
+
+    Each column's float64 dot product then has the bits it has in one
+    product over the whole tail. Measured with OpenBLAS, not read from its
+    source: narrow ranges, and the last columns of a tail that is not a
+    multiple of 8 wide, can be summed in another order, so such a tail is
+    one range. Rounded to float32, such a difference would almost never
+    show.
+    """
+    step = max(64, _COMPENSATE_VALUES // n // 64 * 64)
+    if (m - start) % 8:
+        step = m - start
+    stop = start
+    while stop < m:
+        start, stop = stop, (m if m - stop < 2 * step else stop + step)
+        yield start, stop
+
+
 def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     """Push the block's residual into trailing columns of w, in place.
 
     E = (W_blk - B_blk) U_bb^-1 by triangular back-substitution on the
     diagonal sub-block of the factor (LAPACK dtrtrs, from scipy's LAPACK
     extension as ``calib`` loads it), then W_tail -= E U_{blk->tail}.
+
+    w must be float32. The product E U_{blk->tail} is taken in column
+    chunks (``_tail_chunks``) and subtracted from the float32 tail in
+    float64, rounded once: the bits of one product over the whole tail,
+    widened, subtracted and narrowed. Beside w it holds the float64
+    residual, which the solve overwrites with E, and one chunk's factor
+    columns and product, never a float64 copy of the tail.
     """
     n, m = w.shape
     if not (0 <= b and b + beta <= m):
@@ -212,22 +237,22 @@ def compensate(w, recon_block, chol_inv, b: int, beta: int) -> None:
     if b + beta == m:
         return  # nothing to the right: E would be discarded
     # widening f32 to f64 is exact
-    u = u.astype(np.float64)
-    u_bb = u[:, b : b + beta]
-    resid = w[:, b : b + beta].astype(np.float64) - np.asarray(
-        recon_block, dtype=np.float64
-    )
+    u_bb = u[:, b : b + beta].astype(np.float64)
+    resid = np.subtract(w[:, b : b + beta], recon_block, dtype=np.float64)
     block = f"block [{b}, {b + beta})"
     if not (np.isfinite(u_bb).all() and np.isfinite(resid).all()):
         raise NumericError(f"{block}: residual or factor is not finite")
     # U_bb^T E^T = R^T: U_bb^T, the Fortran-ordered view of U_bb, is the
-    # lower triangle LAPACK solves with
-    e, info = _lapack().dtrtrs(u_bb.T, resid.T, lower=1, trans=0)
+    # lower triangle LAPACK solves with; R^T is Fortran-ordered too, so E^T
+    # overwrites it
+    e, info = _lapack().dtrtrs(u_bb.T, resid.T, lower=1, trans=0, overwrite_b=1)
     if info != 0:
         raise NumericError(f"{block}: triangular solve failed (info {info})")
     e = e.T
-    tail = w[:, b + beta :].astype(np.float64)
-    w[:, b + beta :] = (tail - e @ u[:, b + beta :]).astype(np.float32)
+    for start, stop in _tail_chunks(b + beta, m, n):
+        tail = w[:, start:stop]
+        prod = e @ u[:, start:stop].astype(np.float64)
+        np.subtract(tail, prod, out=tail, dtype=np.float64, casting="unsafe")
 
 
 def _validate_layer_inputs(w, x, beta, mode, cfg):

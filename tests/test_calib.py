@@ -258,3 +258,37 @@ def test_saliency_rejects_bad_diag():
         saliency_matrix(w, [1.0, -2.0])
     with pytest.raises(ShapeError):
         saliency_matrix(w, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(65, 33), (300, 700), (257, 4096)])
+@pytest.mark.parametrize("rows", [1, 3, 17, 128])
+def test_hessian_row_blocks_keep_the_bits(monkeypatch, shape, rows):
+    # blocks of 1 row, of a few, and heights that leave a remainder block
+    # (65 = 3·17 + 14, 257 = 2·128 + 1): every entry is still the float64
+    # product over all of X, doubled and rounded once
+    import hbq.calib
+
+    m, s = shape
+    monkeypatch.setattr(hbq.calib, "_HESSIAN_VALUES", rows * s)
+    rng = np.random.default_rng([m, s])
+    x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (m, 1))).astype(np.float32)
+    x64 = x.astype(np.float64)
+    p = x64 @ x64.T
+    h = build_hessian(x)
+    assert h.tobytes() == (p + p.T).astype(np.float32).tobytes()
+    assert np.array_equal(h, h.T)
+
+
+def test_hessian_working_set_is_below_one_float64_copy_of_x():
+    # long-input's 2048x4096: H (16 MiB) and two float64 row blocks of X
+    # with their product peak at ~50 MiB; a float64 copy of X is 64 MiB
+    import tracemalloc
+
+    x = np.random.default_rng(5).standard_normal((2048, 4096), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        build_hessian(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.size * 8

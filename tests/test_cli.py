@@ -253,13 +253,22 @@ def test_dequantize_roundtrip_matches_library(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["gen", "quantize", "dequantize", "inspect", "ab"])
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
-def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, where):
-    # an --out that cannot be written (an OSError) is a usage error
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                   command, where):
+    # an --out that cannot be written is a usage error, found with the
+    # other inputs: nothing is read, quantized, decoded or printed first
     w, x, container, _ = quantized(tmp_path, capsys)
     out = tmp_path / "missing" / "o"
     if where == "directory":
         out = tmp_path / "taken"
         out.mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before --out was checked")
+
+    for name in ("read_tensor", "write_tensor", "hbllm_quantize",
+                 "build_calib_stats", "decode_layer"):
+        monkeypatch.setattr(f"hbq.cli.{name}", no_work)
     argv = {
         "gen": ["gen", "--rows", "2", "--cols", "2"],
         "quantize": ["quantize", str(w), str(x), "--beta", "32"],
@@ -268,10 +277,24 @@ def test_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, w
         "ab": ["ab", str(w), str(x), "--beta", "32"],
     }[command]
     code = run([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err
+    assert code == 2
+    assert captured.out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_unwritable_sidecar_exits_2_with_one_error_line(tmp_path, capsys):
+    # a write that fails after the checks (here the diagnostics sidecar is
+    # a directory) is still an OSError, exit 2 with one error line
+    w, x, out, _ = quantized(tmp_path, capsys)
+    Path(f"{out}.diag.csv").unlink()
+    Path(f"{out}.diag.csv").mkdir()
+    code = run(["quantize", str(w), str(x), "--out", str(out), "--beta", "32"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
 
 
 def test_dequantize_truncated_exits_3(tmp_path, capsys):
@@ -672,6 +695,30 @@ print("ok")
 def test_lapack_loader_is_what_scipy_linalg_imports_later():
     proc = subprocess.run(
         [sys.executable, "-c", LOADER_THEN_SCIPY_LINALG],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+
+
+LOADER_THEN_FLAPACK_ATTRIBUTE = """
+import sys
+from hbq.calib import _lapack
+lapack = _lapack()
+import scipy.linalg
+from scipy.linalg import _flapack
+assert _flapack is lapack
+assert scipy.linalg.lapack.dtrtrs is lapack.dtrtrs
+assert not hasattr(scipy.linalg, "_flapack")
+print("ok")
+"""
+
+
+def test_lapack_loader_leaves_the_package_attribute_unset():
+    # as calib._lapack documents: after it, a later import of scipy.linalg
+    # works, and its _flapack is reachable by import but not as an attribute
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADER_THEN_FLAPACK_ATTRIBUTE],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr

@@ -16,9 +16,9 @@ from hbq.pipeline import (
     compensate,
     dequantize_layer,
     hbllm_quantize,
-    quantize_block,
     reconstruct_block,
 )
+from reference_blocks import quantize_block
 from hbq.salient import SalientMask, top_k_mask
 from hbq.tensor import frobenius_error
 
@@ -308,6 +308,78 @@ def test_compensate_bitwise_equals_full_widening(n, m, beta):
         compensate(w, recon, u, b, width)
         _compensate_full_widening(want, recon, u, b, width)
         assert w.tobytes() == want.tobytes(), b
+
+
+@pytest.mark.parametrize(
+    "n,m,beta",
+    [(1, 640, 64), (16, 1024, 128), (64, 520, 40), (8, 390, 64), (33, 777, 30)],
+)
+@pytest.mark.parametrize("columns", [None, 64, 192])
+def test_compensate_chunks_keep_the_bits(monkeypatch, n, m, beta, columns):
+    # products over 64- or 192-column chunks (the last taking the rest) or,
+    # when the trailing width is not a multiple of 8 (390, 777), over the
+    # whole tail, subtracted in place: the bits of one product over the
+    # whole slab, widened, subtracted and narrowed; the last block leaves w
+    # as it is
+    import hbq.pipeline as pipeline
+
+    if columns is not None:
+        monkeypatch.setattr(pipeline, "_COMPENSATE_VALUES", columns * n)
+        if m % 8 == 0:
+            assert len(list(pipeline._tail_chunks(beta, m, n))) > 1
+    rng = np.random.default_rng([n, m])
+    x = rng.normal(size=(m, m + 64)).astype(np.float32)
+    u = build_calib_stats(x).chol_inv
+    w = rng.normal(size=(n, m)).astype(np.float32)
+    want = w.copy()
+    for b in range(0, m, beta):
+        width = min(beta, m - b)
+        recon = np.round(w[:, b : b + width] * 2.0) / 2.0
+        compensate(w, recon, u, b, width)
+        _compensate_full_widening(want, recon, u, b, width)
+        assert w.tobytes() == want.tobytes(), b
+
+
+@pytest.mark.parametrize("n", [33, 64, 256])
+@pytest.mark.parametrize("tail", [131, 192, 195, 264, 323, 1000])
+def test_tail_chunks_keep_the_float64_product_bits(monkeypatch, n, tail):
+    # before the float32 rounding that would hide most differences: each
+    # chunk's product is the product over the whole tail, bit for bit.
+    # Chunked at 64 columns, tails of 131, 195 and 323 columns would not
+    # be, so they go whole
+    import hbq.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_COMPENSATE_VALUES", 64 * n)
+    beta = 128
+    rng = np.random.default_rng([n, tail])
+    e = rng.normal(size=(n, beta))
+    u = rng.normal(size=(beta, beta + tail)).astype(np.float32).astype(np.float64)
+    whole = e @ u[:, beta:]
+    chunks = list(pipeline._tail_chunks(beta, beta + tail, n))
+    assert len(chunks) > 1 or tail % 8
+    for a, b in chunks:
+        assert (e @ u[:, a:b].copy()).tobytes() == whole[:, a - beta : b - beta].tobytes()
+
+
+def test_compensate_working_set_is_below_one_float64_slab():
+    # the first 128-column block of a 1024x2048 layer: ~6.5 MiB of
+    # temporaries, against 15 MiB for one float64 copy of the trailing slab
+    import tracemalloc
+
+    n, m, beta = 1024, 2048, 128
+    rng = np.random.default_rng(3)
+    u = np.triu(rng.uniform(-0.01, 0.01, (m, m)).astype(np.float32))
+    np.fill_diagonal(u, 1.0)
+    w = rng.standard_normal((n, m), dtype=np.float32)
+    recon = np.round(w[:, :beta])
+    tracemalloc.start()
+    try:
+        compensate(w, recon, u, 0, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(w).all()
+    assert peak < n * (m - beta) * 8
 
 
 def test_compensation_reduces_activation_error(monkeypatch):
