@@ -164,13 +164,14 @@ def _f16_quotients(s, counts, width, exact):
     return np.where(counts > 0, lo, 0.0)
 
 
-def band_levels(means, scales):
+def band_levels(scalars):
     """The four float32 levels mu -/+ alpha of each band, levels last and
-    indexed by 2·sparse + (v >= mu): (bands, 4) from the float64 means and
-    scales of the dense ([0]) and the sparse ([1]) group, (2, bands)."""
-    out = np.empty((means.shape[1], 4), np.float32)
-    out[:, 0::2] = (means - scales).T
-    out[:, 1::2] = (means + scales).T
+    indexed by 2·sparse + (v >= mu), from its scalars taken in float64:
+    (bands, 4) of mu_dense, mu_sparse, alpha_dense, alpha_sparse."""
+    out = np.empty(scalars.shape, np.float32)
+    mu, al = scalars[:, :2], scalars[:, 2:]
+    np.subtract(mu, al, out=out[:, 0::2], dtype=np.float64, casting="unsafe")
+    np.add(mu, al, out=out[:, 1::2], dtype=np.float64, casting="unsafe")
     return out
 
 
@@ -298,8 +299,9 @@ def _screen_band(v, ranks, inv, share):
     the distinct ``ranks`` once; ``inv`` maps the caller's candidates to
     them (``_distinct``).
 
-    Returns per row (best index, threshold, mu_s, mu_d, al_s, al_d, sse)
-    and per position (sparse, signs) of the winning candidates.
+    Returns per row (best index, threshold, scalars, sse), the scalars in
+    ``band_levels`` order (rows, 4), and per position (sparse, signs) of
+    the winning candidates.
     """
     n, nv = v.shape
     rows = np.arange(n)
@@ -368,7 +370,7 @@ def _screen_band(v, ranks, inv, share):
         sp = np.abs(vp) >= thr
         cell = 2 * sp + (vp >= np.where(sp, m[1], m[0]))
         cell += 4 * np.arange(li.size)
-        diff = vp - band_levels(m, a).ravel()[cell]
+        diff = vp - band_levels(np.concatenate([m, a]).T).ravel()[cell]
         al[at] = a
         err = _sum_positions(np.square(diff, out=diff))
         errs[li, ki] = np.where(ok, err, np.inf)
@@ -391,17 +393,14 @@ def _screen_band(v, ranks, inv, share):
     ok = np.isfinite(errs[rows, k])
     best[~ok] = 0
     k[~ok] = 0
-    mu_de, mu_sp = np.where(ok, means[:, rows, k], 0.0)
-    al_de, al_sp = np.where(ok, al[:, rows, first[rows, k]], 0.0)
+    scalars = np.concatenate([means[:, rows, k], al[:, rows, first[rows, k]]]).T
+    scalars[~ok] = 0.0
     sparse = np.abs(v64) >= t[rows, k][:, None]
-    pos = v64 >= np.where(sparse, mu_sp[:, None], mu_de[:, None])
+    pos = v64 >= np.where(sparse, scalars[:, 1:2], scalars[:, :1])
     return (
         best,
         t[rows, k],
-        mu_sp,
-        mu_de,
-        al_sp,
-        al_de,
+        scalars,
         np.where(ok, errs[rows, k], np.inf),
         sparse,
         pos.view(np.int8) * 2 - 1,
@@ -414,14 +413,14 @@ def plan_lines(lines, ranks, share):
     ranks are the 1-based nearest ranks of the candidate thresholds in a
     row, in nondecreasing order: the nearest ranks of an ascending
     percentile grid (other orders give the same result, screening some
-    ranks twice). Returns per row thr_idx, thr_val, mu_sp, mu_de, al_sp,
-    al_de and sse, and per position sparse and signs. Rows are planned in
-    chunks holding at most ``_SCREEN_VALUES`` values of rows x (band
-    width + candidates).
+    ranks twice). Returns per row thr_idx, thr_val, the float32 scalars
+    (rows, 4) in ``band_levels`` order and sse, and per position sparse
+    and signs. Rows are planned in chunks holding at most
+    ``_SCREEN_VALUES`` values of rows x (band width + candidates).
     """
     n, nv = lines.shape
-    out = [np.zeros(n, dt) for dt in (np.uint8,) + (np.float32,) * 5 + (np.float64,)]
-    out += [np.zeros((n, nv), dt) for dt in (bool, np.int8)]
+    out = [np.zeros(n, np.uint8), np.zeros(n, np.float32), np.zeros((n, 4), np.float32),
+           np.zeros(n), np.zeros((n, nv), bool), np.zeros((n, nv), np.int8)]
     # equal ranks are the same candidate: screen each run of them once
     distinct, inv = _distinct(np.asarray(ranks))
     step = max(1, _SCREEN_VALUES // (nv + len(ranks)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -133,13 +134,22 @@ def build_hessian(x) -> np.ndarray:
     return h
 
 
+def _check_damping(damping) -> float | None:
+    """damping as a float, or None for "auto" or None; anything else that
+    is not a finite real number >= 0 raises ConfigError. No Hessian needed."""
+    if damping is None or (isinstance(damping, str) and damping == "auto"):
+        return None
+    lam = float(damping) if isinstance(damping, numbers.Real) else np.nan
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"damping must be 'auto' or a finite number >= 0, got {damping!r}")
+    return lam
+
+
 def resolve_damping(h: np.ndarray, damping) -> float:
     """Resolve 'auto' to 0.01 * mean(diag(H)); validate explicit values."""
-    if damping is None or damping == "auto":
+    lam = _check_damping(damping)
+    if lam is None:
         return float(0.01 * np.mean(np.diag(h).astype(np.float64)))
-    lam = float(damping)
-    if not np.isfinite(lam) or lam < 0:
-        raise ConfigError(f"damping must be >= 0, got {damping!r}")
     return lam
 
 
@@ -189,7 +199,9 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_calib_stats(x, damping="auto") -> CalibStats:
-    """Build CalibStats from a features x samples activation matrix."""
+    """Build CalibStats from a features x samples activation matrix; a bad
+    damping raises ConfigError before the Hessian is built."""
+    _check_damping(damping)
     h = build_hessian(x)
     lam = resolve_damping(h, damping)
     u, hinv_diag = damped_cholesky_inverse(h, lam)

@@ -323,7 +323,7 @@ def cmd_ab(args) -> int:
     rows = []
     for name, cfg in _ab_variants(base):
         t0 = time.perf_counter()
-        q = hbllm_quantize(w.copy(), x, cfg=cfg, calib=calib, **layer)
+        q = hbllm_quantize(w, x, cfg=cfg, calib=calib, **layer)
         elapsed = time.perf_counter() - t0
         rel = q.diagnostics["total_error"] / w_norm if w_norm else 0.0
         rows.append(

@@ -3,9 +3,11 @@
 Two formats: RTS1 carries raw float32 tensors in and out of the tool, and
 HBQ1 carries a quantized layer. Every multi-byte integer is little-endian,
 every bitset is LSB-first and zero-padded to a whole byte, and all plan
-scalars are IEEE-754 binary16. The HBQ1 payload ends with a CRC-32 of all
-preceding bytes; decode verifies it before trusting anything else, so any
-single corrupted byte surfaces as a CRC error rather than a parse error.
+scalars are IEEE-754 binary16; ``_SLOTS`` states which of a plan's four
+scalars per band HBQ1 stores, and in what order. The HBQ1 payload ends
+with a CRC-32 of all preceding bytes; decode verifies it before trusting
+anything else, so any single corrupted byte surfaces as a CRC error rather
+than a parse error.
 """
 
 from __future__ import annotations
@@ -122,10 +124,12 @@ def read_tensor(path) -> np.ndarray:
 # --- HBQ1 quantized layers ---
 
 
-def _scalar_names(share: bool) -> tuple[str, ...]:
-    """Stored scalars per band, in file order (the scales come last)."""
-    means = ("mu_sparse",) if share else ("mu_sparse", "mu_dense")
-    return means + ("alpha_sparse", "alpha_dense")
+# The binary16 scalars HBQ1 stores per band, by share_mean: slot i of
+# LinePlans.scalars (mu_dense, mu_sparse, alpha_dense, alpha_sparse) is
+# stored scalar _SLOTS[share][i]. A shared mean fills both mu slots, which
+# write and read the one stored mean; the scales come last, alpha_sparse
+# first.
+_SLOTS = {True: (0, 0, 2, 1), False: (1, 0, 3, 2)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -134,7 +138,7 @@ def _line_dtype(width: int, bands: int, share: bool) -> np.dtype:
     and the sparse-group bitmap, then the line's sign bits."""
     band = np.dtype([
         ("idx", "u1"),
-        ("scalars", "<f2", (len(_scalar_names(share)),)),
+        ("scalars", "<f2", (len(set(_SLOTS[share])),)),
         ("sparse", "u1", (_bitset_bytes(width // bands),)),
     ])
     signs = ("signs", "u1", (_bitset_bytes(width),))
@@ -157,9 +161,7 @@ def _encode_plans(plans: LinePlans, share: bool) -> bytes:
     rec = np.empty(lines, _line_dtype(plans.width, bands, share))
     per_band = rec["bands"]
     per_band["idx"] = plans.thr_idx
-    per_band["scalars"] = np.stack(
-        [getattr(plans, name) for name in _scalar_names(share)], axis=-1
-    )
+    per_band["scalars"][..., _SLOTS[share]] = plans.scalars
     per_band["sparse"] = _pack_bits(
         plans.sparse.reshape(lines, bands, plans.width // bands)
     )
@@ -251,9 +253,10 @@ def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans
         rec = raw.view(dt)
         per_band = rec["bands"]
         thr_idx = per_band["idx"]
-        scalars = per_band["scalars"].astype(np.float32)  # (line, band, scalar)
-        bad_scalars = ~np.isfinite(scalars)
-        bad_scalars[..., -2:] |= scalars[..., -2:] < 0  # the scales
+        slots = _SLOTS[cfg.share_mean]
+        stored = per_band["scalars"].astype(np.float32)  # (line, band, scalar)
+        bad_scalars = ~np.isfinite(stored)
+        bad_scalars[..., slots[2:]] |= stored[..., slots[2:]] < 0  # the scales
         # set padding bits would be dropped by re-encoding
         faults = (
             thr_idx >= cfg.n_candidates,
@@ -265,19 +268,17 @@ def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans
             k = int(np.searchsorted(ends, np.argmax(bad), side="right"))
             if first_fault is None or members[k] < first_fault[0]:
                 first_fault = (members[k], [f[starts[k] : ends[k]] for f in faults], dt)
-        named = {n: scalars[..., j] for j, n in enumerate(_scalar_names(cfg.share_mean))}
-        named.setdefault("mu_dense", named["mu_sparse"])
         nan = np.full(thr_idx.shape, np.nan)
         signs = _unpack_bits(rec["signs"], length).view(np.int8)
         signs += signs  # bit 1 is +1, bit 0 is -1
         signs -= 1
         whole = LinePlans(
             thr_idx=thr_idx,
+            thr_val=nan.astype(np.float32),
+            scalars=stored[..., slots],
+            sse=nan,
             sparse=_unpack_bits(per_band["sparse"], split).reshape(rec.size, length),
             signs=signs,
-            thr_val=nan.astype(np.float32),
-            sse=nan,
-            **named,
         )
         for i, start, stop in zip(members, starts, ends):
             plans[i] = whole.select(slice(start, stop))
@@ -411,7 +412,7 @@ class BitReport:
 
 def bit_report(q: QuantizedLayer) -> BitReport:
     share = q.cfg.share_mean
-    scalars_per_band = len(_scalar_names(share))
+    scalars_per_band = len(set(_SLOTS[share]))
     sign = scalar = mask = index = stored = 0
     for (_, width), block in zip(q.spans, q.blocks):
         mask += width

@@ -54,20 +54,18 @@ class LinePlans:
 
     A line of width positions holds one band (an untransformed line) or
     two of width // 2, the Haar low and high band. Per (line, band):
-    thr_idx, the binary16-representable mu_sparse/mu_dense/alpha_sparse/
-    alpha_dense (mu_dense and alpha_dense are 0.0 when the dense group is
-    empty; with mean sharing both mu slots hold the pooled mean), and
-    thr_val/sse, diagnostics that are never serialized and read NaN after
-    decode. Per position: sparse (group membership) and signs (+1/-1).
-    The fields are in ``plan_lines``' output order.
+    thr_idx; scalars, the band's four binary16-representable scalars as
+    float32 in ``_kernels.band_levels`` order: mu_dense, mu_sparse,
+    alpha_dense, alpha_sparse (mu_dense and alpha_dense are 0.0 when the
+    dense group is empty; with mean sharing both mu slots hold the pooled
+    mean); and thr_val/sse, diagnostics that are never serialized and read
+    NaN after decode. Per position: sparse (group membership) and signs
+    (+1/-1). The fields are in ``plan_lines``' output order.
     """
 
     thr_idx: np.ndarray
     thr_val: np.ndarray = field(repr=False)
-    mu_sparse: np.ndarray
-    mu_dense: np.ndarray
-    alpha_sparse: np.ndarray
-    alpha_dense: np.ndarray
+    scalars: np.ndarray
     sse: np.ndarray = field(repr=False)
     sparse: np.ndarray
     signs: np.ndarray = field(repr=False)
@@ -77,22 +75,18 @@ class LinePlans:
         bands = self.thr_idx.shape[-1]
         if bands not in (1, 2) or width % bands:
             raise ShapeError(f"lines of width {width} do not hold {bands} bands")
-        for name in ("thr_idx", "thr_val", "mu_sparse", "mu_dense",
-                     "alpha_sparse", "alpha_dense", "sse"):
-            if getattr(self, name).shape != (lines, bands):
-                raise ShapeError(
-                    f"{name} shape {getattr(self, name).shape} != {(lines, bands)}"
-                )
-        if self.sparse.shape != (lines, width):
-            raise ShapeError(f"sparse shape {self.sparse.shape} != {(lines, width)}")
+        for name, shape in (("thr_idx", (lines, bands)), ("thr_val", (lines, bands)),
+                            ("scalars", (lines, bands, 4)), ("sse", (lines, bands)),
+                            ("sparse", (lines, width))):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
     @classmethod
     def empty(cls, width: int) -> LinePlans:
         """A set of zero lines of length width (e.g. no salient columns)."""
-        f32 = np.zeros((0, 1), np.float32)
-        return cls(np.zeros((0, 1), np.uint8), f32, f32, f32, f32, f32,
-                   np.zeros((0, 1), np.float64), np.zeros((0, width), bool),
-                   np.zeros((0, width), np.int8))
+        return cls(np.zeros((0, 1), np.uint8), np.zeros((0, 1), np.float32),
+                   np.zeros((0, 1, 4), np.float32), np.zeros((0, 1)),
+                   np.zeros((0, width), bool), np.zeros((0, width), np.int8))
 
     @classmethod
     def concat(cls, parts: list[LinePlans]) -> LinePlans:
@@ -125,8 +119,6 @@ class LinePlans:
         bands = self.thr_idx.shape[1]
         n = self.lines * bands
         rows = (n, self.width // bands)
-        mu, al = np.array([self.mu_dense, self.mu_sparse, self.alpha_dense,
-                           self.alpha_sparse], np.float64).reshape(2, 2, n)
         # cell = 2·sparse + (sign > 0) in uint8 (on small blocks a Python-int
         # factor costs more than the gather); the levels-last (band rows, 4)
         # table is read at 4·row + cell
@@ -134,7 +126,8 @@ class LinePlans:
         cell = sparse + sparse
         cell += self.signs.reshape(rows) > 0
         at = cell + np.arange(0, 4 * n, 4)[:, None]
-        return band_levels(mu, al).ravel()[at].reshape(self.lines, self.width)
+        levels = band_levels(self.scalars.reshape(n, 4))
+        return levels.ravel()[at].reshape(self.lines, self.width)
 
     def weights(self) -> np.ndarray:
         """recon() synthesized back to the line domain, one row per line."""
@@ -170,7 +163,8 @@ def quantize_lines(lines, cfg: QuantConfig) -> LinePlans:
     coeffs = mat if split == width else haar_fwd_rows(mat)
     ranks = _ranks(cfg.n_candidates, split)
     out = plan_lines(coeffs.reshape(-1, split), ranks, cfg.share_mean)
-    plans = LinePlans(*(a.reshape(n, -1) for a in out))
+    idx, thr, scalars, *rest = (a.reshape(n, -1) for a in out)
+    plans = LinePlans(idx, thr, scalars.reshape(n, -1, 4), *rest)
     if not np.all(np.isfinite(plans.sse)):
         raise NumericError("band statistics exceed the binary16 scalar range")
     return plans

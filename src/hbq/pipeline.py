@@ -11,14 +11,14 @@ earlier blocks' error.
 
 This is the only module that knows which way lines run through a block:
 ``line_shapes`` states it, ``_assemble`` builds a block's weights from its
-lines at load, in ROW trials and in the reference ``reconstruct_block``,
-and ``formats`` reads the layout from here. A COL block's quantize-time
-weights are its columns' weights, transposed. ``grouping.quantize_lines``
-plans the rows of whatever matrix it is given, so column lines are handed
-to it transposed.
+lines at load and in ROW trials, and ``formats`` reads the layout from
+here. A COL block's quantize-time weights are its columns' weights,
+transposed. ``grouping.quantize_lines`` plans the rows of whatever matrix
+it is given, so column lines are handed to it transposed.
 
-The input weight matrix is consumed: compensation mutates it in place.
-Callers needing the original must copy first.
+``hbllm_quantize`` compensates its own copy of the weights, never the
+caller's array, and each block's columns of the copy then take its
+reconstruction.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "QuantizedLayer",
     "block_spans",
     "line_shapes",
-    "reconstruct_block",
     "compensate",
     "hbllm_quantize",
     "dequantize_layer",
@@ -178,13 +177,6 @@ def _quantize_trials(
                                plans.select(lines) if mask.k else LinePlans.empty(n))
         trials.append((block, _assemble(mode, mask, base, weights[lines])))
     return trials
-
-
-def reconstruct_block(block: QuantizedBlock, mode: Axis) -> np.ndarray:
-    """Dequantize one block of a layer in mode from its plans alone: the
-    reference that ``dequantize_layer`` matches bit for bit."""
-    return _assemble(mode, block.mask, block.nonsalient_plans.weights(),
-                     block.salient_plans.weights())
 
 
 def _tail_chunks(start: int, m: int, n: int) -> Iterator[tuple[int, int]]:
@@ -337,10 +329,11 @@ def hbllm_quantize(
     cfg: QuantConfig = QuantConfig(),
     calib: CalibStats | None = None,
 ) -> QuantizedLayer:
-    """Quantize one layer blockwise with compensation; w is consumed.
+    """Quantize one layer blockwise with compensation; w is left as it is.
 
     mode may be an Axis or its value, "row" or "col" (so mode="row" is
-    Axis.ROW); anything else raises ConfigError before any work is done.
+    Axis.ROW); anything else raises ConfigError before any work is done,
+    as does a damping that ``build_calib_stats`` refuses.
     calib, when given, must match w's column count and skips the Hessian
     build (the CLI reuses one CalibStats across A/B runs); x is then read
     for its shape alone.
@@ -353,12 +346,11 @@ def hbllm_quantize(
         raise ShapeError(
             f"calibration width {calib.chol_inv.shape[0]} != weight columns {m}"
         )
-    w_orig = wm.copy()
-    recon_full = np.empty_like(wm)
+    work = wm.copy()
     blocks: list[QuantizedBlock] = []
     per_block: list[dict] = []
     for b, width in block_spans(m, beta):
-        w_blk = np.ascontiguousarray(wm[:, b : b + width])
+        w_blk = np.ascontiguousarray(work[:, b : b + width])
         scores = column_scores(
             w_blk if cfg.score_raw_weights
             else saliency_matrix(w_blk, calib.hinv_diag[b : b + width]),
@@ -377,8 +369,8 @@ def hbllm_quantize(
                 "row_threshold_mean": float(np.mean(thresholds)),
             }
         )
-        recon_full[:, b : b + width] = recon
-        compensate(wm, recon, calib.chol_inv, b, width)
+        compensate(work, recon, calib.chol_inv, b, width)
+        work[:, b : b + width] = recon
         blocks.append(block)
     layer = QuantizedLayer(
         blocks=blocks,
@@ -391,7 +383,7 @@ def hbllm_quantize(
     )
     layer.diagnostics = {
         "per_block": per_block,
-        "total_error": frobenius_error(w_orig, recon_full),
+        "total_error": frobenius_error(wm, work),
     }
     return layer
 
@@ -428,7 +420,7 @@ def _weights_by_shape(sets: list[LinePlans]) -> list[np.ndarray]:
 def dequantize_layer(q: QuantizedLayer) -> np.ndarray:
     """Assemble the full n x m reconstruction from per-block plans, with
     one ``weights()`` call per line shape for the whole layer; each block
-    equals ``reconstruct_block`` of it bit for bit."""
+    equals its plans' weights assembled on their own, bit for bit."""
     sets = [p for block in q.blocks for p in (block.nonsalient_plans, block.salient_plans)]
     weights = _weights_by_shape(sets)
     out = np.empty((q.n, q.m), dtype=np.float32)

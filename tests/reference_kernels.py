@@ -172,8 +172,10 @@ def _plan_band(v, ranks, share, sparse_out, signs_out, recon_out):
 
 
 def plan_lines(rows, ranks, share):
-    """Same contract and outputs as ``hbq._kernels.plan_lines``, each row
-    one band, then the reconstruction of every row."""
+    """Same contract as ``hbq._kernels.plan_lines``, each row one band. Its
+    outputs are the same but for the scalars, which come one array each
+    (mu_sp, mu_de, al_sp, al_de) rather than stacked (rows, 4), then the
+    reconstruction of every row."""
     n, nv = rows.shape
     thr_idx = np.zeros(n, np.uint8)
     thr_val = np.zeros(n, np.float32)

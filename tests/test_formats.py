@@ -21,7 +21,8 @@ from hbq.formats import (
 from hbq.grouping import LinePlans
 from hbq import pipeline
 from hbq.haar import Axis
-from hbq.pipeline import dequantize_layer, hbllm_quantize, reconstruct_block
+from hbq.pipeline import dequantize_layer, hbllm_quantize
+from reference_blocks import reconstruct_block
 
 _HEADER_BYTES = 32  # fixed part, before the k-candidate list
 

@@ -179,15 +179,15 @@ def test_plan_band_isolates_outlier():
 def test_plan_band_constant_band():
     plan = plan_band([0.5, 0.5, 0.5, 0.5], n_candidates=4)
     assert plan.sse[0, 0] == 0.0
-    assert plan.alpha_sparse[0, 0] == 0.0
-    assert plan.alpha_dense[0, 0] == 0.0
-    assert plan.mu_dense[0, 0] == 0.5  # sharing is on: pooled mean fills both slots
+    assert plan.scalars[0, 0, 3] == 0.0  # alpha_sparse
+    assert plan.scalars[0, 0, 2] == 0.0  # alpha_dense
+    assert plan.scalars[0, 0, 0] == 0.5  # sharing is on: pooled mean fills both slots
     assert bool(plan.sparse[0].all())
     # with per-group means the empty dense group stores zeros
     plan_off = plan_band([0.5, 0.5, 0.5, 0.5], n_candidates=4, share_mean=False)
     assert plan_off.sse[0, 0] == 0.0
-    assert plan_off.mu_dense[0, 0] == 0.0
-    assert plan_off.alpha_dense[0, 0] == 0.0
+    assert plan_off.scalars[0, 0, 0] == 0.0  # mu_dense
+    assert plan_off.scalars[0, 0, 2] == 0.0  # alpha_dense
     assert bool(plan_off.sparse[0].all())
 
 
@@ -251,8 +251,7 @@ def test_plan_band_sse_matches_its_own_fields():
         band = rng.normal(scale=2.0, size=24).astype(np.float32)
         plan = plan_band(band, n_candidates=16, share_mean=False)
         v = band.astype(np.float64)
-        mu_s, mu_d = float(plan.mu_sparse[0, 0]), float(plan.mu_dense[0, 0])
-        al_s, al_d = float(plan.alpha_sparse[0, 0]), float(plan.alpha_dense[0, 0])
+        mu_d, mu_s, al_d, al_s = (float(x) for x in plan.scalars[0, 0])
         mu = np.where(plan.sparse[0], mu_s, mu_d)
         al = np.where(plan.sparse[0], al_s, al_d)
         s = np.where(v >= mu, 1.0, -1.0)
@@ -264,15 +263,15 @@ def test_plan_band_sse_matches_its_own_fields():
 def test_line_plans_validates_shapes():
     plans = quantize_lines(np.ones((3, 8), np.float32), QuantConfig())
     fields = {name: getattr(plans, name) for name in (
-        "thr_idx", "thr_val", "mu_sparse", "mu_dense", "alpha_sparse",
-        "alpha_dense", "sse", "sparse", "signs")}
+        "thr_idx", "thr_val", "scalars", "sse", "sparse", "signs")}
     LinePlans(**fields)
     for name, bad in (
         ("thr_idx", fields["thr_idx"][:, :1]),  # one band, the scalars two
         ("thr_idx", fields["thr_idx"][:2]),
         ("thr_idx", np.zeros((3, 4), np.uint8)),  # neither one band nor two
         ("signs", fields["signs"][:, :7]),  # two bands of an odd width
-        ("alpha_dense", fields["alpha_dense"][:, :1]),
+        ("scalars", fields["scalars"][:, :1]),  # one band of two
+        ("scalars", fields["scalars"][..., :3]),  # three slots, not four
         ("sparse", fields["sparse"][:2]),
     ):
         with pytest.raises(ShapeError):
@@ -308,8 +307,8 @@ def test_quantize_lines_two_element_bands_exact():
 def test_quantize_lines_zero_matrix():
     plans = quantize_lines(np.zeros((3, 8), dtype=np.float32), QuantConfig())
     assert np.all(plans.weights() == 0.0)
-    assert np.all(plans.alpha_sparse == 0.0)
-    assert plans.alpha_sparse.shape == (3, 2)
+    assert np.all(plans.scalars[..., 3] == 0.0)  # alpha_sparse
+    assert plans.scalars.shape == (3, 2, 4)
 
 
 def test_quantize_lines_col_axis_matches_row_of_transpose():

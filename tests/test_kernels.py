@@ -102,21 +102,31 @@ def _assert_same_bits(got, want, ctx):
 
 def _plan(lines, split, ranks, share):
     """K.plan_lines on every band as a row of its own (a line split at
-    split holds two), its outputs viewed back per (line, band) and per
-    (line, position), then the reconstruction LinePlans.recon() makes of
-    them: the reference's output order."""
+    split holds two), its outputs viewed back per (line, band), the
+    scalars per (line, band, slot), and per (line, position), then the
+    reconstruction LinePlans.recon() makes of them: thr_idx, thr_val,
+    scalars, sse, sparse, signs, recon."""
     n = lines.shape[0]
     out = K.plan_lines(lines.reshape(-1, split), ranks, share)
-    out = [a.reshape(n, -1) for a in out]
+    idx, thr, scalars, *rest = (a.reshape(n, -1) for a in out)
+    out = (idx, thr, scalars.reshape(n, -1, 4), *rest)
     return (*out, LinePlans(*out).recon())
+
+
+def _reference(lines, split, ranks, share):
+    """R.plan_lines in ``_plan``'s layout: its four scalars stacked in
+    ``band_levels`` order (mu_de, mu_sp, al_de, al_sp)."""
+    n = lines.shape[0]
+    out = [a.reshape(n, -1) for a in R.plan_lines(lines.reshape(-1, split), ranks, share)]
+    idx, thr, mu_sp, mu_de, al_sp, al_de, *rest = out
+    return (idx, thr, np.stack([mu_de, mu_sp, al_de, al_sp], axis=-1), *rest)
 
 
 def _assert_matches_reference(lines, split, share, n_candidates=40, ranks=None):
     n, d = lines.shape
     if ranks is None:
         ranks = _ranks(split, n_candidates)
-    want = R.plan_lines(lines.reshape(-1, split), ranks, share)
-    want = [a.reshape(n, -1) for a in want]
+    want = _reference(lines, split, ranks, share)
     out = _plan(lines, split, ranks, share)
     for got, ref in zip(out, want, strict=True):
         _assert_same_bits(got, ref, (d, split, share))
@@ -145,7 +155,8 @@ def test_plan_lines_all_overflow_falls_back_identically():
     lines = np.array([[4e5, -5e5, 3e5, -2e5]], dtype=np.float32)
     for share in (True, False):
         out = _assert_matches_reference(lines, 4, share)
-        thr_idx, _thr, mu_sp, mu_de, al_sp, al_de, sse, _sp, signs, recon = out
+        thr_idx, _thr, scalars, sse, _sp, signs, recon = out
+        mu_de, mu_sp, al_de, al_sp = np.moveaxis(scalars, -1, 0)
         assert thr_idx[0, 0] == 0
         assert mu_sp[0, 0] == 0.0 and mu_de[0, 0] == 0.0
         assert al_sp[0, 0] == 0.0 and al_de[0, 0] == 0.0
@@ -163,7 +174,7 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
     )
     for share in (True, False):
         out = _assert_matches_reference(lines, 8, share)
-        sse, recon = out[6], out[9]
+        sse, recon = out[3], out[6]
         assert np.isfinite(sse[0, 0])
         assert np.any(recon != 0.0)
 
@@ -185,8 +196,8 @@ def test_plan_lines_across_chunk_boundaries(monkeypatch):
         lines[::2, :8] += np.float32(1e5)
         lines[1::4, 8:] -= np.float32(1e5)
         out = _assert_matches_reference(lines, 8, True)
-        assert np.all(np.isinf(out[6][::2, 0]))
-        assert np.all(np.isinf(out[6][1::4, 1]))
+        assert np.all(np.isinf(out[3][::2, 0]))
+        assert np.all(np.isinf(out[3][1::4, 1]))
 
 
 def test_plan_lines_mixed_overflow_lines_in_one_batch():
@@ -203,7 +214,7 @@ def test_plan_lines_mixed_overflow_lines_in_one_batch():
     for split in (8, 4):
         for share in (True, False):
             out = _assert_matches_reference(lines, split, share)
-            sse = out[6]
+            sse = out[3]
             assert np.all(np.isinf(sse[[1, 4], 0]))
             assert np.all(np.isfinite(sse[[0, 3], 0]))
             if split == 8:
@@ -233,7 +244,7 @@ def test_plan_lines_signed_zero_and_mean_overflow_bitwise():
                 for share in (True, False):
                     out = _assert_matches_reference(lines, split, share)
                     if name == "mean overflows binary16":
-                        assert np.isinf(out[6][row, 0])
+                        assert np.isinf(out[3][row, 0])
 
 
 def test_plan_lines_sse_is_the_in_order_sum():
@@ -248,10 +259,10 @@ def test_plan_lines_sse_is_the_in_order_sum():
                 out = _plan(lines[:n_lines], 64, _ranks(64, n_candidates), share)
                 for i in range(n_lines):
                     want = 0.0
-                    for a, b in zip(lines[i], out[9][i]):
+                    for a, b in zip(lines[i], out[6][i]):
                         d = np.float64(a) - np.float64(b)
                         want += d * d
-                    _assert_same_bits(out[6][i, :1], np.array([want]), (i, share))
+                    _assert_same_bits(out[3][i, :1], np.array([want]), (i, share))
 
 
 def test_plan_lines_wide_dynamic_range_line_bitwise():
@@ -321,7 +332,7 @@ def test_screen_scale_on_binary16_midpoint():
         by_size += x
     assert by_size / 5 > 1 + 2.0**-11
     out = _assert_matches_reference(line, 8, True, n_candidates=1)
-    assert out[4][0, 0] == 1.0  # al_sp
+    assert out[2][0, 0, 3] == 1.0  # al_sp
 
 
 def test_screen_plateau_and_small_integer_lines():
@@ -363,7 +374,7 @@ def test_screen_own_mean_sign_of_zero():
     for row in (lines[:1], lines[1:]):
         _assert_matches_reference(row, 8, False)
     out = _assert_matches_reference(lines, 8, False)
-    mu_de = out[3][:, 0]
+    mu_de = out[2][:, 0, 0]
     assert mu_de.tolist() == [0.0, 0.0]
     assert np.signbit(mu_de).tolist() == [True, False]
 
@@ -383,8 +394,8 @@ def test_screen_own_mean_on_binary16_midpoint():
         total += float(x)
     assert total == 2.0**-20 + 2.0**-25
     out = _assert_matches_reference(line, 3, False)
-    assert out[3][0, 0] == 2.0**-20  # mu_de
-    assert out[2][0, 0] == 0.0 and out[4][0, 0] == 1024.0  # mu_sp, al_sp
+    assert out[2][0, 0, 0] == 2.0**-20  # mu_de
+    assert out[2][0, 0, 1] == 0.0 and out[2][0, 0, 3] == 1024.0  # mu_sp, al_sp
 
 
 def test_screen_own_mean_at_the_threshold():
@@ -398,9 +409,9 @@ def test_screen_own_mean_at_the_threshold():
         np.float32,
     )
     out = _assert_matches_reference(lines, 8, False)
-    assert out[3][:, 0].tolist() == [1.0, -1.0]  # mu_de
-    assert np.array_equal(out[9], lines)
-    assert np.all(out[6] == 0.0)
+    assert out[2][:, 0, 0].tolist() == [1.0, -1.0]  # mu_de
+    assert np.array_equal(out[6], lines)
+    assert np.all(out[3] == 0.0)
 
 
 def test_screen_own_means_one_sided_sparse_group():

@@ -16,9 +16,8 @@ from hbq.pipeline import (
     compensate,
     dequantize_layer,
     hbllm_quantize,
-    reconstruct_block,
 )
-from reference_blocks import quantize_block
+from reference_blocks import quantize_block, reconstruct_block
 from hbq.salient import SalientMask, top_k_mask
 from hbq.tensor import frobenius_error
 
@@ -457,15 +456,35 @@ def test_hbllm_reported_error_matches_dequantize():
     assert q.diagnostics["total_error"] == external
 
 
-def test_hbllm_mutates_only_trailing_columns():
+def test_hbllm_leaves_its_input_unchanged():
+    # compensation works on a copy of w, whatever w's dtype and order: the
+    # caller's array keeps every bit, and the three inputs below hold the
+    # same float32 values, so they give one container
     rng = np.random.default_rng(13)
     w = rng.normal(size=(8, 32)).astype(np.float32)
-    w_orig = w.copy()
-    hbllm_quantize(w, rng.normal(size=(32, 64)).astype(np.float32), beta=8)
-    # compensation only ever writes right of the current block, so the
-    # first block's columns survive bit for bit; later ones shift
-    assert np.array_equal(w[:, :8], w_orig[:, :8])
-    assert not np.array_equal(w[:, 8:], w_orig[:, 8:])
+    x = rng.normal(size=(32, 64)).astype(np.float32)
+    blobs = set()
+    for given in (w.copy(), np.asfortranarray(w), w.astype(np.float64)):
+        before = given.copy(order="K")
+        blobs.add(encode_layer(hbllm_quantize(given, x, beta=8)))
+        assert given.tobytes(order="A") == before.tobytes(order="A")
+    assert len(blobs) == 1
+
+
+def test_hbllm_refuses_bad_damping_before_calibration(monkeypatch):
+    # a damping that is not "auto", None or a finite number >= 0 is a
+    # ConfigError, raised by build_calib_stats before the Hessian is built
+    rng = np.random.default_rng(25)
+    w = rng.normal(size=(4, 16)).astype(np.float32)
+    x = rng.normal(size=(16, 32)).astype(np.float32)
+
+    def no_hessian(*args, **kwargs):
+        raise AssertionError("the Hessian was built for an invalid damping")
+
+    monkeypatch.setattr("hbq.calib.build_hessian", no_hessian)
+    for bad in ("abc", [1.0], "0.5", float("nan"), -1.0, float("inf")):
+        with pytest.raises(ConfigError, match="damping"):
+            hbllm_quantize(w, x, beta=8, damping=bad)
 
 
 def test_hbllm_col_mode_runs():
