@@ -11,11 +11,12 @@ diag((H + lambda I)^-1), the [H^-1]_ii of the saliency metric. The damped
 diagonal stands in for the undamped one, which need not exist.
 
 Calibration never holds a float64 copy of X. ``build_hessian`` holds H
-beside two float64 row blocks of X and one block product; then
-``damped_cholesky_inverse`` holds H, the float64 copy of it that LAPACK
-factors and inverts in place, and the float32 factor, which is the peak.
-On a 2048 x 4096 X (tracemalloc, X not counted) that is 50 MiB and then
-64 MiB; one float64 copy of X is 64 MiB by itself.
+beside two float64 row blocks of X and one block product per worker
+thread; ``build_calib_stats`` then drops H once its float64 copy exists,
+so factoring holds that copy, which LAPACK factors and inverts in place,
+and the float32 factor. On a 2048 x 4096 X (tracemalloc, X not counted)
+that is 50 MiB on one worker (49 on two) and then 48 MiB; one float64
+copy of X is 64 MiB by itself.
 
 The three LAPACK routines hbq uses (dpotrf and dtrtri here, dtrtrs in
 ``pipeline.compensate``) come from scipy's LAPACK extension module, loaded
@@ -25,10 +26,14 @@ hundreds of modules that quantize never uses.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import numbers
+import os
+import queue
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +51,10 @@ __all__ = [
 ]
 
 
-# float64 values of X per row block in ``build_hessian``: 512 features of
-# 4096 samples. Blocks of 256 features took ~12% longer at 2048x4096. X is
+# float64 values of X per row block in ``build_hessian`` on one worker: 512
+# features of 4096 samples. Each of w workers holds two blocks 1/w as high,
+# so the blocks of all workers together hold as many values as one worker's.
+# Blocks of 256 features took ~12% longer at 2048x4096 on one worker. X is
 # split in two at least: as one block, X widened, its whole product and H
 # would all be held at once.
 _HESSIAN_VALUES = 1 << 21
@@ -97,28 +104,71 @@ def _lapack():
     return module
 
 
+def _blas_threads() -> int | None:
+    """Threads one call of numpy's BLAS runs on, as numpy's OpenBLAS reports
+    it, or None when numpy's BLAS has no such report."""
+    try:
+        blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_num_threads = blas.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get_num_threads.argtypes = []
+    get_num_threads.restype = ctypes.c_int
+    return get_num_threads()
+
+
+def _hessian_workers() -> int:
+    """Threads ``build_hessian`` runs block products on: the CPUs this
+    process may use over the threads of one BLAS call, at least one, and
+    one when BLAS does not report its threads."""
+    threads = _blas_threads()
+    if not threads:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // threads)
+
+
 def build_hessian(x) -> np.ndarray:
     """H = 2 X X^T from features x samples activations, by row blocks of X.
 
-    Each block of features is widened to float64 into one reused buffer.
-    A diagonal block of H is numpy's ``a @ a.T``, a symmetric rank-k update
-    with one triangle mirrored onto the other; an off-diagonal block is one
-    product ``a @ b.T`` into a reused buffer, written as itself and as its
-    transpose. Every entry is the float64 dot product of two rows of X
-    over all samples, in the order one product over all of X takes it,
-    doubled exactly and rounded once to float32, so H is exactly
-    symmetric, bit for bit, as ``damped_cholesky_inverse`` requires.
-    Beside H the build holds two float64 blocks of ``_HESSIAN_VALUES``
-    and one block product, never a float64 copy of X.
+    A strip of H is the block products of one block of features with
+    itself and with each later block. Each block is widened to float64
+    into a reused buffer. A diagonal block of H is numpy's ``a @ a.T``, a
+    symmetric rank-k update with one triangle mirrored onto the other; an
+    off-diagonal block is one product ``a @ b.T`` into a reused buffer,
+    written as itself and as its transpose. Every entry is the float64 dot
+    product of two rows of X over all samples, in the order one product
+    over all of X takes it, doubled exactly and rounded once to float32,
+    so H is exactly symmetric, bit for bit, as ``damped_cholesky_inverse``
+    requires.
+
+    When BLAS runs fewer threads per call than the process has CPUs
+    (``_hessian_workers``), the strips run on a pool of threads that lives
+    for this call, longest strip first; numpy releases the GIL in the
+    products and copies, and no two strips write the same entries of H.
+    Each of w workers holds two float64 blocks and one block product, its
+    blocks 1/w as high as one worker's, so beside H the build holds no
+    more than one worker's two blocks of ``_HESSIAN_VALUES`` and their
+    product, never a float64 copy of X.
     """
     xm = as_matrix(x, "activations", check_finite=True)
     m, s = xm.shape
-    rows = max(1, min((m + 1) // 2, _HESSIAN_VALUES // s))
+    workers = _hessian_workers()
+    rows = max(1, min((m + 1) // 2, _HESSIAN_VALUES // s) // workers)
+    starts = range(0, m, rows)
+    workers = min(workers, len(starts))
     h = np.empty((m, m), np.float32)
-    block = np.empty((rows, s))
-    pair = np.empty((min(rows, m - rows), s))
-    prod = np.empty(rows * rows)
-    for i in range(0, m, rows):
+    # each worker's (block, pair, product), all cut from one array: made
+    # separately, their freed pages stayed in the C heap between calls,
+    # which raised long-input's peak RSS by up to 23 MB
+    pairs = min(rows, m - rows)
+    buffers = queue.SimpleQueue()
+    for own in np.split(np.empty(workers * ((rows + pairs) * s + rows * rows)), workers):
+        block, pair, prod = np.split(own, [rows * s, (rows + pairs) * s])
+        buffers.put((block.reshape(rows, s), pair.reshape(pairs, s), prod))
+
+    def strip(i):
+        block, pair, prod = buffers.get()
         a = block[: min(rows, m - i)]
         a[...] = xm[i : i + rows]  # widening f32 to f64 is exact
         ia = slice(i, i + len(a))
@@ -130,7 +180,15 @@ def build_hessian(x) -> np.ndarray:
             p = np.matmul(a, b.T, out=prod[: len(a) * len(b)].reshape(len(a), -1))
             jb = slice(j, j + len(b))
             np.multiply(p, 2.0, out=h[ia, jb])
-            np.multiply(p.T, 2.0, out=h[jb, ia])
+            h[jb, ia] = h[ia, jb].T  # the rounded block, mirrored
+        buffers.put((block, pair, prod))
+
+    if workers == 1:
+        for i in starts:
+            strip(i)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(strip, starts))  # raises what a strip raised
     return h
 
 
@@ -171,20 +229,31 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
     elimination order, and the column of H it falls on, when H + lam I is not
     positive definite.
     """
+    return _inverse_factor(_reversed_damped(h, lam))
+
+
+def _reversed_damped(h, lam: float) -> np.ndarray:
+    """J (H + lam I) J in float64, Fortran-ordered for LAPACK to overwrite;
+    the checks of ``damped_cholesky_inverse``."""
     hm = as_matrix(h, "hessian")
     m = hm.shape[0]
     if hm.shape[1] != m:
         raise ShapeError(f"hessian must be square, got {hm.shape}")
     if lam < 0:
         raise ConfigError(f"damping must be >= 0, got {lam}")
-    # loaded here, not at import, so dequantize, inspect and gen never load it
-    lapack = _lapack()
-
-    # J A J, copied in C order (a sequential read of H); its transpose,
-    # equal to it by symmetry, is Fortran-ordered, so LAPACK factors and
-    # inverts it in place
+    # J H J, copied in C order (a sequential read of H); its transpose,
+    # equal to it by symmetry, is Fortran-ordered
     a = np.array(hm[::-1, ::-1], dtype=np.float64).T
     a[np.diag_indices(m)] += lam
+    return a
+
+
+def _inverse_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``damped_cholesky_inverse`` from ``_reversed_damped``'s array, which
+    LAPACK factors and inverts in place."""
+    m = a.shape[0]
+    # loaded here, not at import, so dequantize, inspect and gen never load it
+    lapack = _lapack()
     c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)  # L
     if info > 0:
         raise NumericError(
@@ -200,11 +269,15 @@ def damped_cholesky_inverse(h, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 def build_calib_stats(x, damping="auto") -> CalibStats:
     """Build CalibStats from a features x samples activation matrix; a bad
-    damping raises ConfigError before the Hessian is built."""
+    damping raises ConfigError before the Hessian is built. H is dropped
+    once its damped float64 copy exists, so it is not held while LAPACK
+    factors the copy."""
     _check_damping(damping)
     h = build_hessian(x)
     lam = resolve_damping(h, damping)
-    u, hinv_diag = damped_cholesky_inverse(h, lam)
+    a = _reversed_damped(h, lam)
+    del h
+    u, hinv_diag = _inverse_factor(a)
     return CalibStats(damping=lam, chol_inv=u, hinv_diag=hinv_diag)
 
 

@@ -79,14 +79,13 @@ def _padding_bits(count: int) -> int:
 # --- RTS1 raw tensors ---
 
 
+def _tensor_header(arr: np.ndarray) -> bytes:
+    return RAW_MAGIC + struct.pack(f"<BB{arr.ndim}I", _DTYPE_F32, arr.ndim, *arr.shape)
+
+
 def encode_tensor(a) -> bytes:
     arr = np.ascontiguousarray(a, dtype="<f4")
-    out = bytearray(RAW_MAGIC)
-    out += struct.pack("<BB", _DTYPE_F32, arr.ndim)
-    for dim in arr.shape:
-        out += struct.pack("<I", dim)
-    out += arr.tobytes()
-    return bytes(out)
+    return _tensor_header(arr) + arr.tobytes()
 
 
 def decode_tensor(data: bytes) -> np.ndarray:
@@ -112,8 +111,12 @@ def decode_tensor(data: bytes) -> np.ndarray:
 
 
 def write_tensor(path, a) -> None:
+    """The bytes of ``encode_tensor``, written from the array itself: a
+    little-endian float32 C-ordered array is not copied."""
+    arr = np.ascontiguousarray(a, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(encode_tensor(a))
+        fh.write(_tensor_header(arr))
+        fh.write(arr.data)
 
 
 def read_tensor(path) -> np.ndarray:

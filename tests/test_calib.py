@@ -264,19 +264,23 @@ def test_saliency_rejects_bad_diag():
 @pytest.mark.parametrize("rows", [1, 3, 17, 128])
 def test_hessian_row_blocks_keep_the_bits(monkeypatch, shape, rows):
     # blocks of 1 row, of a few, and heights that leave a remainder block
-    # (65 = 3·17 + 14, 257 = 2·128 + 1): every entry is still the float64
-    # product over all of X, doubled and rounded once
+    # (65 = 3·17 + 14, 257 = 2·128 + 1), on one thread and on pools of two
+    # and three: every entry is still the float64 product over all of X,
+    # doubled and rounded once
     import hbq.calib
 
     m, s = shape
-    monkeypatch.setattr(hbq.calib, "_HESSIAN_VALUES", rows * s)
     rng = np.random.default_rng([m, s])
     x = (rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (m, 1))).astype(np.float32)
     x64 = x.astype(np.float64)
     p = x64 @ x64.T
-    h = build_hessian(x)
-    assert h.tobytes() == (p + p.T).astype(np.float32).tobytes()
-    assert np.array_equal(h, h.T)
+    want = (p + p.T).astype(np.float32).tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(hbq.calib, "_hessian_workers", lambda: workers)
+        monkeypatch.setattr(hbq.calib, "_HESSIAN_VALUES", rows * s * workers)
+        h = build_hessian(x)
+        assert h.tobytes() == want, workers
+        assert np.array_equal(h, h.T)
 
 
 def test_hessian_working_set_is_below_one_float64_copy_of_x():
@@ -292,3 +296,126 @@ def test_hessian_working_set_is_below_one_float64_copy_of_x():
     finally:
         tracemalloc.stop()
     assert peak < x.size * 8
+
+
+def traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_hessian_working_set_at_wide_row_shape(monkeypatch, workers):
+    # wide-row's 1024x2048: H (4 MiB) and two float64 row blocks of 512
+    # features with their product peaked at 22.1 MiB on one thread; a pool
+    # holds two blocks and a product per worker, each 1/workers as high
+    import hbq.calib
+
+    monkeypatch.setattr(hbq.calib, "_hessian_workers", lambda: workers)
+    x = np.random.default_rng(5).standard_normal((1024, 2048), dtype=np.float32)
+    assert traced_peak(build_hessian, x) <= 22.1 * 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calib_stats_drop_h_before_factoring(monkeypatch, workers):
+    # at 2048x4096 factoring holds the float64 copy of H (32 MiB) and the
+    # float32 factor (16 MiB); H itself (16 MiB) is no longer held beside
+    # them, which peaked at 65 MiB
+    import hbq.calib
+
+    monkeypatch.setattr(hbq.calib, "_hessian_workers", lambda: workers)
+    x = np.random.default_rng(5).standard_normal((2048, 4096), dtype=np.float32)
+    assert traced_peak(build_calib_stats, x) < 52 * 2**20
+
+
+def count_thread_starts(monkeypatch):
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_hessian_pool_of_more_workers_than_cpus_keeps_the_bits(monkeypatch):
+    # eight workers on 1-row blocks, switching threads as often as the
+    # interpreter allows: a strip that lost a write, or two strips sharing
+    # a buffer, would change H
+    import sys
+
+    import hbq.calib
+
+    monkeypatch.setattr(hbq.calib, "_hessian_workers", lambda: 8)
+    monkeypatch.setattr(hbq.calib, "_HESSIAN_VALUES", 8 * 64)
+    rng = np.random.default_rng(9)
+    x = (rng.normal(size=(97, 64)) * 10.0 ** rng.uniform(-3, 3, (97, 1))).astype(np.float32)
+    x64 = x.astype(np.float64)
+    p = x64 @ x64.T
+    want = (p + p.T).astype(np.float32).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert build_hessian(x).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_hessian_pool_threads_end_with_the_call(monkeypatch):
+    import threading
+
+    import hbq.calib
+
+    monkeypatch.setattr(hbq.calib, "_hessian_workers", lambda: 2)
+    started = count_thread_starts(monkeypatch)
+    x = np.random.default_rng(3).standard_normal((300, 700), dtype=np.float32)
+    before = threading.active_count()
+    build_hessian(x)
+    assert started and threading.active_count() == before
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize(
+    "blas_threads, cpus, workers", [(2, 2, 1), (1, 2, 2), (1, 1, 1), (2, 8, 4), (None, 2, 1)]
+)
+def test_hessian_workers_share_the_cpus_with_blas(monkeypatch, blas_threads, cpus, workers):
+    # the CPUs over the threads of one BLAS call; one when BLAS does not say
+    import os
+
+    import hbq.calib
+
+    monkeypatch.setattr(hbq.calib, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert hbq.calib._hessian_workers() == workers
+    started = count_thread_starts(monkeypatch)
+    build_hessian(np.random.default_rng(4).standard_normal((300, 700), dtype=np.float32))
+    assert bool(started) == (workers > 1)
+
+
+def test_blas_thread_probe_reads_numpy_blas():
+    # numpy's own OpenBLAS reports the threads it was pinned to; a BLAS
+    # without that report gives None, and build_hessian one worker
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hbq.calib
+
+    src = str(Path(hbq.calib.__file__).resolve().parents[1])
+    probe = "import hbq.calib; print(hbq.calib._blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() in ("1", "None")

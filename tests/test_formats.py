@@ -98,6 +98,21 @@ def test_tensor_file_roundtrip(tmp_path):
     assert np.array_equal(read_tensor(path), a)
 
 
+@pytest.mark.parametrize("a", [
+    np.arange(12, dtype=np.float32).reshape(3, 4),
+    np.arange(12, dtype=">f4").reshape(3, 4),  # byte-swapped
+    np.arange(24, dtype=np.float64).reshape(4, 6)[:, ::2],  # widened, strided
+    np.float32(2.5),
+    np.zeros((2, 0, 3), np.float32),
+])
+def test_tensor_file_holds_the_encoded_bytes(tmp_path, a):
+    # write_tensor writes the array's own memory where it can; the file is
+    # encode_tensor's bytes whatever the input's dtype and layout
+    path = tmp_path / "t.rts"
+    write_tensor(path, a)
+    assert path.read_bytes() == encode_tensor(a)
+
+
 def test_tensor_bad_magic():
     blob = bytearray(encode_tensor(np.zeros(2, dtype=np.float32)))
     blob[0] ^= 0xFF
