@@ -22,6 +22,14 @@ The three LAPACK routines hbq uses (dpotrf and dtrtri here, dtrtrs in
 ``pipeline.compensate``) come from scipy's LAPACK extension module, loaded
 by ``_lapack`` without importing scipy.linalg: that package import loads
 hundreds of modules that quantize never uses.
+
+H has the same bits whatever the BLAS threads, but the factor need not:
+OpenBLAS's dpotrf and dtrtri sum in an order that depends on its thread
+count at large m. On an 8 x 2048 layer with 4096 samples, H hashes the same
+on one and on two OpenBLAS threads and ``chol_inv`` does not, so a
+container can depend on the thread count. The tests (``tests/conftest.py``)
+and ``perfbench`` pin one thread; the tests' small golden layers hash the
+same on one and on two.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ import numbers
 import os
 import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +194,10 @@ def build_hessian(x) -> np.ndarray:
         for i in starts:
             strip(i)
     else:
+        # imported here, not at import, so commands that never calibrate do
+        # not load concurrent.futures (and the logging it imports)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(strip, starts))  # raises what a strip raised
     return h

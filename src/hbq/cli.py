@@ -288,14 +288,14 @@ def cmd_inspect(args) -> int:
         f"max={int(ciqs.max())}"
     )
     rows = []
-    for i, ((b, width), block) in enumerate(zip(q.spans, q.blocks)):
+    for i, ((b, width), mask) in enumerate(zip(q.spans, q.masks)):
         rows.append(
             {
                 "schema": SCHEMA,
                 "block": i,
                 "col_offset": b,
                 "width": width,
-                "k": block.mask.k,
+                "k": mask.k,
                 "ciq_max": int(compute_ciq(recon[:, b : b + width]).max()),
                 "error": errors.get(i, ""),
             }

@@ -13,6 +13,8 @@ than a parse error.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from .config import MAX_CANDIDATES, QuantConfig
 from .errors import ConfigError, IntegrityError, ShapeError
 from .grouping import LinePlans, band_split
 from .haar import Axis
-from .pipeline import QuantizedBlock, QuantizedLayer, block_spans, line_shapes
+from .pipeline import QuantizedLayer, block_spans, line_shapes
 from .salient import SalientMask
 
 __all__ = [
@@ -88,24 +90,34 @@ def encode_tensor(a) -> bytes:
     return _tensor_header(arr) + arr.tobytes()
 
 
-def decode_tensor(data: bytes) -> np.ndarray:
-    data = bytes(data)
-    if len(data) < 6:
-        raise IntegrityError(f"raw tensor truncated at byte {len(data)}")
-    if data[:4] != RAW_MAGIC:
+def _tensor_layout(head: bytes, size: int) -> tuple[tuple[int, ...], int]:
+    """The dims and payload offset of an RTS1 tensor of size bytes, from
+    its first bytes (all of them, or at least ``_TENSOR_HEAD``); raises
+    IntegrityError when the header is bad or the size disagrees with it."""
+    if size < 6:
+        raise IntegrityError(f"raw tensor truncated at byte {size}")
+    if head[:4] != RAW_MAGIC:
         raise IntegrityError("bad raw tensor magic at byte 0")
-    dtype_code, rank = struct.unpack_from("<BB", data, 4)
+    dtype_code, rank = struct.unpack_from("<BB", head, 4)
     if dtype_code != _DTYPE_F32:
         raise IntegrityError(f"unknown dtype code {dtype_code} at byte 4")
     end = 6 + 4 * rank
-    if len(data) < end:
-        raise IntegrityError(f"raw tensor truncated at byte {len(data)}")
-    dims = struct.unpack_from(f"<{rank}I", data, 6) if rank else ()
+    if size < end:
+        raise IntegrityError(f"raw tensor truncated at byte {size}")
+    dims = struct.unpack_from(f"<{rank}I", head, 6) if rank else ()
     expected = int(np.prod(dims, dtype=np.int64)) * 4
-    if len(data) - end != expected:
-        raise IntegrityError(
-            f"payload is {len(data) - end} bytes, dims need {expected}"
-        )
+    if size - end != expected:
+        raise IntegrityError(f"payload is {size - end} bytes, dims need {expected}")
+    return dims, end
+
+
+# the longest RTS1 header: magic, dtype, rank 255 and its dims
+_TENSOR_HEAD = 6 + 4 * 255
+
+
+def decode_tensor(data: bytes) -> np.ndarray:
+    data = bytes(data)
+    dims, end = _tensor_layout(data, len(data))
     arr = np.frombuffer(data, dtype="<f4", offset=end).reshape(dims)
     return arr.astype(np.float32, copy=True)
 
@@ -120,8 +132,19 @@ def write_tensor(path, a) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """``decode_tensor`` of the file's bytes, with the same errors; the
+    payload of a regular file is read once, straight into the array."""
     with open(path, "rb") as fh:
-        return decode_tensor(fh.read())
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe: its size is not known
+            return decode_tensor(fh.read())
+        size = info.st_size
+        dims, end = _tensor_layout(fh.read(_TENSOR_HEAD), size)
+        arr = np.empty(dims, "<f4")
+        fh.seek(end)
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes or fh.read(1):
+            raise IntegrityError(f"raw tensor {path} changed size while being read")
+    return arr.astype(np.float32, copy=False)
 
 
 # --- HBQ1 quantized layers ---
@@ -159,7 +182,8 @@ def _record_padding(width: int, bands: int, share: bool) -> np.ndarray:
     return padding
 
 
-def _encode_plans(plans: LinePlans, share: bool) -> bytes:
+def _encode_plans(plans: LinePlans, share: bool) -> np.ndarray:
+    """The line records of plans, one per line."""
     lines, bands = plans.thr_idx.shape
     rec = np.empty(lines, _line_dtype(plans.width, bands, share))
     per_band = rec["bands"]
@@ -169,7 +193,7 @@ def _encode_plans(plans: LinePlans, share: bool) -> bytes:
         plans.sparse.reshape(lines, bands, plans.width // bands)
     )
     rec["signs"] = _pack_bits(plans.signs > 0)
-    return rec.tobytes()
+    return rec
 
 
 def encode_layer(q: QuantizedLayer) -> bytes:
@@ -189,11 +213,14 @@ def encode_layer(q: QuantizedLayer) -> bytes:
     )
     for k in cfg.k_candidates:
         out += struct.pack("<H", k)
-    for span, block in zip(q.spans, q.blocks):
+    # each length's records are made once and written set by set
+    records = {length: _encode_plans(p, cfg.share_mean) for length, p in q.plans.items()}
+    for span, mask, sets in q.line_sets():
         out += _BLOCK.pack(*span)
-        out += _pack_bits(block.mask.bits).tobytes()
-        out += _encode_plans(block.nonsalient_plans, cfg.share_mean)
-        out += _encode_plans(block.salient_plans, cfg.share_mean)
+        out += _pack_bits(mask.bits).tobytes()
+        for length, start, count in sets:
+            if count:
+                out += records[length][start : start + count].tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     return bytes(out)
 
@@ -229,16 +256,16 @@ def _reject_first(faults, dt: np.dtype, pos: int, cfg: QuantConfig):
     raise IntegrityError(f"nonzero padding bits at byte {at}")
 
 
-def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans]:
-    """The plans of each record set (position, lines, length), decoded in
-    one pass per line length across the layer.
+def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> dict[int, LinePlans]:
+    """The plans of every line of each length, from the record sets
+    (position, lines, length) in file order: ``QuantizedLayer.plans``.
 
     The records of one length are gathered into one array, checked once
-    and unpacked once; each set's plans are row slices of the result. A
-    failed check raises at the first fault of the first faulty set in file
-    order (``_reject_first``), as reading set by set would.
+    and unpacked once into one LinePlans. A failed check raises at the
+    first fault of the first faulty set in file order (``_reject_first``),
+    as reading set by set would.
     """
-    plans = [None if count else LinePlans.empty(length) for _, count, length in sets]
+    plans: dict[int, LinePlans] = {}
     by_length: dict[int, list[int]] = {}
     for i, (_, count, length) in enumerate(sets):
         if count:
@@ -275,7 +302,7 @@ def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans
         signs = _unpack_bits(rec["signs"], length).view(np.int8)
         signs += signs  # bit 1 is +1, bit 0 is -1
         signs -= 1
-        whole = LinePlans(
+        plans[length] = LinePlans(
             thr_idx=thr_idx,
             thr_val=nan.astype(np.float32),
             scalars=stored[..., slots],
@@ -283,8 +310,6 @@ def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> list[LinePlans
             sparse=_unpack_bits(per_band["sparse"], split).reshape(rec.size, length),
             signs=signs,
         )
-        for i, start, stop in zip(members, starts, ends):
-            plans[i] = whole.select(slice(start, stop))
     if first_fault is not None:
         i, faults, dt = first_fault
         _reject_first(faults, dt, sets[i][0], cfg)
@@ -371,12 +396,8 @@ def decode_layer(data: bytes) -> QuantizedLayer:
         # block-by-block read would
         _decode_records(data, sets, cfg)
         raise
-    plans = _decode_records(data, sets, cfg)
-    return QuantizedLayer(
-        blocks=[QuantizedBlock(mask, *plans[2 * i : 2 * i + 2])
-                for i, mask in enumerate(masks)],
-        n=n, m=m, beta=beta, mode=mode, damping=damping, cfg=cfg,
-    )
+    return QuantizedLayer(masks, _decode_records(data, sets, cfg), n=n, m=m, beta=beta,
+                          mode=mode, damping=damping, cfg=cfg)
 
 
 # --- storage accounting ---
@@ -417,16 +438,16 @@ def bit_report(q: QuantizedLayer) -> BitReport:
     share = q.cfg.share_mean
     scalars_per_band = len(set(_SLOTS[share]))
     sign = scalar = mask = index = stored = 0
-    for (_, width), block in zip(q.spans, q.blocks):
+    for _, width in q.spans:
         mask += width
         stored += 8 * (_BLOCK.size + _bitset_bytes(width))
-        for plans in (block.nonsalient_plans, block.salient_plans):
-            lines, bands = plans.thr_idx.shape
-            stored += 8 * lines * _line_dtype(plans.width, bands, share).itemsize
-            index += 8 * bands * lines
-            scalar += 16 * scalars_per_band * bands * lines
-            mask += plans.width * lines  # the bands' bitmaps cover the line
-            sign += plans.width * lines
+    for plans in q.plans.values():
+        lines, bands = plans.thr_idx.shape
+        stored += 8 * lines * _line_dtype(plans.width, bands, share).itemsize
+        index += 8 * bands * lines
+        scalar += 16 * scalars_per_band * bands * lines
+        mask += plans.width * lines  # the bands' bitmaps cover the line
+        sign += plans.width * lines
     return BitReport(
         sign_bits=sign,
         scalar_bits=scalar,

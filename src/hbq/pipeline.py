@@ -10,11 +10,12 @@ Cholesky factor of the damped inverse Hessian, so later blocks absorb
 earlier blocks' error.
 
 This is the only module that knows which way lines run through a block:
-``line_shapes`` states it, ``_assemble`` builds a block's weights from its
-lines at load and in ROW trials, and ``formats`` reads the layout from
-here. A COL block's quantize-time weights are its columns' weights,
-transposed. ``grouping.quantize_lines`` plans the rows of whatever matrix
-it is given, so column lines are handed to it transposed.
+``line_shapes`` states it, ``QuantizedLayer.line_sets`` places each
+block's lines among the layer's, ``dequantize_layer`` writes them into the
+weights, and ``formats`` reads the layout from here. A COL block's
+quantize-time weights are its columns' weights, transposed.
+``grouping.quantize_lines`` plans the rows of whatever matrix it is given,
+so column lines are handed to it transposed.
 
 ``hbllm_quantize`` compensates its own copy of the weights, never the
 caller's array, and each block's columns of the copy then take its
@@ -48,11 +49,13 @@ __all__ = [
 ]
 
 
-# Positions reconstructed per ``LinePlans.weights()`` call on load. One
-# call covers every line of one shape in the 256x1024 reference layer
-# (262,144 non-salient positions); a larger layer goes in batches, so its
-# load holds one batch of temporaries at a time (~7 MB at this size).
-_LOAD_VALUES = 1 << 19
+# Positions reconstructed per ``LinePlans.weights()`` call on load, so a
+# load holds one batch of temporaries at a time (~9 bytes a position, 1.2
+# MB). The 256x1024 reference layer's 262,144 non-salient positions take
+# two calls; in one call (2^19) it loaded no faster: 1.50-2.04 ms against
+# 1.56-2.38 ms, medians of 300 loads in three alternating pairs of
+# processes (2-vCPU EPYC, numpy 2.4).
+_LOAD_VALUES = 1 << 17
 
 # float64 values of E U_{blk->tail} per product in ``compensate``: 256
 # columns of a 1024-row layer. The benchmark layers (256 and 8 rows) take
@@ -86,7 +89,9 @@ class QuantizedBlock:
 
     The block stores no mode, shape or position: the layer holds the mode,
     ``line_shapes`` lays the lines out, the mask gives the width and
-    QuantizedLayer.spans places the block.
+    QuantizedLayer.spans places the block. Quantize builds blocks and
+    stacks them into a layer (``QuantizedLayer.from_blocks``); a layer
+    gives them back as views (``QuantizedLayer.blocks``).
     """
 
     mask: SalientMask
@@ -96,12 +101,20 @@ class QuantizedBlock:
 
 @dataclass
 class QuantizedLayer:
-    """An n x m layer: one block per span, in order, plus the settings
-    needed to reconstruct them. Each block's lines have the layer mode's
-    ``line_shapes`` for n rows and its span's width; nothing else records
-    where a block sits."""
+    """An n x m layer: one salient mask per span, in order, the plans of
+    its lines, and the settings needed to reconstruct them.
 
-    blocks: list[QuantizedBlock]
+    plans holds every line of one length in one LinePlans, keyed by the
+    length, in HBQ1 file order: block after block, each block's
+    non-salient lines and then its salient lines (``line_shapes`` for n
+    rows and the span's width). A length may hold both kinds of line, and
+    in ROW mode a remainder block's lines have a length of their own.
+    ``line_sets`` finds each block's lines; ``blocks`` views them block by
+    block.
+    """
+
+    masks: list[SalientMask]
+    plans: dict[int, LinePlans]
     n: int
     m: int
     beta: int
@@ -112,32 +125,67 @@ class QuantizedLayer:
 
     def __post_init__(self):
         self.mode = Axis(self.mode)
-        for i, (block, span) in enumerate(zip_longest(self.blocks, self.spans)):
-            if block is None or span is None or block.mask.bits.size != span[1]:
+        lines: dict[int, int] = {}
+        for i, (mask, span) in enumerate(zip_longest(self.masks, self.spans)):
+            if mask is None or span is None or mask.bits.size != span[1]:
                 raise ShapeError(f"block {i} does not fit span {span} of {self.n} rows")
-            want = line_shapes(self.mode, self.n, block.mask)
-            got = (block.nonsalient_plans.signs.shape, block.salient_plans.signs.shape)
+            for count, length in line_shapes(self.mode, self.n, mask):
+                if count:
+                    lines[length] = lines.get(length, 0) + count
+        want = {length: (count, length) for length, count in lines.items()}
+        got = {length: p.signs.shape for length, p in self.plans.items()}
+        if got != want:
+            raise ShapeError(f"plans by line length have shapes {got}, expected {want}")
+
+    @classmethod
+    def from_blocks(cls, blocks: list[QuantizedBlock], *, n: int, m: int, beta: int,
+                    mode: Axis, damping: float, cfg: QuantConfig) -> QuantizedLayer:
+        """The layer of these blocks, in order: each length's lines stacked
+        once, in file order."""
+        mode = Axis(mode)
+        parts: dict[int, list[LinePlans]] = {}
+        for i, block in enumerate(blocks):
+            sets = (block.nonsalient_plans, block.salient_plans)
+            want = line_shapes(mode, n, block.mask)
+            got = tuple(p.signs.shape for p in sets)
             if got != want:
                 raise ShapeError(f"block {i} plans have shapes {got}, expected {want}")
+            for p in sets:
+                if p.lines:
+                    parts.setdefault(p.width, []).append(p)
+        plans = {length: LinePlans.concat(p) for length, p in parts.items()}
+        return cls([block.mask for block in blocks], plans, n, m, beta, mode, damping, cfg)
 
     @property
     def spans(self) -> Iterator[tuple[int, int]]:
         """Each block's (first column, width), in block order."""
         return block_spans(self.m, self.beta)
 
+    def line_sets(self) -> Iterator[tuple[tuple[int, int], SalientMask, tuple]]:
+        """Per block, in order: its span, its mask, and where its
+        non-salient and its salient lines sit in plans, as (length, first
+        line, lines) each."""
+        ends: dict[int, int] = {}
+        for span, mask in zip(self.spans, self.masks):
+            sets = []
+            for count, length in line_shapes(self.mode, self.n, mask):
+                start = ends.get(length, 0)
+                ends[length] = start + count
+                sets.append((length, start, count))
+            yield span, mask, tuple(sets)
 
-def _assemble(mode: Axis, mask: SalientMask, nonsalient, salient) -> np.ndarray:
-    """A block's weights from the weights of its non-salient and its
-    salient lines (one row per line, laid out by ``line_shapes``; the
-    non-salient rows are consumed)."""
-    if mode is Axis.ROW:
-        if mask.k:
-            nonsalient[:, mask.indices] += salient.T
-        return nonsalient
-    recon = np.empty((mask.bits.size, nonsalient.shape[1]), np.float32)
-    recon[~mask.bits] = nonsalient  # one row per column
-    recon[mask.bits] = salient
-    return np.ascontiguousarray(recon.T)
+    @property
+    def blocks(self) -> list[QuantizedBlock]:
+        """Each block's mask and plans, in order; the plans are row slices
+        of the layer's, not copies."""
+        return [
+            QuantizedBlock(mask, *(
+                self.plans[length].select(slice(start, start + count)) if count
+                else LinePlans.empty(length)
+                for length, start, count in sets
+            ))
+            for _, mask, sets in self.line_sets()
+        ]
 
 
 def _quantize_trials(
@@ -175,7 +223,9 @@ def _quantize_trials(
         end += mask.k
         block = QuantizedBlock(mask, stack.select(np.arange(i * n, (i + 1) * n)),
                                plans.select(lines) if mask.k else LinePlans.empty(n))
-        trials.append((block, _assemble(mode, mask, base, weights[lines])))
+        if mask.k:
+            base[:, mask.indices] += weights[lines].T
+        trials.append((block, base))
     return trials
 
 
@@ -372,8 +422,8 @@ def hbllm_quantize(
         compensate(work, recon, calib.chol_inv, b, width)
         work[:, b : b + width] = recon
         blocks.append(block)
-    layer = QuantizedLayer(
-        blocks=blocks,
+    layer = QuantizedLayer.from_blocks(
+        blocks,
         n=n,
         m=m,
         beta=beta,
@@ -388,42 +438,58 @@ def hbllm_quantize(
     return layer
 
 
-def _weights_by_shape(sets: list[LinePlans]) -> list[np.ndarray]:
-    """Each set's ``weights()``, from one call per line shape across the
-    sets, or per batch of sets of at most ``_LOAD_VALUES`` positions: a
-    line's weights do not depend on the lines reconstructed with it, so
-    the row slices of the stacked result are bit for bit each set's own."""
-    out = [np.empty((0, p.width), np.float32) for p in sets]
-
-    def reconstruct(batch: list[int]) -> None:
-        stacked = LinePlans.concat([sets[i] for i in batch]).weights()
-        ends = np.cumsum([sets[i].lines for i in batch])
-        for i, stop in zip(batch, ends):
-            out[i] = stacked[stop - sets[i].lines : stop]
-
-    batches: dict[tuple[int, int], tuple[list[int], int]] = {}  # (sets, positions)
-    for i, p in enumerate(sets):
-        if not p.lines:
-            continue
-        shape = (p.thr_idx.shape[1], p.width)
-        batch, size = batches.get(shape, ([], 0))
-        if batch and size + p.signs.size > _LOAD_VALUES:
-            reconstruct(batch)
-            batch, size = [], 0
-        batch.append(i)
-        batches[shape] = (batch, size + p.signs.size)
-    for batch, _ in batches.values():
-        reconstruct(batch)
-    return out
-
-
 def dequantize_layer(q: QuantizedLayer) -> np.ndarray:
-    """Assemble the full n x m reconstruction from per-block plans, with
-    one ``weights()`` call per line shape for the whole layer; each block
-    equals its plans' weights assembled on their own, bit for bit."""
-    sets = [p for block in q.blocks for p in (block.nonsalient_plans, block.salient_plans)]
-    weights = _weights_by_shape(sets)
-    out = np.empty((q.n, q.m), dtype=np.float32)
-    for i, ((b, width), block) in enumerate(zip(q.spans, q.blocks)):
-        out[:, b : b + width] = _assemble(q.mode, block.mask, *weights[2 * i : 2 * i + 2])
+    """The n x m reconstruction, rebuilt one line length at a time.
+
+    Each length's lines are reconstructed (``LinePlans.weights``) in
+    batches of at most ``_LOAD_VALUES`` positions, and each batch's lines
+    go straight to their place in the output. A ROW block's rows are
+    copied into its columns; its salient lines, one per salient column,
+    are then added to those columns. Those lines have length n, which is
+    rebuilt last, so every row is written before a residual is added to it
+    (within length n, which a block's rows may share, file order keeps
+    that). A COL block's lines are gathered in a block buffer, one row per
+    column, and transposed into its columns once. A line's weights do not
+    depend on the lines reconstructed with it, so each block equals its
+    plans' weights assembled on their own, bit for bit.
+    """
+    out = np.empty((q.n, q.m), np.float32)
+    col = q.mode is Axis.COL
+    # per length, in file order: (first line, lines, the block's columns,
+    # which of them the lines fill), where None means the block's rows
+    places: dict[int, list] = {}
+    for (b, width), mask, (own, salient) in q.line_sets():
+        cols = out[:, b : b + width]
+        if col:
+            # a COL block's non-salient then salient lines are adjacent in
+            # length n; a stable sort of the bits lists their columns
+            order = np.argsort(mask.bits, kind="stable")
+            places.setdefault(own[0], []).append((own[1], width, cols, order))
+            continue
+        places.setdefault(own[0], []).append((own[1], own[2], cols, None))
+        if salient[2]:
+            places.setdefault(salient[0], []).append((*salient[1:], cols, mask.indices))
+    pending: dict[int, np.ndarray] = {}  # COL block buffers, by first line
+    for length in sorted(places, key=lambda length: not col and length == q.n):
+        plans = q.plans[length]
+        step = max(1, _LOAD_VALUES // length)
+        for first in range(0, plans.lines, step):
+            last = min(first + step, plans.lines)
+            weights = plans.select(slice(first, last)).weights()
+            for start, count, cols, order in places[length]:
+                lo, hi = max(first, start), min(last, start + count)
+                if lo >= hi:
+                    continue
+                lines = weights[lo - first : hi - first]
+                lo, hi = lo - start, hi - start  # the block's own lines
+                if order is None:
+                    cols[lo:hi] = lines
+                elif not col:
+                    cols[:, order[lo:hi]] += lines.T
+                else:
+                    if lo == 0:
+                        pending[start] = np.empty((count, q.n), np.float32)
+                    pending[start][order[lo:hi]] = lines
+                    if hi == count:
+                        cols[...] = pending.pop(start).T
     return out

@@ -9,6 +9,7 @@ columns are salient" is measured, not a fixed ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,19 +27,21 @@ __all__ = [
 @dataclass(frozen=True)
 class SalientMask:
     """Which columns of one block get the salient treatment: one bit per
-    column, so the block's width is bits.size."""
+    column, so the block's width is bits.size. The mask holds a read-only
+    copy of the bits, so K is counted once."""
 
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
+        bits = np.array(self.bits, dtype=bool)
+        bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
         if bits.ndim != 1:
             raise ShapeError(f"mask bits must be one row, got shape {bits.shape}")
         if bits.all():
             raise ConfigError("at least one column must stay non-salient")
 
-    @property
+    @cached_property
     def k(self) -> int:
         return int(self.bits.sum())
 

@@ -307,6 +307,34 @@ def test_dequantize_truncated_exits_3(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("cut", [-4, 3])
+def test_quantize_corrupt_weights_file_exits_3(tmp_path, capsys, cut):
+    # a file whose size disagrees with its header (or that ends inside the
+    # magic) is an integrity error, raised before any work is done
+    w = gen(tmp_path, "w.rts", 8, 64, 1)
+    x = gen(tmp_path, "x.rts", 64, 128, 2)
+    w.write_bytes(w.read_bytes()[:cut])
+    code = run(["quantize", str(w), str(x), "--out", str(tmp_path / "o.hbq")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.hbq").exists()
+
+
+def test_quantize_unreadable_weights_file_exits_2(tmp_path, capsys, monkeypatch):
+    w = gen(tmp_path, "w.rts", 8, 64, 1)
+    x = gen(tmp_path, "x.rts", 64, 128, 2)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(hbq.formats, "open", refuse, raising=False)
+    code = run(["quantize", str(w), str(x), "--out", str(tmp_path / "o.hbq")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Permission denied" in err and "Traceback" not in err
+
+
 def test_dequantize_negative_scale_exits_3(tmp_path, capsys):
     import struct
     import zlib
@@ -650,6 +678,18 @@ def run_child(argv):
 
 def test_bare_import_leaves_scipy_unloaded():
     assert run_child([]) == []
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures, and the logging it imports, load only where
+    # build_hessian starts its pool
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hbq.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("command", ["dequantize", "inspect", "gen"])

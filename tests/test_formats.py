@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -147,6 +148,58 @@ def test_tensor_truncated_inside_dims():
         decode_tensor(blob[:10])
 
 
+_GOOD_TENSOR = encode_tensor(np.arange(15, dtype=np.float32).reshape(3, 5))
+
+
+@pytest.mark.parametrize("blob,match", [
+    (b"", "truncated at byte 0$"),
+    (b"RTS1\x00", "truncated at byte 5$"),
+    (_GOOD_TENSOR[:10], "truncated at byte 10$"),  # inside the dims
+    (b"XTS1" + _GOOD_TENSOR[4:], "magic at byte 0$"),
+    (_GOOD_TENSOR[:4] + b"\x09" + _GOOD_TENSOR[5:], "dtype code 9 at byte 4$"),
+    (_GOOD_TENSOR[:-4], "payload is 56 bytes, dims need 60$"),
+    (_GOOD_TENSOR + b"\x00", "payload is 61 bytes, dims need 60$"),
+])
+def test_read_tensor_rejects_a_file_as_decode_tensor_its_bytes(tmp_path, blob, match):
+    # read_tensor reads the header, then the payload straight into the
+    # array; a file whose size disagrees with its header fails as its
+    # bytes do
+    path = tmp_path / "t.rts"
+    path.write_bytes(blob)
+    with pytest.raises(IntegrityError, match=match) as from_bytes:
+        decode_tensor(blob)
+    with pytest.raises(IntegrityError, match=match) as from_file:
+        read_tensor(path)
+    assert str(from_file.value) == str(from_bytes.value)
+
+
+@pytest.mark.parametrize("a", [
+    np.arange(15, dtype=np.float32).reshape(3, 5),
+    np.float32(-1.5),
+    np.zeros((2, 0, 3), np.float32),
+    np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+])
+def test_read_tensor_equals_decode_tensor(tmp_path, a):
+    path = tmp_path / "t.rts"
+    write_tensor(path, a)
+    got, want = read_tensor(path), decode_tensor(path.read_bytes())
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert got.flags.c_contiguous and got.flags.writeable
+
+
+def test_read_tensor_from_a_pipe():
+    # a pipe has no size to check the header against; it is read whole
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    r, w = os.pipe()
+    try:
+        os.write(w, encode_tensor(a))
+        os.close(w)
+        got = read_tensor(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert got.tobytes() == a.tobytes() and got.shape == a.shape
+
+
 # --- quantized layer container ---
 
 
@@ -158,8 +211,11 @@ def exact_layer(seed, mode, cfg, outliers=(), n=8, m=32, beta=8):
     """A layer whose Hessian is exact in any summation order.
 
     Small-integer activations make every product and partial sum of
-    X X^T an exact integer, so BLAS blocking and threading cannot move
-    the calibration, and with it the container bytes.
+    X X^T an exact integer, so BLAS blocking and threading cannot move H.
+    The factor of H is another matter: LAPACK's dpotrf and dtrtri sum in
+    an order that depends on OpenBLAS's thread count at large m, so the
+    bytes of a large layer can. conftest pins one thread; at these 8 x 32
+    sizes the golden containers hash the same on one and on two threads.
     """
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(n, m)).astype(np.float32)
@@ -570,22 +626,33 @@ def test_decode_reports_a_bad_record_before_a_later_malformed_block(kind):
         decode_layer(_with_crc(bytes(payload)))
 
 
-@pytest.mark.parametrize("kind", sorted(_MULTI_BLOCK))
-@pytest.mark.parametrize("batch", [None, 100])
+def _load_case(kind):
+    """A multi-block layer, or the layer of a golden container: between
+    them ROW and COL, remainder blocks, K > 0 blocks, lines of n = beta
+    (rows and salient lines of one length), own means and raw lines."""
+    if kind in _MULTI_BLOCK:
+        return _multi_block(kind)
+    seed, cfg, mode, outliers, _, _ = GOLDEN_SHA256[kind]
+    return exact_layer(seed, mode, cfg, outliers)
+
+
+@pytest.mark.parametrize("kind", sorted(_MULTI_BLOCK) + sorted(GOLDEN_SHA256))
+@pytest.mark.parametrize("batch", [None, 100, 1])
 def test_dequantize_layer_equals_each_reconstructed_block(kind, batch, monkeypatch):
-    # one weights() call per line shape for the whole layer, or per batch
-    # of sets of at most 100 positions, gives each block's
-    # reconstruct_block bit for bit, remainder block included, before and
-    # after a round trip through the container
+    # each line length rebuilt whole, or in batches of at most 100
+    # positions (or of one line), gives each block's reconstruct_block bit
+    # for bit, before and after a round trip through the container
     if batch is not None:
         monkeypatch.setattr(pipeline, "_LOAD_VALUES", batch)
-    q = _multi_block(kind)
-    for layer in (q, decode_layer(encode_layer(q))):
+    q = _load_case(kind)
+    blob = encode_layer(q)
+    for layer in (q, decode_layer(blob)):
         want = np.concatenate(
             [reconstruct_block(block, layer.mode) for block in layer.blocks], axis=1
         )
         assert dequantize_layer(layer).tobytes() == want.tobytes()
-    assert_same_layer(decode_layer(encode_layer(q)), q)
+    assert encode_layer(decode_layer(blob)) == blob
+    assert_same_layer(decode_layer(blob), q)
 
 
 # --- bit accounting ---

@@ -358,13 +358,18 @@ def test_quantize_lines_haar_beats_raw_on_most_rows():
 def test_plans_recon_matches_planner_recon():
     # the plans alone rebuild, bit for bit, the reconstruction the scalar
     # reference planner scores, band by band on the transformed lines
+    # on short lines and on lines long enough for weights() to gather
+    # from its table of output pairs
     rng = np.random.default_rng(71)
     m = rng.normal(size=(8, 32)).astype(np.float32)
+    wide = rng.normal(size=(4, 128)).astype(np.float32)
     for cfg, lines in (
         (QuantConfig(), m),
         (QuantConfig(haar_enabled=False), m),
         (QuantConfig(share_mean=False), m),
         (QuantConfig(share_mean=False), m.T),
+        (QuantConfig(), wide),
+        (QuantConfig(share_mean=False), wide[:, :64]),
     ):
         plans = quantize_lines(lines, cfg)
         lines = np.ascontiguousarray(lines)

@@ -176,8 +176,8 @@ def test_block_shape_validation():
     )
     for bad in malformed:
         with pytest.raises(ShapeError):
-            QuantizedLayer(
-                blocks=[bad], n=4, m=bad.mask.bits.size, beta=6, mode=Axis.ROW,
+            QuantizedLayer.from_blocks(
+                [bad], n=4, m=bad.mask.bits.size, beta=6, mode=Axis.ROW,
                 damping=0.01, cfg=QuantConfig(),
             )
 
@@ -659,19 +659,19 @@ def test_layer_validation():
     w = rng.normal(size=(4, 8)).astype(np.float32)
     block, _ = quantize_block(w, empty_mask(8), Axis.ROW, QuantConfig())
     with pytest.raises(ShapeError):
-        QuantizedLayer(
-            blocks=[block], n=4, m=10, beta=8, mode=Axis.ROW,
+        QuantizedLayer.from_blocks(
+            [block], n=4, m=10, beta=8, mode=Axis.ROW,
             damping=0.01, cfg=QuantConfig(),
         )
     with pytest.raises(ShapeError):
-        QuantizedLayer(
-            blocks=[block], n=4, m=8, beta=8, mode=Axis.COL,
+        QuantizedLayer.from_blocks(
+            [block], n=4, m=8, beta=8, mode=Axis.COL,
             damping=0.01, cfg=QuantConfig(),
         )
     # two 8-wide blocks on one 16-wide span: the widths sum to m, but the
     # encoder would write records the decoder rejects
     with pytest.raises(ShapeError):
-        QuantizedLayer(
-            blocks=[block, block], n=4, m=16, beta=16, mode=Axis.ROW,
+        QuantizedLayer.from_blocks(
+            [block, block], n=4, m=16, beta=16, mode=Axis.ROW,
             damping=0.01, cfg=QuantConfig(),
         )
