@@ -31,10 +31,10 @@ group's own. Below, a "line" is one such row.
   Σv as the line's sum minus that. Own means are rounded for every
   candidate; scales only for the candidates that are scored.
 - **Levels.** A band stores four float32 levels mu -/+ alpha, indexed by
-  cell = 2·sparse + (v >= mu). ``band_levels`` builds them levels-last,
-  one row of four per band, so the screen's scoring and
-  ``grouping.LinePlans.recon`` both read a position's level at
-  4·row + cell of the flat table.
+  cell = 2·sparse + (v >= mu), and the planner returns each position's
+  cell. ``band_levels`` builds the levels levels-last, one row of four per
+  band, so the screen's scoring and ``grouping.LinePlans.recon`` both
+  read a position's level at 4·row + cell of the flat table.
 - **Errors.** With a group's mean and signs fixed, the error of any scale
   is at least Σdev² - (Σdev)²/n (dev about the group's mean), so the
   group sums give a lower bound on every candidate's error with nothing
@@ -300,8 +300,8 @@ def _screen_band(v, ranks, inv, share):
     them (``_distinct``).
 
     Returns per row (best index, threshold, scalars, sse), the scalars in
-    ``band_levels`` order (rows, 4), and per position (sparse, signs) of
-    the winning candidates.
+    ``band_levels`` order (rows, 4), and per position the winning
+    candidate's cell, 2·sparse + (v >= its group's mean), in uint8.
     """
     n, nv = v.shape
     rows = np.arange(n)
@@ -385,7 +385,7 @@ def _screen_band(v, ranks, inv, share):
     score(*np.nonzero(more))
 
     # back to the caller's candidates; first minimum: smaller index wins
-    # ties. A line with no finite candidate keeps mu = alpha = 0 and signs
+    # ties. A line with no finite candidate keeps mu = alpha = 0 and cells
     # against 0.
     errs = errs[rc, first]
     best = np.argmin(errs[:, inv], axis=1)
@@ -396,15 +396,9 @@ def _screen_band(v, ranks, inv, share):
     scalars = np.concatenate([means[:, rows, k], al[:, rows, first[rows, k]]]).T
     scalars[~ok] = 0.0
     sparse = np.abs(v64) >= t[rows, k][:, None]
-    pos = v64 >= np.where(sparse, scalars[:, 1:2], scalars[:, :1])
-    return (
-        best,
-        t[rows, k],
-        scalars,
-        np.where(ok, errs[rows, k], np.inf),
-        sparse,
-        pos.view(np.int8) * 2 - 1,
-    )
+    cells = 2 * sparse.view(np.uint8)
+    cells += v64 >= np.where(sparse, scalars[:, 1:2], scalars[:, :1])
+    return best, t[rows, k], scalars, np.where(ok, errs[rows, k], np.inf), cells
 
 
 def plan_lines(lines, ranks, share):
@@ -414,13 +408,14 @@ def plan_lines(lines, ranks, share):
     row, in nondecreasing order: the nearest ranks of an ascending
     percentile grid (other orders give the same result, screening some
     ranks twice). Returns per row thr_idx, thr_val, the float32 scalars
-    (rows, 4) in ``band_levels`` order and sse, and per position sparse
-    and signs. Rows are planned in chunks holding at most
+    (rows, 4) in ``band_levels`` order and sse, and per position the uint8
+    cell 2·sparse + (v >= its group's mean), the index of its level among
+    the row's four. Rows are planned in chunks holding at most
     ``_SCREEN_VALUES`` values of rows x (band width + candidates).
     """
     n, nv = lines.shape
     out = [np.zeros(n, np.uint8), np.zeros(n, np.float32), np.zeros((n, 4), np.float32),
-           np.zeros(n), np.zeros((n, nv), bool), np.zeros((n, nv), np.int8)]
+           np.zeros(n), np.zeros((n, nv), np.uint8)]
     # equal ranks are the same candidate: screen each run of them once
     distinct, inv = _distinct(np.asarray(ranks))
     step = max(1, _SCREEN_VALUES // (nv + len(ranks)))

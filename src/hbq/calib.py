@@ -29,7 +29,8 @@ count at large m. On an 8 x 2048 layer with 4096 samples, H hashes the same
 on one and on two OpenBLAS threads and ``chol_inv`` does not, so a
 container can depend on the thread count. The tests (``tests/conftest.py``)
 and ``perfbench`` pin one thread; the tests' small golden layers hash the
-same on one and on two.
+same on one and on two, and ``tests/test_calib.py`` quantizes such an 8 x
+2048 layer on one and on two threads and requires the same container.
 """
 
 from __future__ import annotations

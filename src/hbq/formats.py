@@ -161,7 +161,9 @@ _SLOTS = {True: (0, 0, 2, 1), False: (1, 0, 3, 2)}
 @functools.lru_cache(maxsize=64)
 def _line_dtype(width: int, bands: int, share: bool) -> np.dtype:
     """One line record: per band a threshold index, the binary16 scalars
-    and the sparse-group bitmap, then the line's sign bits."""
+    and the sparse-group bitmap, then the line's sign bits. A position's
+    bitmap bit and sign bit are the high and the low bit of its
+    ``LinePlans`` cell."""
     band = np.dtype([
         ("idx", "u1"),
         ("scalars", "<f2", (len(set(_SLOTS[share])),)),
@@ -190,9 +192,9 @@ def _encode_plans(plans: LinePlans, share: bool) -> np.ndarray:
     per_band["idx"] = plans.thr_idx
     per_band["scalars"][..., _SLOTS[share]] = plans.scalars
     per_band["sparse"] = _pack_bits(
-        plans.sparse.reshape(lines, bands, plans.width // bands)
+        (plans.cells >= 2).reshape(lines, bands, plans.width // bands)
     )
-    rec["signs"] = _pack_bits(plans.signs > 0)
+    rec["signs"] = _pack_bits(plans.cells & 1)
     return rec
 
 
@@ -299,16 +301,17 @@ def _decode_records(data: bytes, sets: list, cfg: QuantConfig) -> dict[int, Line
             if first_fault is None or members[k] < first_fault[0]:
                 first_fault = (members[k], [f[starts[k] : ends[k]] for f in faults], dt)
         nan = np.full(thr_idx.shape, np.nan)
-        signs = _unpack_bits(rec["signs"], length).view(np.int8)
-        signs += signs  # bit 1 is +1, bit 0 is -1
-        signs -= 1
+        # cell = 2·(bitmap bit) + sign bit
+        cells = _unpack_bits(per_band["sparse"], split).reshape(rec.size, length)
+        cells = cells.view(np.uint8)
+        cells += cells
+        cells += _unpack_bits(rec["signs"], length)
         plans[length] = LinePlans(
             thr_idx=thr_idx,
             thr_val=nan.astype(np.float32),
             scalars=stored[..., slots],
             sse=nan,
-            sparse=_unpack_bits(per_band["sparse"], split).reshape(rec.size, length),
-            signs=signs,
+            cells=cells,
         )
     if first_fault is not None:
         i, faults, dt = first_fault

@@ -67,25 +67,24 @@ class LinePlans:
     alpha_dense, alpha_sparse (mu_dense and alpha_dense are 0.0 when the
     dense group is empty; with mean sharing both mu slots hold the pooled
     mean); and thr_val/sse, diagnostics that are never serialized and read
-    NaN after decode. Per position: sparse (group membership) and signs
-    (+1/-1). The fields are in ``plan_lines``' output order.
+    NaN after decode. Per position: cells, in uint8, 2·sparse + (v >= its
+    group's mean), the index of the position's level among its band's
+    four. The fields are in ``plan_lines``' output order.
     """
 
     thr_idx: np.ndarray
     thr_val: np.ndarray = field(repr=False)
     scalars: np.ndarray
     sse: np.ndarray = field(repr=False)
-    sparse: np.ndarray
-    signs: np.ndarray = field(repr=False)
+    cells: np.ndarray
 
     def __post_init__(self):
-        lines, width = self.signs.shape
+        lines, width = self.cells.shape
         bands = self.thr_idx.shape[-1]
         if bands not in (1, 2) or width % bands:
             raise ShapeError(f"lines of width {width} do not hold {bands} bands")
         for name, shape in (("thr_idx", (lines, bands)), ("thr_val", (lines, bands)),
-                            ("scalars", (lines, bands, 4)), ("sse", (lines, bands)),
-                            ("sparse", (lines, width))):
+                            ("scalars", (lines, bands, 4)), ("sse", (lines, bands))):
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} shape {getattr(self, name).shape} != {shape}")
 
@@ -94,7 +93,7 @@ class LinePlans:
         """A set of zero lines of length width (e.g. no salient columns)."""
         return cls(np.zeros((0, 1), np.uint8), np.zeros((0, 1), np.float32),
                    np.zeros((0, 1, 4), np.float32), np.zeros((0, 1)),
-                   np.zeros((0, width), bool), np.zeros((0, width), np.int8))
+                   np.zeros((0, width), np.uint8))
 
     @classmethod
     def concat(cls, parts: list[LinePlans]) -> LinePlans:
@@ -112,31 +111,24 @@ class LinePlans:
 
     @property
     def lines(self) -> int:
-        return self.signs.shape[0]
+        return self.cells.shape[0]
 
     @property
     def width(self) -> int:
-        return self.signs.shape[1]
+        return self.cells.shape[1]
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each band row's cells and levels: per position, cell = 2·sparse +
-        (sign > 0) in uint8 (band rows, positions); per band row, the four
+    def _levels(self) -> np.ndarray:
+        """Per band row (line after line, band after band), the four
         float32 levels the planner scores (``_kernels.band_levels``),
-        levels last. A position's value is its row's level at its cell."""
-        bands = self.thr_idx.shape[1]
-        rows = (self.lines * bands, self.width // bands)
-        # uint8 arithmetic: on small blocks a Python-int factor costs more
-        # than the gather
-        sparse = self.sparse.reshape(rows).view(np.uint8)
-        cell = sparse + sparse
-        cell += self.signs.reshape(rows) > 0
-        return cell, band_levels(self.scalars.reshape(rows[0], 4))
+        levels last."""
+        return band_levels(self.scalars.reshape(-1, 4))
 
     def recon(self) -> np.ndarray:
-        """Dequantize every line from its plan and sign bits alone, as
+        """Dequantize every line from its plan and cells alone, as
         transform coefficients: each position takes its band row's level at
         its cell, read from the levels-last table at 4·row + cell."""
-        cell, levels = self._cells()
+        levels = self._levels()
+        cell = self.cells.reshape(len(levels), self.width // self.thr_idx.shape[1])
         at = cell + np.arange(0, 4 * len(levels), 4)[:, None]
         return levels.ravel()[at].reshape(self.lines, self.width)
 
@@ -155,12 +147,11 @@ class LinePlans:
             return self.recon()
         if self.width < _PAIR_TABLE_WIDTH:
             return haar_inv_rows(self.recon())
-        cell, levels = self._cells()
         lines, half = self.lines, self.width // 2
-        cell = cell.reshape(lines, 2, half)
+        cell = self.cells.reshape(lines, 2, half)
         pair = cell[:, 0] << 2  # 4·low cell + high cell
         pair += cell[:, 1]
-        levels = levels.reshape(lines, 2, 4)
+        levels = self._levels().reshape(lines, 2, 4)
         low, high = levels[:, 0, :, None], levels[:, 1, None, :]
         table = np.empty((lines, 4, 4, 2), np.float32)  # [sum, difference]
         np.add(low, high, out=table[..., 0])

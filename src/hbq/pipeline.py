@@ -89,9 +89,9 @@ class QuantizedBlock:
 
     The block stores no mode, shape or position: the layer holds the mode,
     ``line_shapes`` lays the lines out, the mask gives the width and
-    QuantizedLayer.spans places the block. Quantize builds blocks and
-    stacks them into a layer (``QuantizedLayer.from_blocks``); a layer
-    gives them back as views (``QuantizedLayer.blocks``).
+    QuantizedLayer.spans places the block. Each K trial of a block is one
+    (``_quantize_trials``), and a layer gives its blocks back as views
+    (``QuantizedLayer.blocks``).
     """
 
     mask: SalientMask
@@ -133,28 +133,9 @@ class QuantizedLayer:
                 if count:
                     lines[length] = lines.get(length, 0) + count
         want = {length: (count, length) for length, count in lines.items()}
-        got = {length: p.signs.shape for length, p in self.plans.items()}
+        got = {length: p.cells.shape for length, p in self.plans.items()}
         if got != want:
             raise ShapeError(f"plans by line length have shapes {got}, expected {want}")
-
-    @classmethod
-    def from_blocks(cls, blocks: list[QuantizedBlock], *, n: int, m: int, beta: int,
-                    mode: Axis, damping: float, cfg: QuantConfig) -> QuantizedLayer:
-        """The layer of these blocks, in order: each length's lines stacked
-        once, in file order."""
-        mode = Axis(mode)
-        parts: dict[int, list[LinePlans]] = {}
-        for i, block in enumerate(blocks):
-            sets = (block.nonsalient_plans, block.salient_plans)
-            want = line_shapes(mode, n, block.mask)
-            got = tuple(p.signs.shape for p in sets)
-            if got != want:
-                raise ShapeError(f"block {i} plans have shapes {got}, expected {want}")
-            for p in sets:
-                if p.lines:
-                    parts.setdefault(p.width, []).append(p)
-        plans = {length: LinePlans.concat(p) for length, p in parts.items()}
-        return cls([block.mask for block in blocks], plans, n, m, beta, mode, damping, cfg)
 
     @property
     def spans(self) -> Iterator[tuple[int, int]]:
@@ -397,7 +378,8 @@ def hbllm_quantize(
             f"calibration width {calib.chol_inv.shape[0]} != weight columns {m}"
         )
     work = wm.copy()
-    blocks: list[QuantizedBlock] = []
+    masks: list[SalientMask] = []
+    parts: dict[int, list[LinePlans]] = {}  # each length's plans, in file order
     per_block: list[dict] = []
     for b, width in block_spans(m, beta):
         w_blk = np.ascontiguousarray(work[:, b : b + width])
@@ -410,7 +392,7 @@ def hbllm_quantize(
         thresholds = block.nonsalient_plans.thr_val[:, 0].astype(np.float64)
         per_block.append(
             {
-                "block": len(blocks),
+                "block": len(masks),
                 "col_offset": b,
                 "width": width,
                 "chosen_k": block.mask.k,
@@ -421,16 +403,12 @@ def hbllm_quantize(
         )
         compensate(work, recon, calib.chol_inv, b, width)
         work[:, b : b + width] = recon
-        blocks.append(block)
-    layer = QuantizedLayer.from_blocks(
-        blocks,
-        n=n,
-        m=m,
-        beta=beta,
-        mode=mode,
-        damping=calib.damping,
-        cfg=cfg,
-    )
+        masks.append(block.mask)
+        for p in (block.nonsalient_plans, block.salient_plans):
+            if p.lines:
+                parts.setdefault(p.width, []).append(p)
+    plans = {length: LinePlans.concat(p) for length, p in parts.items()}
+    layer = QuantizedLayer(masks, plans, n, m, beta, mode, calib.damping, cfg)
     layer.diagnostics = {
         "per_block": per_block,
         "total_error": frobenius_error(wm, work),

@@ -174,8 +174,9 @@ def _plan_band(v, ranks, share, sparse_out, signs_out, recon_out):
 def plan_lines(rows, ranks, share):
     """Same contract as ``hbq._kernels.plan_lines``, each row one band. Its
     outputs are the same but for the scalars, which come one array each
-    (mu_sp, mu_de, al_sp, al_de) rather than stacked (rows, 4), then the
-    reconstruction of every row."""
+    (mu_sp, mu_de, al_sp, al_de) rather than stacked (rows, 4), and the
+    cells, which come as sparse (bool) and +1/-1 signs (int8) rather than
+    2·sparse + (sign > 0); then the reconstruction of every row."""
     n, nv = rows.shape
     thr_idx = np.zeros(n, np.uint8)
     thr_val = np.zeros(n, np.float32)

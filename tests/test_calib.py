@@ -419,3 +419,50 @@ def test_blas_thread_probe_reads_numpy_blas():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() in ("1", "None")
+
+
+# One 8 x 2048 layer with 4096 samples, beta 256: X has lognormal feature
+# scales, as in the benchmark's long-input workload, and is that
+# workload's first activation matrix for seed 1. On it, OpenBLAS's dpotrf
+# and dtrtri give a factor with different bits on one and on two threads
+# (checked with OpenBLAS 0.3 on a 2-vCPU EPYC); most such X do not.
+_THREADS_LAYER = """
+import sys, zlib
+import numpy as np
+from hbq import encode_layer, hbllm_quantize
+
+rng = np.random.default_rng([1, zlib.crc32(b"long-input")])
+n, m = 8, 2048
+scale = rng.lognormal(0.0, 0.5, (m, 1)).astype(np.float32)
+x = rng.standard_normal((m, 4096), dtype=np.float32) * scale
+j = np.arange(m)
+freq = rng.uniform(0.5, 3.0, (n, 1))
+phase = rng.uniform(0.0, 2.0 * np.pi, (n, 1))
+smooth = rng.uniform(0.5, 2.0, (n, 1)) * np.sin(2.0 * np.pi * freq * j / m + phase)
+spikes = (rng.random((n, m)) < 0.05) * rng.normal(0.0, 5.0, (n, m))
+w = (smooth + spikes + 0.05 * rng.standard_t(2.5, (n, m))).astype(np.float32)
+sys.stdout.buffer.write(encode_layer(hbllm_quantize(w, x, beta=256)))
+"""
+
+
+def test_container_bytes_do_not_depend_on_blas_threads():
+    # the factor's last bits may follow the thread count; the stored
+    # bytes must not
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hbq
+
+    src = str(Path(hbq.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):  # one after the other: each holds ~130 MB
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        blobs.append(subprocess.run([sys.executable, "-c", _THREADS_LAYER], env=env,
+                                    capture_output=True, check=True).stdout)
+    one, two = blobs
+    first = next((i for i, (a, b) in enumerate(zip(one, two)) if a != b),
+                 min(len(one), len(two)))
+    assert one == two, f"containers ({len(one)} and {len(two)} bytes) differ at byte {first}"

@@ -276,7 +276,9 @@ def test_golden_container_hashes(name):
 def assert_decoded_plans(got, want):
     """Decoded plans hold the quantize-time plans field by field and bit
     for bit; thr_val and sse are never stored and read NaN. A set of no
-    lines needs only the same width."""
+    lines needs only the same width. Every decoded cell is a uint8 in
+    [0, 4)."""
+    assert got.cells.dtype == np.uint8 and np.all(got.cells < 4)
     if want.lines == 0:
         assert (got.lines, got.width) == (0, want.width)
         return
@@ -527,7 +529,7 @@ def _record_offsets(q):
         pos += 8 + (width + 7) // 8
         sets = []
         for plans in (block.nonsalient_plans, block.salient_plans):
-            lines, length = plans.signs.shape
+            lines, length = plans.cells.shape
             band = 1 + 2 * scalars + (length // bands + 7) // 8
             rec = bands * band + (length + 7) // 8
 

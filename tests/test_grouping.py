@@ -163,7 +163,7 @@ def test_plan_band_isolates_outlier():
     band = np.array([0.1, -0.1, 0.2, 8.0], dtype=np.float32)
     plan = plan_band(band, n_candidates=40, share_mean=True)
     # best split puts only the outlier in the sparse group
-    assert np.array_equal(plan.sparse[0], [False, False, False, True])
+    assert np.array_equal(plan.cells[0] >= 2, [False, False, False, True])
     assert plan.thr_val[0, 0] == np.float32(8.0)
     assert plan.sse[0, 0] == pytest.approx(0.0467, abs=2e-3)
     # exhaustive oracle over every distinct split agrees
@@ -182,13 +182,13 @@ def test_plan_band_constant_band():
     assert plan.scalars[0, 0, 3] == 0.0  # alpha_sparse
     assert plan.scalars[0, 0, 2] == 0.0  # alpha_dense
     assert plan.scalars[0, 0, 0] == 0.5  # sharing is on: pooled mean fills both slots
-    assert bool(plan.sparse[0].all())
+    assert bool((plan.cells[0] >= 2).all())
     # with per-group means the empty dense group stores zeros
     plan_off = plan_band([0.5, 0.5, 0.5, 0.5], n_candidates=4, share_mean=False)
     assert plan_off.sse[0, 0] == 0.0
     assert plan_off.scalars[0, 0, 0] == 0.0  # mu_dense
     assert plan_off.scalars[0, 0, 2] == 0.0  # alpha_dense
-    assert bool(plan_off.sparse[0].all())
+    assert bool((plan_off.cells[0] >= 2).all())
 
 
 def test_plan_band_tie_breaks_to_first_index():
@@ -252,8 +252,9 @@ def test_plan_band_sse_matches_its_own_fields():
         plan = plan_band(band, n_candidates=16, share_mean=False)
         v = band.astype(np.float64)
         mu_d, mu_s, al_d, al_s = (float(x) for x in plan.scalars[0, 0])
-        mu = np.where(plan.sparse[0], mu_s, mu_d)
-        al = np.where(plan.sparse[0], al_s, al_d)
+        sparse = plan.cells[0] >= 2
+        mu = np.where(sparse, mu_s, mu_d)
+        al = np.where(sparse, al_s, al_d)
         s = np.where(v >= mu, 1.0, -1.0)
         rec = (mu + al * s).astype(np.float32)
         want = float(np.sum((v - rec.astype(np.float64)) ** 2))
@@ -263,16 +264,16 @@ def test_plan_band_sse_matches_its_own_fields():
 def test_line_plans_validates_shapes():
     plans = quantize_lines(np.ones((3, 8), np.float32), QuantConfig())
     fields = {name: getattr(plans, name) for name in (
-        "thr_idx", "thr_val", "scalars", "sse", "sparse", "signs")}
+        "thr_idx", "thr_val", "scalars", "sse", "cells")}
     LinePlans(**fields)
     for name, bad in (
         ("thr_idx", fields["thr_idx"][:, :1]),  # one band, the scalars two
         ("thr_idx", fields["thr_idx"][:2]),
         ("thr_idx", np.zeros((3, 4), np.uint8)),  # neither one band nor two
-        ("signs", fields["signs"][:, :7]),  # two bands of an odd width
+        ("cells", fields["cells"][:, :7]),  # two bands of an odd width
         ("scalars", fields["scalars"][:, :1]),  # one band of two
         ("scalars", fields["scalars"][..., :3]),  # three slots, not four
-        ("sparse", fields["sparse"][:2]),
+        ("cells", fields["cells"][:2]),
     ):
         with pytest.raises(ShapeError):
             LinePlans(**{**fields, name: bad})
@@ -320,7 +321,7 @@ def test_quantize_lines_col_axis_matches_row_of_transpose():
     row_plans = quantize_lines(np.ascontiguousarray(m.T), cfg)
     assert np.array_equal(col_plans.weights(), row_plans.weights())
     assert col_plans.lines == row_plans.lines == 6
-    assert np.array_equal(col_plans.signs, row_plans.signs)
+    assert np.array_equal(col_plans.cells, row_plans.cells)
     assert np.array_equal(col_plans.thr_val[:, 0], row_plans.thr_val[:, 0])
 
 

@@ -105,7 +105,7 @@ def _plan(lines, split, ranks, share):
     split holds two), its outputs viewed back per (line, band), the
     scalars per (line, band, slot), and per (line, position), then the
     reconstruction LinePlans.recon() makes of them: thr_idx, thr_val,
-    scalars, sse, sparse, signs, recon."""
+    scalars, sse, cells, recon."""
     n = lines.shape[0]
     out = K.plan_lines(lines.reshape(-1, split), ranks, share)
     idx, thr, scalars, *rest = (a.reshape(n, -1) for a in out)
@@ -115,11 +115,13 @@ def _plan(lines, split, ranks, share):
 
 def _reference(lines, split, ranks, share):
     """R.plan_lines in ``_plan``'s layout: its four scalars stacked in
-    ``band_levels`` order (mu_de, mu_sp, al_de, al_sp)."""
+    ``band_levels`` order (mu_de, mu_sp, al_de, al_sp), and its sparse and
+    +1/-1 outputs combined into the uint8 cells 2·sparse + (sign > 0)."""
     n = lines.shape[0]
     out = [a.reshape(n, -1) for a in R.plan_lines(lines.reshape(-1, split), ranks, share)]
-    idx, thr, mu_sp, mu_de, al_sp, al_de, *rest = out
-    return (idx, thr, np.stack([mu_de, mu_sp, al_de, al_sp], axis=-1), *rest)
+    idx, thr, mu_sp, mu_de, al_sp, al_de, sse, sparse, signs, recon = out
+    cells = (2 * sparse + (signs > 0)).astype(np.uint8)
+    return (idx, thr, np.stack([mu_de, mu_sp, al_de, al_sp], axis=-1), sse, cells, recon)
 
 
 def _assert_matches_reference(lines, split, share, n_candidates=40, ranks=None):
@@ -130,6 +132,8 @@ def _assert_matches_reference(lines, split, share, n_candidates=40, ranks=None):
     out = _plan(lines, split, ranks, share)
     for got, ref in zip(out, want, strict=True):
         _assert_same_bits(got, ref, (d, split, share))
+    cells = out[4]
+    assert cells.dtype == np.uint8 and np.all(cells < 4), (d, split, share)
     return out
 
 
@@ -155,14 +159,14 @@ def test_plan_lines_all_overflow_falls_back_identically():
     lines = np.array([[4e5, -5e5, 3e5, -2e5]], dtype=np.float32)
     for share in (True, False):
         out = _assert_matches_reference(lines, 4, share)
-        thr_idx, _thr, scalars, sse, _sp, signs, recon = out
+        thr_idx, _thr, scalars, sse, cells, recon = out
         mu_de, mu_sp, al_de, al_sp = np.moveaxis(scalars, -1, 0)
         assert thr_idx[0, 0] == 0
         assert mu_sp[0, 0] == 0.0 and mu_de[0, 0] == 0.0
         assert al_sp[0, 0] == 0.0 and al_de[0, 0] == 0.0
         assert np.isinf(sse[0, 0])
         assert np.all(recon == 0.0)
-        assert np.array_equal(signs[0], np.array([1, -1, 1, -1], np.int8))
+        assert np.array_equal(cells[0] & 1, [1, 0, 1, 0])  # v >= 0
 
 
 def test_plan_lines_partial_overflow_picks_same_finite_candidate():
@@ -174,7 +178,7 @@ def test_plan_lines_partial_overflow_picks_same_finite_candidate():
     )
     for share in (True, False):
         out = _assert_matches_reference(lines, 8, share)
-        sse, recon = out[3], out[6]
+        sse, recon = out[3], out[5]
         assert np.isfinite(sse[0, 0])
         assert np.any(recon != 0.0)
 
@@ -259,7 +263,7 @@ def test_plan_lines_sse_is_the_in_order_sum():
                 out = _plan(lines[:n_lines], 64, _ranks(64, n_candidates), share)
                 for i in range(n_lines):
                     want = 0.0
-                    for a, b in zip(lines[i], out[6][i]):
+                    for a, b in zip(lines[i], out[5][i]):
                         d = np.float64(a) - np.float64(b)
                         want += d * d
                     _assert_same_bits(out[3][i, :1], np.array([want]), (i, share))
@@ -410,7 +414,7 @@ def test_screen_own_mean_at_the_threshold():
     )
     out = _assert_matches_reference(lines, 8, False)
     assert out[2][:, 0, 0].tolist() == [1.0, -1.0]  # mu_de
-    assert np.array_equal(out[6], lines)
+    assert np.array_equal(out[5], lines)
     assert np.all(out[3] == 0.0)
 
 

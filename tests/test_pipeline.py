@@ -8,10 +8,9 @@ from hbq.calib import build_calib_stats
 from hbq.config import QuantConfig
 from hbq.errors import ConfigError, NumericError, ShapeError
 from hbq.formats import decode_layer, encode_layer
-from hbq.grouping import compute_ciq, quantize_lines
+from hbq.grouping import LinePlans, compute_ciq, quantize_lines
 from hbq.haar import Axis
 from hbq.pipeline import (
-    QuantizedBlock,
     QuantizedLayer,
     compensate,
     dequantize_layer,
@@ -62,7 +61,7 @@ def test_row_haarquant_empty_mask_matches_plain_rows():
     plans = quantize_lines(w, cfg)
     assert block.salient_plans.lines == 0
     assert block.nonsalient_plans.lines == 6
-    assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
+    assert np.array_equal(block.nonsalient_plans.cells, plans.cells)
     assert np.array_equal(block.nonsalient_plans.thr_val[:, 0], plans.thr_val[:, 0])
 
 
@@ -95,7 +94,7 @@ def test_col_haarquant_empty_mask_matches_plain_columns():
     cfg = QuantConfig()
     block, _ = quantize_block(w, empty_mask(5), Axis.COL, cfg)
     plans = quantize_lines(w.T, cfg)
-    assert np.array_equal(block.nonsalient_plans.signs, plans.signs)
+    assert np.array_equal(block.nonsalient_plans.cells, plans.cells)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
@@ -126,7 +125,7 @@ def test_col_haarquant_sign_bits_one_per_weight():
     w = rng.normal(size=(16, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 4)
     block, _ = quantize_block(w, mask, Axis.COL, QuantConfig())
-    total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
+    total_signs = block.nonsalient_plans.cells.size + block.salient_plans.cells.size
     assert total_signs == 16 * 12
 
 
@@ -135,7 +134,7 @@ def test_row_haarquant_salient_columns_get_two_passes():
     w = rng.normal(size=(8, 12)).astype(np.float32)
     mask = top_k_mask(np.linalg.norm(w, axis=0), 2)
     block, _ = quantize_block(w, mask, Axis.ROW, QuantConfig())
-    total_signs = block.nonsalient_plans.signs.size + block.salient_plans.signs.size
+    total_signs = block.nonsalient_plans.cells.size + block.salient_plans.cells.size
     # every weight has a row-pass bit; salient columns add a residual bit
     assert total_signs == 8 * 12 + 2 * 8
 
@@ -162,24 +161,19 @@ def test_block_shape_validation():
     w = rng.normal(size=(4, 6)).astype(np.float32)
     block, _ = quantize_block(w, empty_mask(6), Axis.ROW, QuantConfig())
     three_rows, _ = quantize_block(w[:3], empty_mask(6), Axis.ROW, QuantConfig())
+
+    def layer(mask, plans):
+        return QuantizedLayer([mask], {plans.width: plans}, n=4, m=mask.bits.size,
+                              beta=6, mode=Axis.ROW, damping=0.01, cfg=QuantConfig())
+
+    layer(block.mask, block.nonsalient_plans)
     malformed = (
-        QuantizedBlock(
-            mask=empty_mask(5),
-            nonsalient_plans=block.nonsalient_plans,
-            salient_plans=block.salient_plans,
-        ),
-        QuantizedBlock(
-            mask=empty_mask(6),
-            nonsalient_plans=three_rows.nonsalient_plans,
-            salient_plans=block.salient_plans,
-        ),
+        (empty_mask(5), block.nonsalient_plans),  # 6-wide rows on a 5-wide mask
+        (empty_mask(6), three_rows.nonsalient_plans),  # 3 rows of a 4-row block
     )
-    for bad in malformed:
+    for mask, plans in malformed:
         with pytest.raises(ShapeError):
-            QuantizedLayer.from_blocks(
-                [bad], n=4, m=bad.mask.bits.size, beta=6, mode=Axis.ROW,
-                damping=0.01, cfg=QuantConfig(),
-            )
+            layer(mask, plans)
 
 
 def test_row_haarquant_odd_width_rejected():
@@ -658,20 +652,19 @@ def test_layer_validation():
     rng = np.random.default_rng(20)
     w = rng.normal(size=(4, 8)).astype(np.float32)
     block, _ = quantize_block(w, empty_mask(8), Axis.ROW, QuantConfig())
+    rows = block.nonsalient_plans
+
+    def layer(masks, plans, m, beta, mode):
+        return QuantizedLayer(masks, plans, n=4, m=m, beta=beta, mode=mode,
+                              damping=0.01, cfg=QuantConfig())
+
+    layer([block.mask], {8: rows}, m=8, beta=8, mode=Axis.ROW)
     with pytest.raises(ShapeError):
-        QuantizedLayer.from_blocks(
-            [block], n=4, m=10, beta=8, mode=Axis.ROW,
-            damping=0.01, cfg=QuantConfig(),
-        )
+        layer([block.mask], {8: rows}, m=10, beta=8, mode=Axis.ROW)
     with pytest.raises(ShapeError):
-        QuantizedLayer.from_blocks(
-            [block], n=4, m=8, beta=8, mode=Axis.COL,
-            damping=0.01, cfg=QuantConfig(),
-        )
+        layer([block.mask], {8: rows}, m=8, beta=8, mode=Axis.COL)
     # two 8-wide blocks on one 16-wide span: the widths sum to m, but the
     # encoder would write records the decoder rejects
     with pytest.raises(ShapeError):
-        QuantizedLayer.from_blocks(
-            [block, block], n=4, m=16, beta=16, mode=Axis.ROW,
-            damping=0.01, cfg=QuantConfig(),
-        )
+        layer([block.mask] * 2, {8: LinePlans.concat([rows, rows])}, m=16, beta=16,
+              mode=Axis.ROW)
