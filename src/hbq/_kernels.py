@@ -11,9 +11,14 @@ group's own. Below, a "line" is one such row.
 
 - **Sums over the |v| order.** Each candidate's sparse set is a suffix of
   the line's |v| order, starting at the first index of its threshold's tie
-  run. With c the line's binary16 mean (the shared mean), prefix sums over
-  that order of dev = |v - c| (and, for own means, of dev·[v >= c]) give
-  every candidate's group counts and sums with one gather.
+  run. The line is sorted once, as one uint64 key per position: the
+  float32 bits of |v| in the high word, which order the key, and v's own
+  bits in the low word, read back as v in |v| order. With c the line's
+  binary16 mean (the shared mean), prefix sums over that order of
+  dev = |v - c| (and, for own means, of dev·[v >= c]) give every
+  candidate's group counts and sums with one gather. Tied |v| come out
+  in the order of their low words, but a prefix sum is read only where a
+  tie run starts, where every order sums the same set of values.
 - **Own means** (``share_mean=False``). A group's sum of x = v - c is
   2·Σdev·[v >= c] - Σdev, which gives its binary16 mean by the interval
   test below. Sorted by value, a line's dense group is the run of values
@@ -21,6 +26,9 @@ group's own. Below, a "line" is one such row.
   sums of x over the value order re-split each group at its own mean into
   the same (dev, dev·pos, pos) sums, relative to c. The scales' deviation
   sums follow as Σdev - y·(2·npos - n), with y the group mean minus c.
+  The value order is a sort of int32 keys that order as the float32
+  values, and one searchsorted over the chunk's keys, offset by line,
+  finds every group's ends.
 - **Binary16 scalars.** Means and scales are binary16 roundings of sums
   over counts, and one routine, ``_f16_quotients``, rounds them all. Each
   sum carries a float64 error bound; where both ends of that interval
@@ -45,10 +53,17 @@ group's own. Below, a "line" is one such row.
   whose bound reaches that error, and the winner is the first-index
   argmin of the scored errors. Any candidate left out is strictly worse
   than one that was scored, so winner, error and stored bits are those of
-  evaluating every candidate on every position.
+  evaluating every candidate on every position. The first round reads
+  the lines from the one transposed float64 copy their sums came from,
+  and its cells are kept: a line whose winner is its best-bound
+  candidate returns them, and any other line has its cells taken again
+  from its winner's threshold and means.
 - **Ties.** Equal ranks, which come in runs, are screened once. Of the
   ranks on one tie run (one sparse set) only the first can be scored and
-  the others share its error, so the first index still wins.
+  the others share its error, so the first index still wins. Whether any
+  two neighbouring sorted |v| are equal is checked once per chunk; in a
+  chunk without such a tie every rank is a run of its own, so a dense
+  count is the rank less one and the run bookkeeping is skipped.
 
 A line whose every candidate overflows binary16 gets a zeroed plan on its
 own, without touching its neighbours. With shared means that includes a
@@ -65,7 +80,11 @@ these against it bit for bit.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
+
+from .errors import ShapeError
 
 # perfbench records these in each result's environment; nothing sets them
 HAS_NUMBA = USE_NUMBA = False
@@ -97,8 +116,9 @@ def f16_round(x):
 
 # Element budget of one screen call: its temporaries are (lines x (band
 # width + candidates)), and a chunk holds at most this many such values
-# (256 lines of a 64-wide band at 40 candidates, a tracemalloc peak of
-# ~1.6 MB with shared means and ~4.2 MB with own means).
+# (256 lines of a 64-wide band at 40 candidates). One plan_lines call on
+# 2048 such lines peaks at 1.3 MiB under tracemalloc with shared means
+# and 4.2 MiB with own means, its outputs included.
 _SCREEN_VALUES = 256 * (64 + 40)
 
 # The screen's float64 slack: _SLACK·(nv + 8) roundings (2**-53) of a
@@ -119,6 +139,9 @@ _SLACK = 64.0
 _ULP = 2.0**-53
 # float32 narrowing of a level: |fl32(l) - l| <= 2**-24·|l|
 _ULP32 = 2.0**-24
+# The float32 words of a uint64 sort key (``_sorted_sums``): |v| in the
+# high word, which the sort compares first, and v in the low word.
+_KEY_LO, _KEY_HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
 def _sum_positions(a):
@@ -131,16 +154,18 @@ def _sum_positions(a):
     case goes through ``cumsum``. Adding +0.0 maps an all ``-0.0`` sum to
     ``+0.0`` and changes no other value.
     """
+    a = np.ascontiguousarray(a)
     if a.size == a.shape[0]:
         return np.cumsum(a, axis=0)[-1] + 0.0
     return np.add.reduce(a, axis=0) + 0.0
 
 
-def _group_sums(v, li, thr, sparse, mu=None):
+def _group_sums(vT, li, thr, sparse, mu=None):
     """Position-order sums over the sparse (or dense) group of (line
     ``li``, threshold ``thr``) pairs, one pair per column: of |v - mu|,
-    with ``mu`` per pair, or of v itself when ``mu`` is None."""
-    vs = np.ascontiguousarray(v[li].T, dtype=np.float64)  # (nv, pairs)
+    with ``mu`` per pair, or of v itself when ``mu`` is None. ``vT`` holds
+    the lines as columns, (nv, lines) float64."""
+    vs = vT[:, li]  # (nv, pairs)
     term = vs if mu is None else np.abs(vs - mu)
     return _sum_positions(np.where((np.abs(vs) >= thr) == sparse, term, 0.0))
 
@@ -175,45 +200,65 @@ def band_levels(scalars):
     return out
 
 
-def _sorted_sums(v64, c, ranks, share):
+def _sorted_sums(v, c, ranks, share):
     """Sort each line by |v| and sum over that order.
 
-    Returns per (line, candidate) the threshold and the dense count (the
-    first index of the threshold's tie run); the sums of dev and, for own
-    means, of dev·[v >= c] over the dense and the sparse group (2, 1 or 2,
-    lines, candidates); and the line's Σdev and Σdev² (lines, 1).
+    Each position is sorted as one uint64 key, the float32 bits of |v| in
+    its high word and v's own bits in its low word, so one ``sort`` orders
+    the line by |v| and carries v along, to be read back from the low
+    word. Returns per (line, candidate) the threshold and the dense count
+    (the first index of the threshold's tie run), (1, candidates) when the
+    chunk holds no tie; the sums of dev and, for own means, of dev·[v >= c]
+    over the dense and the sparse group (2, 1 or 2, lines, candidates); the
+    line's Σdev and Σdev² (lines, 1); and whether any line holds a tie.
     """
-    n, nv = v64.shape
-    rc = np.arange(n)[:, None]
-    order = np.argsort(np.abs(v64), axis=1)
-    vs = v64[rc, order]
-    srt = np.abs(vs)
-    run = np.zeros((n, nv), np.intp)
-    np.multiply(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), out=run[:, 1:])
-    n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
-    dev = np.abs(vs - c)
-    pre = np.zeros((1 if share else 2, n, nv + 1))
-    pre[0, :, 1:] = dev
+    n, nv = v.shape
+    key = np.empty((n, nv), np.uint64)
+    words = key.view(np.float32).reshape(n, nv, 2)
+    words[..., _KEY_LO] = v
+    np.abs(v, out=words[..., _KEY_HI])
+    key.sort(axis=1)
+    srt, vs = words[..., _KEY_HI], words[..., _KEY_LO].astype(np.float64)
+    ties = bool((srt[:, 1:] == srt[:, :-1]).any())
+    if ties:
+        run = np.zeros((n, nv), np.intp)
+        np.multiply(srt[:, 1:] != srt[:, :-1], np.arange(1, nv), out=run[:, 1:])
+        n_de = np.maximum.accumulate(run, axis=1)[:, ranks - 1]
+    else:
+        n_de = (ranks - 1)[None, :]
+    up = None if share else vs >= c
+    dev = np.abs(np.subtract(vs, c, out=vs), out=vs)
+    pre = np.empty((1 if share else 2, n, nv + 1))
+    pre[:, :, 0] = 0.0
     if not share:
-        np.multiply(dev, vs >= c, out=pre[1, :, 1:])
-    np.cumsum(pre, axis=2, out=pre)
+        np.multiply(dev, up, out=pre[1, :, 1:])
+        np.cumsum(pre[1, :, 1:], axis=1, out=pre[1, :, 1:])
+    q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
+    np.cumsum(dev, axis=1, out=pre[0, :, 1:])
     sums = np.empty((2, len(pre), n, ranks.size))
+    rc = np.arange(n)[:, None]
     at = n_de + (nv + 1) * rc  # every index is in range; "clip" writes unbuffered
     np.take(pre.reshape(len(pre), -1), at, axis=1, out=sums[0], mode="clip")
     np.subtract(pre[:, :, nv:], sums[0], out=sums[1])
-    q_all = np.einsum("ij,ij->i", dev, dev)[:, None]
-    return srt[:, ranks - 1], n_de, sums, pre[0, :, nv:].copy(), q_all
+    t = srt[:, ranks - 1].astype(np.float64)
+    return t, n_de, sums, pre[0, :, nv:].copy(), q_all, ties
 
 
-def _keys(rows, vals):
-    """Complex keys row + i·value: lines of ascending values, one after
+def _ordered(x):
+    """int32 keys that sort as the float32 values ``x``, -0.0 just below
+    +0.0. The map is its own inverse on the keys' bits: negative values
+    have their magnitude bits flipped, the others are kept."""
+    i = x.view(np.int32)
+    return i ^ ((i >> 31) & 0x7FFFFFFF)
+
+
+def _keys(rows, keys):
+    """int64 keys row·2**32 + key: lines of ascending int32 keys, one after
     another, are one ascending array, so one searchsorted serves them all."""
-    k = np.empty(np.broadcast_shapes(rows.shape, vals.shape), np.complex128)
-    k.real, k.imag = rows, vals
-    return k.ravel()
+    return (keys + (rows.astype(np.int64) << 32)).ravel()
 
 
-def _split_at_means(v64, c, thr, n_de, counts, means):
+def _split_at_means(v, c, thr, n_de, counts, means):
     """Re-split each group of every (line, candidate) at its own mean.
 
     Returns the sums of x = v - c, signed by [v >= mean] (the dev of the
@@ -225,15 +270,20 @@ def _split_at_means(v64, c, thr, n_de, counts, means):
     prefix, so a group's part below its mean is one run (dense) or two
     runs (sparse) of one prefix sum of x.
     """
-    n, nv = v64.shape
+    n, nv = v.shape
     rc = np.arange(n)[:, None]
-    vs = np.sort(v64, axis=1)
-    keys = _keys(rc, vs)
+    order = _ordered(v)
+    order.sort(axis=1)
+    vs = _ordered(order.view(np.float32)).view(np.float32).astype(np.float64)
+    order[order == -1] = 0  # -0.0 counts as +0.0
+    keys = _keys(rc, order)
     pre = np.zeros((n, nv + 1))
     np.cumsum(vs - c, axis=1, out=pre[:, 1:])
 
     def count(q, side):  # per line, how many values lie left of q
-        at = np.searchsorted(keys, _keys(rc, q), side).reshape(q.shape)
+        # q holds float32 values: thresholds and binary16 means
+        q32 = q.astype(np.float32) + np.float32(0.0)
+        at = np.searchsorted(keys, _keys(rc, _ordered(q32)), side).reshape(q.shape)
         return at - nv * rc
 
     a = count(-thr, "right")
@@ -248,8 +298,6 @@ def _split_at_means(v64, c, thr, n_de, counts, means):
     below = np.stack([pd - pa, p1 + (p2 - pe)])
     n_below = np.stack([ends[1] - a, ends[3] + ends[4] - e])
     return np.stack([total - 2.0 * below, total - below, counts - n_below], axis=1)
-
-
 
 
 def _lower_bounds(v64, q_all, counts, dsums, width, bound, shift=None):
@@ -271,17 +319,26 @@ def _lower_bounds(v64, q_all, counts, dsums, width, bound, shift=None):
     times the magnitudes summed (see _SLACK); ‖v‖ is taken that much too
     large to cover its own.
     """
-    d_hi = dsums + width
-    sq = d_hi * d_hi / np.maximum(counts, 1)
-    sq = sq[0] + sq[1]
-    low, mag = q_all - sq, q_all + sq
+    sq = np.add(dsums, width)
+    np.multiply(sq, sq, out=sq)
+    np.divide(sq, np.maximum(counts, 1), out=sq)
+    sq = np.add(sq[0], sq[1], out=sq[0])
+    low, mag = q_all - sq, np.add(q_all, sq, out=sq)
     if shift is not None:
         y, s, d_all = shift
         low -= (2.0 * y * s - counts * y * y).sum(axis=0)
         mag += (2.0 * np.abs(y) * (np.abs(s) + d_all) + counts * y * y).sum(axis=0)
     b = np.maximum(low, 0.0)
     norm = np.sqrt(np.einsum("ij,ij->i", v64, v64))[:, None] * (1.0 + bound)
-    return low - 2.0 * _ULP32 * (b + norm * np.sqrt(b)) - bound * mag
+    # low - 2**-23·(b + norm·√b) - bound·mag, subtracted in that order
+    slack = np.sqrt(b)
+    slack *= norm
+    slack += b
+    slack *= 2.0 * _ULP32
+    low -= slack
+    mag *= bound
+    low -= mag
+    return low
 
 
 def _distinct(ranks_in):
@@ -294,10 +351,24 @@ def _distinct(ranks_in):
     return ranks_in[new], np.cumsum(new) - 1
 
 
+def _cells(v, thr, mu_de, mu_sp=None):
+    """Each position's level index, 2·sparse + (v >= its group's mean), in
+    uint8; ``thr`` and the means broadcast against ``v``, and ``mu_sp``
+    None when both groups have the mean ``mu_de``."""
+    sparse = np.abs(v) >= thr
+    up = v >= mu_de
+    if mu_sp is not None:
+        up &= ~sparse
+        up |= sparse & (v >= mu_sp)
+    cells = 2 * sparse.view(np.uint8)
+    cells += up
+    return cells
+
+
 def _screen_band(v, ranks, inv, share):
     """Plan every row of ``v`` (rows x band width) as one band, screening
     the distinct ``ranks`` once; ``inv`` maps the caller's candidates to
-    them (``_distinct``).
+    them (``_distinct``), None when it is the identity.
 
     Returns per row (best index, threshold, scalars, sse), the scalars in
     ``band_levels`` order (rows, 4), and per position the winning
@@ -306,7 +377,8 @@ def _screen_band(v, ranks, inv, share):
     n, nv = v.shape
     rows = np.arange(n)
     rc = rows[:, None]
-    line_sums = _sum_positions(np.ascontiguousarray(v.T, dtype=np.float64))
+    vT = np.ascontiguousarray(v.T, dtype=np.float64)  # (nv, rows)
+    line_sums = _sum_positions(vT)
     # The shared mean; a line where it overflows binary16 is screened
     # around 0 instead.
     mu = f16_round(line_sums / nv)
@@ -315,19 +387,23 @@ def _screen_band(v, ranks, inv, share):
     ncand = ranks.size
     v64 = v.astype(np.float64)
     c = mu[:, None]
-    t, n_de, sums, d_all, q_all = _sorted_sums(v64, c, ranks, share)
+    t, n_de, sums, d_all, q_all, ties = _sorted_sums(v, c, ranks, share)
+    # without ties (and with shared means) every line has the same counts
     counts = np.stack([n_de, nv - n_de])
+    shape = (2, n, ncand)
     bound = _SLACK * (nv + 8) * _ULP
     if share:
         # a line whose mean overflowed has no finite candidate and gets
         # the zeroed plan below
-        means = np.broadcast_to(c, counts.shape)
+        means = np.broadcast_to(c, shape)
         finite = fin[:, None]
         dsums, width = sums[:, 0], bound * d_all
         shift = None
     else:
+        counts = np.broadcast_to(counts, shape)
+
         def own_sum(g, li, ki):
-            sp = _group_sums(v, li, t[li, ki], True)
+            sp = _group_sums(vT, li, t[li, ki], True)
             return np.where(g == 1, sp, line_sums[li] - sp)
 
         s = 2.0 * sums[:, 1] - sums[:, 0] + counts * c
@@ -335,70 +411,81 @@ def _screen_band(v, ranks, inv, share):
         means = _f16_quotients(s, counts, width, own_sum)
         finite = np.isfinite(means).all(axis=0)
         means = np.where(finite, means, 0.0)
-        sums = _split_at_means(v64, c, t, n_de, counts, means)
+        sums = _split_at_means(v, c, t, n_de, counts, means)
         y = means - c
         dsums = sums[:, 0] - y * (2.0 * sums[:, 2] - counts)
         width = bound * (d_all + nv * np.abs(y))
         shift = (y, 2.0 * sums[:, 1] - sums[:, 0], d_all)
     lower = _lower_bounds(v64, q_all, counts, dsums, width, bound, shift)
-    width = np.broadcast_to(width, counts.shape)
+    counts, width = np.broadcast_to(counts, shape), np.broadcast_to(width, shape)
 
     # candidates on one tie run are one candidate: score the first and
-    # give the others its error
-    new_run = np.ones(t.shape, bool)
-    new_run[:, 1:] = n_de[:, 1:] != n_de[:, :-1]
-    first = np.maximum.accumulate(np.where(new_run, np.arange(ncand), 0), axis=1)
-    cand = finite & new_run
-    lower = np.where(cand, lower, np.inf)
+    # give the others its error. Without ties each candidate is its own.
+    if ties:
+        new_run = np.ones(t.shape, bool)
+        new_run[:, 1:] = n_de[:, 1:] != n_de[:, :-1]
+        first = np.maximum.accumulate(np.where(new_run, np.arange(ncand), 0), axis=1)
+        cand = finite & new_run
+    else:
+        cand = np.broadcast_to(finite, t.shape)
+    if not cand.all():
+        lower = np.where(cand, lower, np.inf)
 
     errs = np.full(t.shape, np.inf)
-    al = np.zeros(counts.shape)
+    al = np.zeros(shape)
 
-    def score(li, ki):
+    def score(li, ki, vp):
         # round the pairs' scales and compute their errors exactly, in
-        # position order
-        if not li.size:
-            return
+        # position order; vp is the pairs' lines, (nv, pairs). Returns
+        # the pairs' cells, (nv, pairs).
         at = (slice(None), li, ki)
         m, thr = means[at], t[li, ki]
         a = _f16_quotients(dsums[at], counts[at], width[at],
-                           lambda g, p: _group_sums(v, li[p], thr[p], g == 1, m[g, p]))
+                           lambda g, p: _group_sums(vT, li[p], thr[p], g == 1, m[g, p]))
         # an overflowed scale has infinite error and never wins
         ok = np.isfinite(a).all(axis=0)
         a[:, ~ok] = 0.0
-        vp = np.ascontiguousarray(v64[li].T)  # (nv, pairs)
-        sp = np.abs(vp) >= thr
-        cell = 2 * sp + (vp >= np.where(sp, m[1], m[0]))
-        cell += 4 * np.arange(li.size)
-        diff = vp - band_levels(np.concatenate([m, a]).T).ravel()[cell]
+        cell = _cells(vp, thr, m[0], None if share else m[1])
+        levels = band_levels(np.concatenate([m, a]).T).ravel()
+        diff = vp - levels[cell + 4 * np.arange(li.size)]
         al[at] = a
         err = _sum_positions(np.square(diff, out=diff))
         errs[li, ki] = np.where(ok, err, np.inf)
+        return cell
 
     # Score the best bound of each line, then every other candidate whose
     # bound reaches its error; any candidate left out is strictly worse.
+    # The first round's cells are kept for the lines it picks the winner of.
     kb = np.argmin(lower, axis=1)
     li = np.flatnonzero(cand.any(axis=1))
-    score(li, kb[li])
+    kept = score(li, kb[li], vT if li.size == n else vT[:, li])
     more = cand & (lower <= errs[rows, kb][:, None])
     more[rows, kb] = False
-    score(*np.nonzero(more))
+    li2, ki2 = np.nonzero(more)
+    if li2.size:
+        score(li2, ki2, vT[:, li2])
 
     # back to the caller's candidates; first minimum: smaller index wins
     # ties. A line with no finite candidate keeps mu = alpha = 0 and cells
     # against 0.
-    errs = errs[rc, first]
-    best = np.argmin(errs[:, inv], axis=1)
-    k = inv[best]
+    if ties:
+        errs = errs[rc, first]
+    best = np.argmin(errs if inv is None else errs[:, inv], axis=1)
+    k = best if inv is None else inv[best]
     ok = np.isfinite(errs[rows, k])
     best[~ok] = 0
     k[~ok] = 0
-    scalars = np.concatenate([means[:, rows, k], al[:, rows, first[rows, k]]]).T
+    kw = first[rows, k] if ties else k  # the candidate that was scored
+    scalars = np.concatenate([means[:, rows, k], al[:, rows, kw]]).T
     scalars[~ok] = 0.0
-    sparse = np.abs(v64) >= t[rows, k][:, None]
-    cells = 2 * sparse.view(np.uint8)
-    cells += v64 >= np.where(sparse, scalars[:, 1:2], scalars[:, :1])
-    return best, t[rows, k], scalars, np.where(ok, errs[rows, k], np.inf), cells
+    thr = t[rows, k]
+    cells = np.empty((n, nv), np.uint8)
+    cells[li] = kept.T
+    redo = np.flatnonzero(~ok | (kw != kb))
+    if redo.size:
+        cells[redo] = _cells(v64[redo], thr[redo, None], scalars[redo, :1],
+                             None if share else scalars[redo, 1:2])
+    return best, thr, scalars, np.where(ok, errs[rows, k], np.inf), cells
 
 
 def plan_lines(lines, ranks, share):
@@ -412,12 +499,20 @@ def plan_lines(lines, ranks, share):
     cell 2·sparse + (v >= its group's mean), the index of its level among
     the row's four. Rows are planned in chunks holding at most
     ``_SCREEN_VALUES`` values of rows x (band width + candidates).
+
+    ``lines`` must be float32, as ``tensor.as_matrix`` returns it: the
+    screen sorts the float32 bits of |v|. Any other dtype raises
+    ShapeError.
     """
+    if lines.dtype != np.float32:
+        raise ShapeError(f"plan_lines takes float32 rows, got {lines.dtype}")
     n, nv = lines.shape
     out = [np.zeros(n, np.uint8), np.zeros(n, np.float32), np.zeros((n, 4), np.float32),
            np.zeros(n), np.zeros((n, nv), np.uint8)]
     # equal ranks are the same candidate: screen each run of them once
     distinct, inv = _distinct(np.asarray(ranks))
+    if distinct.size == inv.size:
+        inv = None
     step = max(1, _SCREEN_VALUES // (nv + len(ranks)))
     for i in range(0, n, step):
         chunk = _screen_band(lines[i : i + step], distinct, inv, share)

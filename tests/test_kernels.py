@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import reference_kernels as R
 from hbq import _kernels as K
 from hbq.config import nearest_rank, percentile_levels
+from hbq.errors import ShapeError
 from hbq.grouping import LinePlans
 from hbq.haar import haar_fwd_rows, haar_inv_rows
 from hbq.salient import column_scores, fill_avg, top_k_mask
@@ -202,6 +203,17 @@ def test_plan_lines_across_chunk_boundaries(monkeypatch):
         out = _assert_matches_reference(lines, 8, True)
         assert np.all(np.isinf(out[3][::2, 0]))
         assert np.all(np.isinf(out[3][1::4, 1]))
+    # One call whose chunks alternate between tie-free rows and plateau
+    # rows, whose |v| ties: lines 5-9 fill band rows 10-19, the chunks
+    # at rows 10 and 15, and lines 15-17 reach into the chunk at row 35.
+    lines = _trial_lines(rng, "gauss", 23, 16)
+    lines[5:10] = _trial_lines(rng, "plateau", 5, 16)
+    lines[15:18] = _trial_lines(rng, "plateau", 3, 16)
+    ranks = _ranks(8)
+    for share in (True, False):
+        _assert_matches_reference(lines, 8, share, ranks=ranks)
+        ties = [out[-1] for out in _record("_sorted_sums", lines.reshape(-1, 8), ranks, share)]
+        assert ties == [False, False, True, True, False, False, True, True, False, False]
 
 
 def test_plan_lines_mixed_overflow_lines_in_one_batch():
@@ -267,6 +279,29 @@ def test_plan_lines_sse_is_the_in_order_sum():
                         d = np.float64(a) - np.float64(b)
                         want += d * d
                     _assert_same_bits(out[3][i, :1], np.array([want]), (i, share))
+
+
+def test_sum_positions_is_the_in_order_scan_in_any_layout():
+    # Over a contiguous axis numpy sums pairwise; an F-ordered argument,
+    # as fancy indexing the columns of a C-ordered array returns, must
+    # still give the bits of 0.0 + a[0] + a[1] + ...
+    rng = np.random.default_rng(16)
+    vals = rng.normal(size=(64, 300)) * 10.0 ** rng.uniform(-3, 3, (64, 300))
+    cols = rng.permutation(300)[:5]
+    for a in (vals[:, cols], np.asfortranarray(vals[:, :5]), vals[:, :1]):
+        want = np.zeros(a.shape[1])
+        for row in a:
+            want += row
+        _assert_same_bits(K._sum_positions(a), want, a.flags.f_contiguous)
+
+
+def test_plan_lines_takes_float32_rows_only():
+    lines = np.random.default_rng(17).normal(size=(3, 8))
+    ranks = _ranks(8)
+    for bad in (lines, lines.astype(np.float16), lines.astype(np.int32)):
+        with pytest.raises(ShapeError, match="float32"):
+            K.plan_lines(bad, ranks, True)
+    K.plan_lines(lines.astype(np.float32), ranks, True)
 
 
 def test_plan_lines_wide_dynamic_range_line_bitwise():
@@ -588,6 +623,15 @@ def test_screen_scores_candidates_past_the_best_bound():
         lower = _bounds(line, ranks, share)[0]
         assert np.argmin(lower) != thr_idx[0, 0]
         _assert_bounds_sound(line, 6, share, ranks)
+    # The same line among lines whose best bound wins: the first round's
+    # cells serve those, and the line's own cells are those of its winner.
+    rng = np.random.default_rng(18)
+    lines = rng.normal(size=(5, 6)).astype(np.float32)
+    lines[2] = line[0]
+    for share in (True, False):
+        thr_idx = _assert_matches_reference(lines, 6, share, ranks=ranks)[0]
+        best = np.argmin(_bounds(lines, ranks, share), axis=1)
+        assert [best[i] != thr_idx[i, 0] for i in range(5)] == [False, False, True, False, False]
 
 
 def test_screen_at_benchmark_band_widths():
